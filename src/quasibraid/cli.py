@@ -82,12 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the w-rotation angle instead of selecting one",
     )
     parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="reserved; all computations are deterministic",
-    )
-    parser.add_argument(
         "--tol",
         type=float,
         default=1e-12,

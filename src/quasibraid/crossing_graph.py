@@ -10,11 +10,12 @@ gives a second, independent route to the braid word of a loop.
 
 Extraction is by continuation on grid edges.  Each lattice fiber is solved
 and sorted by rotated real part; a grid edge whose endpoint orders differ by
-one adjacent transposition carries a crossing, located by bisection.  Within
-each cell the crossing points of equal label are joined by straight segments;
-cells that cannot be resolved that way are subdivided a bounded number of
-times and then flagged.  Cells containing a branch point are excluded, so
-curve ends near branch points stop at the cell boundary.
+one adjacent transposition carries a crossing, and all such edges are bisected
+together by :mod:`quasibraid.fibers`.  Within each cell the crossing points
+of equal label are joined by straight segments; cells that cannot be resolved
+that way are subdivided a bounded number of times and then flagged.  Cells
+containing a branch point are excluded, so curve ends near branch points stop
+at the cell boundary.
 
 The grid is jittered by a fixed sub-cell offset so that lattice nodes and
 grid lines do not land exactly on symmetric loci such as the real axis.
@@ -30,7 +31,7 @@ import numpy as np
 
 from .branch import BranchData
 from .errors import InputError, NumericalFailure
-from .monodromy import _fibers_batch
+from .fibers import bisect_crossings, match, min_gap, solve
 from .paths import Arc, LoopPath, Primitive, Segment, primitive_intersections
 from .poly import BivariatePolynomial
 from .words import BraidLetter, BraidWord
@@ -93,133 +94,35 @@ class CrossingGraph:
                 )
 
 
-class _Unresolved(Exception):
-    """Internal: a grid edge could not be reduced to simple crossings."""
-
-
 def _sorted_fibers(f: BivariatePolynomial, rot: complex, zs: np.ndarray) -> np.ndarray:
-    fibers = _fibers_batch(f, zs)
+    fibers = solve(f, zs)
     rv = rot * fibers
     order = np.lexsort((rv.imag, rv.real), axis=-1)
     return np.take_along_axis(fibers, order, axis=-1)
 
 
-def _row_min_gap(vals: np.ndarray) -> np.ndarray:
-    d = np.abs(vals[..., :, None] - vals[..., None, :])
-    eye = np.eye(vals.shape[-1], dtype=bool)
-    d[..., eye] = np.inf
-    return d.min(axis=(-2, -1))
-
-
 def _row_adjacent_re_gap(vals: np.ndarray, rot: complex) -> np.ndarray:
-    re = (rot * vals).real
-    if vals.shape[-1] < 2:
-        return np.full(vals.shape[:-1], np.inf)
-    return np.diff(re, axis=-1).min(axis=-1)
+    return np.diff((rot * vals).real, axis=-1).min(axis=-1)
 
 
-def _match_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest matching per row: selection, max displacement, bijectivity."""
-    d = np.abs(a[:, :, None] - b[:, None, :])
-    sel = d.argmin(axis=2)
-    n = a.shape[1]
-    rows = np.arange(a.shape[0])[:, None]
-    move = d[rows, np.arange(n)[None, :], sel].max(axis=1)
-    bij = (np.sort(sel, axis=1) == np.arange(n)[None, :]).all(axis=1)
-    return sel, move, bij
-
-
-def _classify_perms(sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split rows into identity, single adjacent transposition, and other."""
+def _classify_perms(sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position p of rows that are the single adjacent transposition (p, p+1),
+    else -1, and the mask of rows that are neither that nor the identity."""
     n = sel.shape[1]
-    idcols = np.arange(n)[None, :]
-    mism = sel != idcols
+    mism = sel != np.arange(n)
     counts = mism.sum(axis=1)
-    identity = counts == 0
-    swap_pos = np.full(sel.shape[0], -1)
-    two = counts == 2
-    if two.any():
-        first = np.where(mism, idcols, n).min(axis=1)
-        rows = np.nonzero(two)[0]
-        for r in rows:
-            p = int(first[r])
-            if (
-                p + 1 < n
-                and sel[r, p] == p + 1
-                and sel[r, p + 1] == p
-            ):
-                swap_pos[r] = p
-    single = swap_pos >= 0
-    other = ~identity & ~single
-    return identity, swap_pos, other
+    p = mism.argmax(axis=1)
+    rows = np.arange(sel.shape[0])
+    single = (
+        (counts == 2)
+        & (p + 1 < n)
+        & (sel[rows, p] == p + 1)
+        & (sel[rows, np.minimum(p + 1, n - 1)] == p)
+    )
+    return np.where(single, p, -1), (counts > 0) & ~single
 
 
-def _bisect_edge(
-    f: BivariatePolynomial,
-    rot: complex,
-    a: complex,
-    b: complex,
-    ref: np.ndarray,
-    p: int,
-) -> tuple[complex, int]:
-    """Crossing point and sign on edge a->b for sorted-slot pair (p, p+1)."""
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        fiber = _fibers_batch(f, np.array([a + (b - a) * mid]))[0]
-        d = np.abs(ref[:, None] - fiber[None, :])
-        sel = d.argmin(axis=1)
-        tracked = fiber[sel]
-        g = (rot * (tracked[p] - tracked[p + 1])).real
-        if g < 0:
-            lo = mid
-        else:
-            hi = mid
-    t_star = 0.5 * (lo + hi)
-    z_star = a + (b - a) * t_star
-    fiber = _fibers_batch(f, np.array([z_star]))[0]
-    sel = np.abs(ref[:, None] - fiber[None, :]).argmin(axis=1)
-    tracked = fiber[sel]
-    sign = 1 if ((rot * tracked[p + 1]).imag - (rot * tracked[p]).imag) > 0 else -1
-    return z_star, sign
-
-
-def _edge_events_scalar(
-    f: BivariatePolynomial,
-    rot: complex,
-    a: complex,
-    b: complex,
-    fa: np.ndarray,
-    fb: np.ndarray,
-    scale: float,
-    depth: int = 0,
-) -> list[tuple[complex, int, int]]:
-    tie_floor = 1e-11 * scale
-    if (
-        _row_adjacent_re_gap(fa[None, :], rot)[0] < tie_floor
-        or _row_adjacent_re_gap(fb[None, :], rot)[0] < tie_floor
-    ):
-        raise _Unresolved
-    sel, move, bij = _match_rows(fa[None, :], fb[None, :])
-    gap = _row_min_gap(fa[None, :])[0]
-    if bool(bij[0]) and float(move[0]) < gap / 3.0:
-        identity, swap_pos, other = _classify_perms(sel)
-        if identity[0]:
-            return []
-        if not other[0]:
-            p = int(swap_pos[0])
-            z_star, sign = _bisect_edge(f, rot, a, b, fa, p)
-            return [(z_star, p + 1, sign)]
-    if depth >= _EDGE_SPLIT_DEPTH:
-        raise _Unresolved
-    mid = 0.5 * (a + b)
-    fm = _sorted_fibers(f, rot, np.array([mid]))[0]
-    left = _edge_events_scalar(f, rot, a, mid, fa, fm, scale, depth + 1)
-    right = _edge_events_scalar(f, rot, mid, b, fm, fb, scale, depth + 1)
-    return left + right
-
-
-def _edge_events_batch(
+def _edge_events(
     f: BivariatePolynomial,
     rot: complex,
     a_pts: np.ndarray,
@@ -227,41 +130,60 @@ def _edge_events_batch(
     fa: np.ndarray,
     fb: np.ndarray,
     scale: float,
+    depth: int = 0,
 ) -> tuple[dict[int, list[tuple[complex, int, int]]], set[int]]:
-    """Crossing events per edge index; second return is unresolved edges."""
-    count = a_pts.shape[0]
-    events: dict[int, list[tuple[complex, int, int]]] = {}
-    unresolved: set[int] = set()
-    if count == 0:
-        return events, unresolved
-    sel, move, bij = _match_rows(fa, fb)
-    gaps = _row_min_gap(fa)
+    """Crossing events per edge index; second return is unresolved edges.
+
+    Edges whose endpoint orders differ by one adjacent swap are bisected in
+    one batch; other edges are halved, up to ``_EDGE_SPLIT_DEPTH`` times.  A
+    rotated real-part tie at an endpoint leaves an edge unresolved.
+    """
+    sel, move, bij = match(fa, fb)
     tie_floor = 1e-11 * scale
-    ok = (
-        bij
-        & (move < gaps / 3.0)
-        & (_row_adjacent_re_gap(fa, rot) >= tie_floor)
-        & (_row_adjacent_re_gap(fb, rot) >= tie_floor)
+    untied = (_row_adjacent_re_gap(fa, rot) >= tie_floor) & (
+        _row_adjacent_re_gap(fb, rot) >= tie_floor
     )
-    identity, swap_pos, other = _classify_perms(sel)
-    fallback = np.nonzero(~ok | other)[0]
-    simple = np.nonzero(ok & (swap_pos >= 0))[0]
-    for e in simple:
-        p = int(swap_pos[e])
-        z_star, sign = _bisect_edge(
-            f, rot, complex(a_pts[e]), complex(b_pts[e]), fa[e], p
-        )
-        events[int(e)] = [(z_star, p + 1, sign)]
-    for e in fallback:
-        try:
-            evs = _edge_events_scalar(
-                f, rot, complex(a_pts[e]), complex(b_pts[e]), fa[e], fb[e], scale
-            )
-        except _Unresolved:
-            unresolved.add(int(e))
-            continue
-        if evs:
-            events[int(e)] = evs
+    ok = bij & (move < min_gap(fa) / 3.0) & untied
+    swap_pos, other = _classify_perms(sel)
+    events: dict[int, list[tuple[complex, int, int]]] = {}
+    simple = np.flatnonzero(ok & (swap_pos >= 0))
+    p = swap_pos[simple]
+    a, b, ref = a_pts[simple], b_pts[simple], fa[simple]
+    _, z_star, _, _, sign = bisect_crossings(
+        f,
+        rot,
+        lambda ts, idx: a[idx] + (b[idx] - a[idx]) * ts,
+        ref[np.arange(len(p)), p],
+        ref[np.arange(len(p)), p + 1],
+        np.zeros(len(p)),
+        np.ones(len(p)),
+        _BISECT_ITERATIONS,
+    )
+    for e, z, label, s in zip(simple, z_star, p + 1, sign):
+        events[int(e)] = [(complex(z), int(label), int(s))]
+
+    unresolved = set(np.flatnonzero(~untied).tolist())
+    split = np.flatnonzero(untied & (~ok | other))
+    if depth >= _EDGE_SPLIT_DEPTH or split.size == 0:
+        return events, unresolved | set(split.tolist())
+    mid = 0.5 * (a_pts[split] + b_pts[split])
+    fm = _sorted_fibers(f, rot, mid)
+    halves, halves_bad = _edge_events(
+        f,
+        rot,
+        np.concatenate([a_pts[split], mid]),
+        np.concatenate([mid, b_pts[split]]),
+        np.concatenate([fa[split], fm]),
+        np.concatenate([fm, fb[split]]),
+        scale,
+        depth + 1,
+    )
+    for i, e in enumerate(split.tolist()):
+        left, right = i, i + len(split)
+        if left in halves_bad or right in halves_bad:
+            unresolved.add(e)
+        elif left in halves or right in halves:
+            events[e] = halves.get(left, []) + halves.get(right, [])
     return events, unresolved
 
 
@@ -302,67 +224,81 @@ def _extract(
     fibers = _sorted_fibers(f, rot, grid.ravel()).reshape(ny, nx, -1)
     scale = max(1.0, float(np.abs(fibers).max()))
 
-    h_a = grid[:, :-1].ravel()
-    h_b = grid[:, 1:].ravel()
-    h_fa = fibers[:, :-1, :].reshape(-1, fibers.shape[-1])
-    h_fb = fibers[:, 1:, :].reshape(-1, fibers.shape[-1])
-    h_events, h_bad = _edge_events_batch(f, rot, h_a, h_b, h_fa, h_fb, scale)
+    # Horizontal edges (j, i) -> (j, i+1) are numbered j*(nx-1) + i, vertical
+    # edges (j, i) -> (j+1, i) follow them at v0 + j*nx + i.  The two sets are
+    # read one after the other, which halves the peak of the per-edge arrays.
+    n = fibers.shape[-1]
+    v0 = ny * (nx - 1)
+    events: dict[int, list[tuple[complex, int, int]]] = {}
+    bad_edges: set[int] = set()
+    for offset, a, b in ((0, np.s_[:, :-1], np.s_[:, 1:]), (v0, np.s_[:-1, :], np.s_[1:, :])):
+        found, bad = _edge_events(
+            f,
+            rot,
+            grid[a].ravel(),
+            grid[b].ravel(),
+            fibers[a].reshape(-1, n),
+            fibers[b].reshape(-1, n),
+            scale,
+        )
+        events.update((offset + e, ev) for e, ev in found.items())
+        bad_edges.update(offset + e for e in bad)
 
-    v_a = grid[:-1, :].ravel()
-    v_b = grid[1:, :].ravel()
-    v_fa = fibers[:-1, :, :].reshape(-1, fibers.shape[-1])
-    v_fb = fibers[1:, :, :].reshape(-1, fibers.shape[-1])
-    v_events, v_bad = _edge_events_batch(f, rot, v_a, v_b, v_fa, v_fb, scale)
-
-    def h_idx(j: int, i: int) -> int:
-        return j * (nx - 1) + i
-
-    def v_idx(j: int, i: int) -> int:
-        return j * nx + i
-
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            rect = (float(xs[i]), float(ys[j]), float(xs[i + 1]), float(ys[j + 1]))
-            if any(
-                rect[0] <= z.real <= rect[2] and rect[1] <= z.imag <= rect[3]
-                for z in branch_values
-            ):
-                continue
-            edge_ids = (
-                (h_idx(j, i), h_events, h_bad, 1.0 + 0.0j),
-                (h_idx(j + 1, i), h_events, h_bad, 1.0 + 0.0j),
-                (v_idx(j, i), v_events, v_bad, 1j),
-                (v_idx(j, i + 1), v_events, v_bad, 1j),
-            )
-            bad = any(idx in badset for idx, _, badset, _ in edge_ids)
-            found: dict[int, list[tuple[complex, complex, int]]] = {}
-            if not bad:
-                for idx, table, _, axis in edge_ids:
-                    for z_star, label, sign in table.get(idx, ()):
-                        found.setdefault(label, []).append((z_star, axis, sign))
-            built: list[LabeledSegment] = []
-            if not bad:
-                for label, items in found.items():
-                    if len(items) != 2:
-                        bad = True
-                        break
-                    (z1, ax1, s1), (z2, ax2, s2) = items
-                    if abs(z1 - z2) < 1e-9 * max(abs(xs[i + 1] - xs[i]), 1.0):
-                        continue
-                    normal = _segment_normal(z1, z2, [(ax1, s1), (ax2, s2)])
-                    if normal is None:
-                        bad = True
-                        break
-                    built.append(LabeledSegment(z1, z2, label, normal))
-            if not bad:
-                segments.extend(built)
-                continue
-            if depth >= _MAX_CELL_DEPTH:
-                flagged.append(rect)
-                continue
-            sub_x = np.linspace(xs[i], xs[i + 1], 3)
-            sub_y = np.linspace(ys[j], ys[j + 1], 3)
-            _extract(f, rot, branch_values, sub_x, sub_y, depth + 1, segments, flagged)
+    # A cell whose four edges carry no event and none of which is unresolved
+    # contributes nothing, so only cells touching such an edge are visited,
+    # in the row-major order that fixes the order of segments and flags.
+    active: set[tuple[int, int]] = set()
+    for e in (*events, *bad_edges):
+        if e < v0:
+            j, i = divmod(e, nx - 1)
+            active.update(((j - 1, i), (j, i)))
+        else:
+            j, i = divmod(e - v0, nx)
+            active.update(((j, i - 1), (j, i)))
+    for j, i in sorted(active):
+        if not (0 <= j < ny - 1 and 0 <= i < nx - 1):
+            continue
+        rect = (float(xs[i]), float(ys[j]), float(xs[i + 1]), float(ys[j + 1]))
+        if any(
+            rect[0] <= z.real <= rect[2] and rect[1] <= z.imag <= rect[3]
+            for z in branch_values
+        ):
+            continue
+        edge_ids = (
+            (j * (nx - 1) + i, 1.0 + 0.0j),
+            ((j + 1) * (nx - 1) + i, 1.0 + 0.0j),
+            (v0 + j * nx + i, 1j),
+            (v0 + j * nx + i + 1, 1j),
+        )
+        bad = any(idx in bad_edges for idx, _ in edge_ids)
+        found: dict[int, list[tuple[complex, complex, int]]] = {}
+        if not bad:
+            for idx, axis in edge_ids:
+                for z_star, label, sign in events.get(idx, ()):
+                    found.setdefault(label, []).append((z_star, axis, sign))
+        built: list[LabeledSegment] = []
+        if not bad:
+            for label, items in found.items():
+                if len(items) != 2:
+                    bad = True
+                    break
+                (z1, ax1, s1), (z2, ax2, s2) = items
+                if abs(z1 - z2) < 1e-9 * max(abs(xs[i + 1] - xs[i]), 1.0):
+                    continue
+                normal = _segment_normal(z1, z2, [(ax1, s1), (ax2, s2)])
+                if normal is None:
+                    bad = True
+                    break
+                built.append(LabeledSegment(z1, z2, label, normal))
+        if not bad:
+            segments.extend(built)
+            continue
+        if depth >= _MAX_CELL_DEPTH:
+            flagged.append(rect)
+            continue
+        sub_x = np.linspace(xs[i], xs[i + 1], 3)
+        sub_y = np.linspace(ys[j], ys[j + 1], 3)
+        _extract(f, rot, branch_values, sub_x, sub_y, depth + 1, segments, flagged)
 
 
 def _quantize(z: complex, unit: float) -> tuple[int, int]:

@@ -11,11 +11,11 @@ and the letter sign is the sign of ``Im(e^(i*theta) * (w_2 - w_1))``.  With
 theta = 0 this reads the counterclockwise unit circle of ``w^2 - z`` as the
 single positive letter s1, which pins the convention.
 
-Continuation is solve-and-match: fibers are solved afresh (batched companion
-eigenvalues) and matched to the previous step by nearest distance, a step
-being accepted only when the largest root displacement stays below a third of
-the smallest pairwise root distance.  That bound makes nearest matching
-provably bijective.  Order swaps are localized by bisection.
+Continuation is solve-and-match on the shared kernel :mod:`quasibraid.fibers`:
+fibers are solved in batches and matched to the previous step by nearest
+distance, a step being accepted only when the largest root displacement stays
+below a third of the smallest pairwise root distance.  That bound makes nearest
+matching provably bijective.  The swaps of a step are bisected together.
 
 The module also builds lollipop loops (per-target stick, counterclockwise
 circle, stick back) whose crossing events split into conjugator and band
@@ -32,6 +32,7 @@ import numpy as np
 
 from .branch import BranchData
 from .errors import InputError, NumericalFailure
+from .fibers import bisect_crossings, match, min_gap, solve
 from .paths import (
     Arc,
     LoopPath,
@@ -69,6 +70,7 @@ __all__ = [
 
 STEP_CAP_FRACTION = 1.0 / 256.0
 BISECTION_T_TOL = 1e-10
+BISECTION_MAX_HALVINGS = 64
 STEP_UNDERFLOW = 1e-12
 CLEARANCE_FLOOR_FACTOR = 1e-3
 _CHUNK = 64
@@ -97,43 +99,9 @@ class Track:
     accepted_steps: int
 
 
-def _fibers_batch(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
-    """Roots of every fiber f(z, .) for an array of z, shape (len(zs), n)."""
-    zs = np.asarray(zs, dtype=complex)
-    n = f.w_degree
-    count = zs.shape[0]
-    coeffs = np.empty((count, n + 1), dtype=complex)
-    for k, c in enumerate(f.w_coefficients):
-        coeffs[:, k] = c(zs) if c.degree >= 0 else 0.0
-    monic = coeffs[:, :-1] / coeffs[:, -1:]
-    comp = np.zeros((count, n, n), dtype=complex)
-    if n > 1:
-        idx = np.arange(n - 1)
-        comp[:, idx + 1, idx] = 1.0
-    comp[:, :, -1] = -monic
-    try:
-        return np.linalg.eigvals(comp)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"fiber eigenvalue solve failed: {exc}") from exc
-
-
-def _min_pairwise(vals: np.ndarray) -> float:
-    d = np.abs(vals[:, None] - vals[None, :])
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
-
-
-def _match(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    d = np.abs(old[:, None] - new[None, :])
-    sel = d.argmin(axis=1)
-    moves = d[np.arange(len(old)), sel]
-    bijective = len(np.unique(sel)) == len(old)
-    return sel, float(moves.max()), bijective
-
-
 def _order_key(vals: np.ndarray, rot: complex) -> tuple[int, ...]:
     rv = rot * vals
-    return tuple(int(i) for i in np.lexsort((rv.imag, rv.real)))
+    return tuple(np.lexsort((rv.imag, rv.real)).tolist())
 
 
 def _adjacent_swaps(
@@ -168,42 +136,35 @@ def _clearance_check(branch: BranchData, loop: LoopPath) -> None:
             )
 
 
-def _bisect_crossing(
+def _locate_crossings(
     f: BivariatePolynomial,
     loop: LoopPath,
     rot: complex,
     roots_ref: np.ndarray,
     t_lo: float,
     t_hi: float,
-    slot_a: int,
-    slot_b: int,
-    position: int,
-) -> CrossingEvent:
-    # g(t) = rotated Re(w_a) - Re(w_b) changes sign from t_lo to t_hi; the
-    # matching back to roots_ref stays valid because displacements inside an
-    # accepted step are below a third of the pairwise gap.
-    def tracked(t: float) -> np.ndarray:
-        fiber = _fibers_batch(f, np.array([loop.point_at(t)]))[0]
-        sel, _, _ = _match(roots_ref, fiber)
-        return fiber[sel]
-
-    g_lo_sign = (rot * (roots_ref[slot_a] - roots_ref[slot_b])).real < 0
-    lo, hi = t_lo, t_hi
-    for _ in range(64):
-        if hi - lo <= BISECTION_T_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        vals = tracked(mid)
-        g_mid = (rot * (vals[slot_a] - vals[slot_b])).real
-        if (g_mid < 0) == g_lo_sign:
-            lo = mid
-        else:
-            hi = mid
-    t_star = 0.5 * (lo + hi)
-    vals = tracked(t_star)
-    w_a, w_b = complex(vals[slot_a]), complex(vals[slot_b])
-    sign = 1 if ((rot * w_b).imag - (rot * w_a).imag) > 0 else -1
-    return CrossingEvent(t=t_star, position=position, sign=sign, roots=(w_a, w_b))
+    order: tuple[int, ...],
+    swaps: list[int],
+) -> list[CrossingEvent]:
+    """Events of the adjacent swaps p in ``swaps`` over the accepted step
+    t_lo -> t_hi, in order.  Matching back to ``roots_ref`` stays valid inside
+    the step because its displacements are below a third of the root gap."""
+    t, _, w_a, w_b, sign = bisect_crossings(
+        f,
+        rot,
+        lambda ts, _: np.array([loop.point_at(float(s)) for s in ts]),
+        roots_ref[[order[p] for p in swaps]],
+        roots_ref[[order[p + 1] for p in swaps]],
+        np.full(len(swaps), t_lo),
+        np.full(len(swaps), t_hi),
+        BISECTION_MAX_HALVINGS,
+        BISECTION_T_TOL,
+    )
+    found = [
+        CrossingEvent(float(t[k]), p + 1, int(sign[k]), (complex(w_a[k]), complex(w_b[k])))
+        for k, p in enumerate(swaps)
+    ]
+    return sorted(found, key=lambda e: (e.t, e.position))
 
 
 def track_roots(
@@ -256,8 +217,9 @@ def _track_once(
     rot = complex(math.cos(branch.rotation_theta), math.sin(branch.rotation_theta))
     n = f.w_degree
 
-    roots0 = _fibers_batch(f, np.array([loop.point_at(0.0)]))[0]
-    if _min_pairwise(roots0) <= 0.0:
+    roots0 = solve(f, np.array([loop.point_at(0.0)]))[0]
+    gap0 = min_gap(roots0)
+    if gap0 <= 0.0:
         raise InputError("the fiber at the loop start has coincident roots")
     order0 = _order_key(roots0, rot)
     ordered0 = (rot * roots0[np.array(order0)]).real
@@ -271,6 +233,7 @@ def _track_once(
     events: list[CrossingEvent] = []
     t_cur = 0.0
     roots_cur = roots0
+    gap_cur = gap0
     order_cur = order0
     h = step_cap_fraction
     streak = 0
@@ -282,13 +245,13 @@ def _track_once(
         ts = t_cur + h * np.arange(1, count + 1)
         if count == steps_left:
             ts[-1] = 1.0
-        fibers = _fibers_batch(f, loop.sample_points(ts))
+        fibers = solve(f, loop.sample_points(ts))
+        gaps = min_gap(fibers)
 
         rejected = False
         for i in range(count):
-            sel, max_move, bijective = _match(roots_cur, fibers[i])
-            gap = _min_pairwise(roots_cur)
-            if not bijective or max_move >= gap / 3.0:
+            sel, max_move, bijective = match(roots_cur, fibers[i])
+            if not bijective or max_move >= gap_cur / 3.0:
                 rejected = True
             else:
                 new_roots = fibers[i][sel]
@@ -298,22 +261,11 @@ def _track_once(
                     if swaps is None:
                         rejected = True
                     else:
-                        found = [
-                            _bisect_crossing(
-                                f,
-                                loop,
-                                rot,
-                                roots_cur,
-                                t_cur,
-                                float(ts[i]),
-                                order_cur[p],
-                                order_cur[p + 1],
-                                p + 1,
+                        events.extend(
+                            _locate_crossings(
+                                f, loop, rot, roots_cur, t_cur, float(ts[i]), order_cur, swaps
                             )
-                            for p in swaps
-                        ]
-                        found.sort(key=lambda e: (e.t, e.position))
-                        events.extend(found)
+                        )
             if rejected:
                 h *= 0.5
                 streak = 0
@@ -327,6 +279,7 @@ def _track_once(
                 break
             t_cur = float(ts[i])
             roots_cur = new_roots
+            gap_cur = gaps[i]
             order_cur = order_new
             accepted += 1
             streak += 1
@@ -336,11 +289,11 @@ def _track_once(
 
     permutation: tuple[int, ...] | None = None
     if loop.closed:
-        sel, max_move, bijective = _match(roots_cur, roots0)
-        if not bijective or max_move >= _min_pairwise(roots0) / 3.0:
+        sel, max_move, bijective = match(roots_cur, roots0)
+        if not bijective or max_move >= gap0 / 3.0:
             raise NumericalFailure(
                 "could not match the final fiber back to the starting fiber",
-                diagnostics={"max_move": max_move},
+                diagnostics={"max_move": float(max_move)},
             )
         # Occupant convention: entry q is the starting position of the strand
         # that finishes at position q.

@@ -223,21 +223,21 @@ def _segment_distance(seg: Segment, p: complex) -> float:
     return abs(seg.a + t * d - p)
 
 
-def _angle_in_span(arc: Arc, psi: float, tol: float = 1e-12) -> float | None:
-    """Local parameter s in [0,1] if the angle lies on the arc, else None."""
-    span = arc.span
-    if abs(span) >= 2.0 * math.pi - tol:
-        delta = (psi - arc.angle_from) % (2.0 * math.pi)
-        return delta / abs(span) if span > 0 else 1.0 - delta / abs(span)
-    if span > 0:
-        delta = (psi - arc.angle_from) % (2.0 * math.pi)
-        if delta <= span + tol:
-            return min(delta / span, 1.0)
-        return None
-    delta = (arc.angle_from - psi) % (2.0 * math.pi)
-    if delta <= -span + tol:
-        return min(delta / (-span), 1.0)
-    return None
+def _angle_params(arc: Arc, psi: float, tol: float = 1e-12) -> list[float]:
+    """Local parameters s in [0, 1] at which the arc passes the angle psi.
+
+    Each full turn passes every angle once, its end belonging to the next
+    turn; a final partial turn includes both of its ends.
+    """
+    span = abs(arc.span)
+    two_pi = 2.0 * math.pi
+    delta = (psi - arc.angle_from if arc.span > 0 else arc.angle_from - psi) % two_pi
+    full = int((span + tol) // two_pi)
+    offsets = [delta + two_pi * m for m in range(full)]
+    rest = span - two_pi * full
+    if (rest > tol or not full) and delta <= rest + tol:
+        offsets.append(delta + two_pi * full)
+    return [min(o / span, 1.0) for o in offsets]
 
 
 def _arc_distance(arc: Arc, p: complex) -> float:
@@ -247,7 +247,7 @@ def _arc_distance(arc: Arc, p: complex) -> float:
     if rel == 0:
         return arc.radius
     psi = math.atan2(rel.imag, rel.real)
-    if _angle_in_span(arc, psi) is not None:
+    if _angle_params(arc, psi):
         return abs(abs(rel) - arc.radius)
     return min(abs(p - arc.start), abs(p - arc.end))
 
@@ -320,7 +320,7 @@ def bounding_box(items: Iterable[complex | Primitive]) -> tuple[float, float, fl
             for quarter, (dx, dy) in enumerate(
                 ((1, 0), (0, 1), (-1, 0), (0, -1))
             ):
-                if _angle_in_span(item, quarter * math.pi / 2.0) is not None:
+                if _angle_params(item, quarter * math.pi / 2.0):
                     xs.append(item.center.real + item.radius * dx)
                     ys.append(item.center.imag + item.radius * dy)
     if not xs:
@@ -388,17 +388,17 @@ def _arc_seg(arc: Arc, seg: Segment, tol: float) -> list[tuple[float, float]]:
     if disc < -tol * (aa + abs(bb) + abs(cc)) ** 2:
         return []
     disc = max(disc, 0.0)
-    out = []
+    out: list[tuple[float, float]] = []
     for root in ((-bb - math.sqrt(disc)) / (2 * aa), (-bb + math.sqrt(disc)) / (2 * aa)):
-        if -tol <= root <= 1.0 + tol:
-            p = seg.a + root * d
-            psi = math.atan2((p - arc.center).imag, (p - arc.center).real)
-            s = _angle_in_span(arc, psi)
-            if s is not None:
-                out.append((min(max(s, 0.0), 1.0), min(max(root, 0.0), 1.0)))
-    # A tangent line can produce two nearly equal roots; keep one.
-    if len(out) == 2 and abs(out[0][1] - out[1][1]) < 1e-9:
-        out = out[:1]
+        if not -tol <= root <= 1.0 + tol:
+            continue
+        u = min(max(root, 0.0), 1.0)
+        # A tangent line can produce two nearly equal roots; keep one.
+        if out and abs(out[-1][1] - u) < 1e-9:
+            continue
+        p = seg.a + root * d
+        psi = math.atan2((p - arc.center).imag, (p - arc.center).real)
+        out.extend((min(max(s, 0.0), 1.0), u) for s in _angle_params(arc, psi))
     return out
 
 
@@ -410,9 +410,9 @@ def _arc_arc(a1: Arc, a2: Arc, tol: float) -> list[tuple[float, float]]:
         samples = np.linspace(0.05, 0.95, 7)
         for s in samples:
             psi = a1.angle_from + s * a1.span
-            s2 = _angle_in_span(a2, psi % (2 * math.pi))
-            if s2 is not None:
-                return [(float(s), float(s2))]
+            s2 = _angle_params(a2, psi % (2 * math.pi))
+            if s2:
+                return [(float(s), float(s2[0]))]
         return []
     if d > a1.radius + a2.radius + tol * scale:
         return []
@@ -429,10 +429,9 @@ def _arc_arc(a1: Arc, a2: Arc, tol: float) -> list[tuple[float, float]]:
     for p in candidates:
         psi1 = math.atan2((p - a1.center).imag, (p - a1.center).real)
         psi2 = math.atan2((p - a2.center).imag, (p - a2.center).real)
-        s1 = _angle_in_span(a1, psi1)
-        s2 = _angle_in_span(a2, psi2)
-        if s1 is not None and s2 is not None:
-            out.append((s1, s2))
+        out.extend(
+            (s1, s2) for s1 in _angle_params(a1, psi1) for s2 in _angle_params(a2, psi2)
+        )
     return out
 
 

@@ -22,6 +22,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -372,6 +373,16 @@ class BivariatePolynomial:
     @property
     def leading_constant(self) -> complex:
         return self.w_coefficients[-1].coefficients[0]
+
+    @cached_property
+    def coefficient_table(self) -> np.ndarray:
+        """Read-only array whose entry [j, k] multiplies z^j w^k."""
+        depth = max(c.degree for c in self.w_coefficients) + 1
+        table = np.zeros((depth, self.w_degree + 1), dtype=complex)
+        for k, c in enumerate(self.w_coefficients):
+            table[: c.degree + 1, k] = c.coefficients
+        table.flags.writeable = False
+        return table
 
     def fiber(self, z: complex) -> UnivariatePolynomial:
         """The univariate polynomial w -> f(z, w)."""

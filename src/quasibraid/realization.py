@@ -84,13 +84,12 @@ class RealizationPlan:
     """A curve plus verified generator loops sharing one basepoint."""
 
     n: int
-    p_roots: tuple[float, ...]
     epsilon: float
     f: BivariatePolynomial
     branch: BranchData
     basepoint: complex
     batches: tuple[BatchFeature, ...]
-    generator_loops: tuple[LoopPath, ...] = ()
+    generator_loops: tuple[LoopPath, ...]
     verification_words: tuple[BraidWord, ...] = ()
 
 
@@ -387,7 +386,6 @@ def build_plan(
                 words.append(word)
             plan = RealizationPlan(
                 n=n,
-                p_roots=tuple(float(j) for j in range(1, n)),
                 epsilon=eps,
                 f=f,
                 branch=data,
@@ -411,21 +409,13 @@ _PLAN_CACHE: dict[tuple[int, float], RealizationPlan] = {}
 
 
 def generator_loop(plan: RealizationPlan, k: int) -> LoopPath:
-    """A loop through the plan basepoint whose word freely reduces to s<k>.
-
-    Never returns an unverified loop: candidates from the template family are
-    checked by monodromy and the failure carries every verification word.
-    """
+    """A loop through the plan basepoint whose word freely reduces to s<k>,
+    verified by monodromy when :func:`build_plan` made the plan."""
     if not 1 <= k <= plan.n - 1:
         raise InputError(
             f"generator index must be in 1..{plan.n - 1}, got {k}"
         )
-    if len(plan.generator_loops) >= k:
-        return plan.generator_loops[k - 1]
-    loop, _ = _verified_generator(
-        plan.f, plan.branch, plan.batches, plan.basepoint, k
-    )
-    return loop
+    return plan.generator_loops[k - 1]
 
 
 def realize(

@@ -150,6 +150,22 @@ class TestReadingLoops:
             from_tracking = free_reduce(braid_along(f, data, loop))
             assert from_graph == from_tracking
 
+    @pytest.mark.parametrize("turns", [2, -2])
+    @pytest.mark.parametrize(
+        "fixture, loop",
+        [
+            (SQRT, dict()),
+            (QUARTIC, dict(radius=1.8, start_angle=1.0)),
+            (QUARTIC, dict(center=1 + 1j, radius=0.8)),
+        ],
+        ids=["sqrt-unit", "quartic-all", "quartic-one"],
+    )
+    def test_multi_turn_circles_read_every_turn(self, fixture, loop, turns):
+        f, data = fixture
+        graph = sample_crossing_graph(f, data, (-2, -2, 2, 2), 96)
+        path = circle(turns=turns, **loop)
+        assert crossings_of(graph, path) == braid_along(f, data, path)
+
     def test_open_loops_are_rejected(self):
         f, data = SQRT
         graph = sample_crossing_graph(f, data, (-2, -2, 2, 2), 32)

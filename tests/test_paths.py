@@ -211,6 +211,17 @@ class TestIntersections:
         points = sorted(a.point(s).imag for s, _ in hits)
         assert points == pytest.approx([-math.sqrt(3) / 2, math.sqrt(3) / 2])
 
+    @pytest.mark.parametrize("turns", [2, -2, 3])
+    def test_multi_turn_arcs_meet_once_per_turn(self, turns):
+        arc = Arc(0j, 1.0, 0.3, 0.3 + turns * 2 * math.pi)
+        chord_hits = primitive_intersections(arc, Segment(-2, 2))
+        assert len(chord_hits) == 2 * abs(turns)
+        assert len({round(s, 9) for s, _ in chord_hits}) == 2 * abs(turns)
+        circle_hits = primitive_intersections(arc, Arc(1 + 0j, 1.0, 0.0, 2 * math.pi))
+        assert len(circle_hits) == 2 * abs(turns)
+        for s, t in chord_hits:
+            assert abs(arc.point(s) - Segment(-2, 2).point(t)) < 1e-9
+
     def test_embeddedness_detects_a_figure_eight(self):
         eight = LoopPath(
             (

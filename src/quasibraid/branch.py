@@ -7,6 +7,11 @@ one simple double root with a genuine vertical tangent, and a rotation angle
 theta should separate the real parts of all roots over every branch point.
 Both properties hold after adding a small multiple of w to f, which is what
 :func:`perturb_generic` automates.
+
+The discriminant roots come from the Sylvester pencil eigensolve in
+:mod:`quasibraid.poly`.  Every fiber over a branch point, or over a vertical
+tangent point near one, is solved in one batch by the shared fiber kernel and
+certified by the coefficients rebuilt from its roots.
 """
 
 from __future__ import annotations
@@ -17,12 +22,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, NumericalFailure
+from .fibers import coefficients as fiber_coefficients
+from .fibers import min_gap, solve
 from .poly import (
     BivariatePolynomial,
-    discriminant_w,
-    fiber_roots,
-    raw_roots,
-    roots,
+    _cluster_values,
+    _discriminant_roots,
+    _rebuilt_residual,
 )
 
 __all__ = [
@@ -41,6 +47,9 @@ __all__ = [
 SEPARATION_FLOOR_FACTOR = 1e-4
 ROTATION_SAMPLES = 720
 GENERICITY_RTOL = 1e-6
+# Accepted coefficient residual of a branch fiber rebuilt from its roots; a
+# fiber over a branch point carries a near-double root.
+FIBER_CERTIFY_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -81,74 +90,90 @@ class GenericityReport:
 
 
 def branch_points(f: BivariatePolynomial, tol: float = 1e-12) -> BranchData:
-    """Roots of the w-discriminant, clustered and sorted by (Re, Im).
+    """Roots of the w-discriminant, clustered, in canonical order.
 
-    Discriminant coefficients lose accuracy to cancellation as the degree
-    grows, so simple roots are refined twice: a Newton polish on the
-    discriminant itself, then a Newton solve of the vertical-tangent system
-    (f = 0, df/dw = 0) seeded from the closest fiber root pair.  The second
-    refinement is kept only when it stays well inside the branch separation,
-    which prevents a noisy root from being snapped to a different branch
-    point.
+    The roots are the finite eigenvalues of the Sylvester pencil of f and
+    df/dw, clustered at ``sqrt(tol)`` of their scale into multiplicities.
+    Each simple root is refined by a Newton solve of the vertical-tangent
+    system (f = 0, df/dw = 0) seeded from the closest root pair of its fiber.
+    The refinement is kept only when it stays well inside the branch
+    separation, which prevents a noisy root from being snapped to a
+    different branch point.  Points are sorted by real part, with real parts
+    within 1e-9 of the scale counted as equal, then by imaginary part.
     """
-    disc = discriminant_w(f)
-    if disc.degree < 1:
+    values, _ = _discriminant_roots(f)
+    if len(values) == 0:
         return BranchData(points=())
-    rs = roots(disc, tol=tol)
-    dd = disc.derivative()
-    coarse = []
-    for z, m in zip(rs.values, rs.multiplicities):
-        if m == 1:
-            z = _newton_root_polish(disc, dd, z)
-        coarse.append((z, m))
-    min_gap = math.inf
-    for i in range(len(coarse)):
-        for j in range(i + 1, len(coarse)):
-            min_gap = min(min_gap, abs(coarse[i][0] - coarse[j][0]))
+    scale = 1.0 + float(np.max(np.abs(values)))
+    centers, mults = _cluster_values(values, math.sqrt(tol) * scale)
+    gap = float(min_gap(np.array(centers)))
+    derivs = _derivatives(f)
+    simple = [i for i, m in enumerate(mults) if m == 1]
+    zs = list(centers)
+    vals, residual = _branch_fibers(f, [centers[i] for i in simple])
+    seeds = _merge_double_roots(vals)[:, -1]
+    for i, w0, err in zip(simple, seeds, residual):
+        if err <= FIBER_CERTIFY_TOL:
+            zs[i] = _tangent_refined(f, derivs, centers[i], w0, gap)
+    tie = 1e-9 * scale
+    pts = sorted((BranchPoint(z, m) for z, m in zip(zs, mults)), key=lambda p: p.z.real)
+    runs: list[list[BranchPoint]] = []
+    for p in pts:
+        if runs and p.z.real - runs[-1][-1].z.real <= tie:
+            runs[-1].append(p)
+        else:
+            runs.append([p])
+    ordered = (p for run in runs for p in sorted(run, key=lambda p: p.z.imag))
+    return BranchData(points=tuple(ordered))
+
+
+def _derivatives(f: BivariatePolynomial) -> tuple:
+    """f_z, f_w, f_zw and f_ww, in the argument order of the Newton solves."""
     fw = f.dw()
     fz = f.dz()
-    fww = fw.dw()
-    fzw = fz.dw()
-    pts = []
-    for z, m in coarse:
-        if m == 1:
-            z = _tangent_refined(f, fz, fw, fzw, fww, z, min_gap)
-        pts.append(BranchPoint(z, m))
-    pts.sort(key=lambda p: (p.z.real, p.z.imag))
-    return BranchData(points=tuple(pts))
+    return fz, fw, fz.dw(), fw.dw()
 
 
-def _tangent_refined(f, fz, fw, fzw, fww, z, min_gap: float) -> complex:
-    limit = min(1e-3 * (1.0 + abs(z)), 0.25 * min_gap)
-    try:
-        vals = raw_roots(f.fiber(z), tol=1e-15, certify_tol=1e-7)
-    except (InputError, NumericalFailure):
-        return z
-    m = len(vals)
-    if m < 2:
-        return z
-    pair = min(
-        ((i, j) for i in range(m) for j in range(i + 1, m)),
-        key=lambda ij: abs(vals[ij[0]] - vals[ij[1]]),
-    )
-    w0 = (vals[pair[0]] + vals[pair[1]]) / 2.0
-    z_t, _, converged = _polish_tangent(f, fz, fw, fzw, fww, z, w0)
+def _branch_fibers(f: BivariatePolynomial, zs) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the fibers over ``zs`` from one kernel solve, with the
+    coefficient residual of each fiber rebuilt from its roots."""
+    zs = np.asarray(zs, dtype=complex)
+    coeffs = fiber_coefficients(f, zs)
+    vals = solve(f, zs)
+    return vals, _rebuilt_residual(coeffs / coeffs[:, -1:], vals)
+
+
+def _certified_fibers(f: BivariatePolynomial, zs) -> np.ndarray:
+    vals, residual = _branch_fibers(f, zs)
+    worst = float(residual.max(initial=0.0))
+    if worst > FIBER_CERTIFY_TOL:
+        raise NumericalFailure(
+            f"branch fiber roots did not certify: coefficient residual {worst:.3e}"
+            f" > {FIBER_CERTIFY_TOL:.3e}",
+            diagnostics={"residual": worst, "z": repr(complex(zs[int(residual.argmax())]))},
+        )
+    return vals
+
+
+def _merge_double_roots(vals: np.ndarray) -> np.ndarray:
+    """Every fiber with its closest root pair replaced by the pair midpoint,
+    which goes last: shape (count, n - 1)."""
+    count, n = vals.shape
+    d = np.abs(vals[:, :, None] - vals[:, None, :])
+    d[:, np.arange(n), np.arange(n)] = np.inf
+    i, j = np.divmod(d.reshape(count, n * n).argmin(axis=1), n)
+    rows = np.arange(count)
+    cols = np.arange(n)
+    keep = (cols != i[:, None]) & (cols != j[:, None])
+    mid = 0.5 * (vals[rows, i] + vals[rows, j])
+    return np.concatenate([vals[keep].reshape(count, n - 2), mid[:, None]], axis=1)
+
+
+def _tangent_refined(f, derivs, z, w0, gap: float) -> complex:
+    limit = min(1e-3 * (1.0 + abs(z)), 0.25 * gap)
+    z_t, _, converged = _polish_tangent(f, *derivs, z, w0)
     if converged and abs(z_t - z) <= limit:
         return z_t
-    return z
-
-
-def _newton_root_polish(
-    p, dp, z: complex, iterations: int = 12
-) -> complex:
-    for _ in range(iterations):
-        slope = dp(z)
-        if slope == 0:
-            return z
-        step = p(z) / slope
-        z = z - step
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
-            break
     return z
 
 
@@ -173,80 +198,64 @@ def check_genericity(
     genuine vertical tangent of a smooth curve point); and the branch point is
     a simple discriminant root.
     """
-    n = f.w_degree
-    fw = f.dw()
-    fz = f.dz()
-    fww = fw.dw()
-    fzw = fz.dw()
-    issues: list[GenericityIssue] = []
-    for point in data.points:
-        z = point.z
-        if point.multiplicity != 1:
-            issues.append(
-                GenericityIssue(z, f"discriminant root has multiplicity {point.multiplicity}")
-            )
-            continue
-        # The stored branch point carries roundoff, so its fiber shows the
-        # double root as a close pair.  The pair midpoint only seeds a Newton
-        # refinement of the tangent point; all structural decisions are made
-        # at the refined point, where the double root is exact.
-        vals = raw_roots(f.fiber(z), tol=1e-15, certify_tol=1e-7)
-        pair = min(
-            ((i, j) for i in range(n) for j in range(i + 1, n)),
-            key=lambda ij: abs(vals[ij[0]] - vals[ij[1]]),
-        )
-        w0 = (vals[pair[0]] + vals[pair[1]]) / 2.0
-        z_t, w_t, converged = _polish_tangent(f, fz, fw, fzw, fww, z, w0)
+    derivs = _derivatives(f)
+    issues = {
+        k: f"discriminant root has multiplicity {p.multiplicity}"
+        for k, p in enumerate(data.points)
+        if p.multiplicity != 1
+    }
+    simple = [k for k, p in enumerate(data.points) if p.multiplicity == 1]
+    # The stored branch point carries roundoff, so its fiber shows the double
+    # root as a close pair.  The pair midpoint only seeds a Newton refinement
+    # of the tangent point; all structural decisions are made at the refined
+    # point, where the double root is exact.
+    vals = _certified_fibers(f, [data.points[k].z for k in simple])
+    seeds = _merge_double_roots(vals)[:, -1]
+    tangents: dict[int, tuple[complex, complex]] = {}
+    for k, w0 in zip(simple, seeds):
+        z = data.points[k].z
+        z_t, w_t, converged = _polish_tangent(f, *derivs, z, w0)
         if not converged:
-            issues.append(
-                GenericityIssue(z, "vertical tangent refinement did not converge")
-            )
-            continue
-        if abs(z_t - z) > 1e-6 * (1.0 + abs(z)):
-            issues.append(
-                GenericityIssue(
-                    z, "nearest vertical tangent is too far from the branch point"
-                )
-            )
-            continue
-        tangent_vals = raw_roots(f.fiber(z_t), tol=1e-15, certify_tol=1e-7)
-        scale_w = max(1.0, max(abs(v) for v in tangent_vals))
-        floor = 1e-4 * scale_w
-        near = [i for i, v in enumerate(tangent_vals) if abs(v - w_t) < 0.5 * floor]
-        if len(near) != 2:
-            issues.append(
-                GenericityIssue(
-                    z, f"fiber does not split into one double and {n - 2} simple roots"
-                )
-            )
-            continue
-        others = [v for i, v in enumerate(tangent_vals) if i not in near]
-        simple_ok = all(abs(v - w_t) >= floor for v in others) and all(
-            abs(others[i] - others[j]) >= floor
-            for i in range(len(others))
-            for j in range(i + 1, len(others))
-        )
-        if not simple_ok:
-            issues.append(
-                GenericityIssue(
-                    z, f"fiber does not split into one double and {n - 2} simple roots"
-                )
-            )
-            continue
-        dz_val = fz.evaluate(z_t, w_t)
-        dz_scale = max(fz.magnitude_at(z_t, w_t), 1e-300)
-        if abs(dz_val) <= rtol * dz_scale:
-            issues.append(
-                GenericityIssue(z, "z-derivative vanishes at the double root")
-            )
-            continue
-        dww_val = fww.evaluate(z_t, w_t)
-        dww_scale = max(fww.magnitude_at(z_t, w_t), 1e-300)
-        if abs(dww_val) <= rtol * dww_scale:
-            issues.append(
-                GenericityIssue(z, "second w-derivative vanishes at the double root")
-            )
-    return GenericityReport(ok=not issues, issues=tuple(issues))
+            issues[k] = "vertical tangent refinement did not converge"
+        elif abs(z_t - z) > 1e-6 * (1.0 + abs(z)):
+            issues[k] = "nearest vertical tangent is too far from the branch point"
+        else:
+            tangents[k] = (z_t, w_t)
+    fibers_t = _certified_fibers(f, [z_t for z_t, _ in tangents.values()])
+    for (k, (z_t, w_t)), vals in zip(tangents.items(), fibers_t):
+        reason = _tangent_issue(f.w_degree, derivs, z_t, w_t, vals, rtol)
+        if reason is not None:
+            issues[k] = reason
+    return GenericityReport(
+        ok=not issues,
+        issues=tuple(GenericityIssue(data.points[k].z, issues[k]) for k in sorted(issues)),
+    )
+
+
+def _tangent_issue(n: int, derivs, z_t, w_t, tangent_vals, rtol: float) -> str | None:
+    """Why the fiber over the tangent point (z_t, w_t) is not one simple
+    double root at w_t plus n - 2 simple roots, or None."""
+    fz, _, _, fww = derivs
+    scale_w = max(1.0, float(np.abs(tangent_vals).max()))
+    floor = 1e-4 * scale_w
+    near = [i for i, v in enumerate(tangent_vals) if abs(v - w_t) < 0.5 * floor]
+    others = [v for i, v in enumerate(tangent_vals) if i not in near]
+    simple_ok = all(abs(v - w_t) >= floor for v in others) and all(
+        abs(others[i] - others[j]) >= floor
+        for i in range(len(others))
+        for j in range(i + 1, len(others))
+    )
+    if len(near) != 2 or not simple_ok:
+        return f"fiber does not split into one double and {n - 2} simple roots"
+    dz_val = fz.evaluate(z_t, w_t)
+    dz_scale = max(fz.magnitude_at(z_t, w_t), 1e-300)
+    if abs(dz_val) <= rtol * dz_scale:
+        return "z-derivative vanishes at the double root"
+    dww_val = fww.evaluate(z_t, w_t)
+    dww_scale = max(fww.magnitude_at(z_t, w_t), 1e-300)
+    if abs(dww_val) <= rtol * dww_scale:
+        return "second w-derivative vanishes at the double root"
+    return None
 
 
 def _polish_tangent(f, fz, fw, fzw, fww, z0, w0):
@@ -331,27 +340,6 @@ def perturb_generic(
     return candidate, replace(data, generic=True, perturbation=eps)
 
 
-def _fiber_values_at_branches(
-    f: BivariatePolynomial, data: BranchData
-) -> list[np.ndarray]:
-    fibers = []
-    for point in data.points:
-        vals = np.array(fiber_roots(f, point.z).values, dtype=complex)
-        if len(vals) >= 2:
-            fibers.append(vals)
-    return fibers
-
-
-def _min_gap(fibers: list[np.ndarray], theta: float) -> float:
-    worst = math.inf
-    rot = complex(math.cos(theta), math.sin(theta))
-    for vals in fibers:
-        re = np.sort((rot * vals).real)
-        gap = float(np.min(np.diff(re)))
-        worst = min(worst, gap)
-    return worst
-
-
 def select_rotation(
     f: BivariatePolynomial,
     data: BranchData,
@@ -359,16 +347,25 @@ def select_rotation(
 ) -> float:
     """Angle theta making the rotated real parts distinct over every branch fiber.
 
+    The double root of each branch fiber counts once, at its pair midpoint.
     Maximizes the worst real-part gap over a uniform grid, refines the best
     bracket by golden-section search, and keeps theta = 0 whenever its gap is
     at least half the optimum.  Ties prefer the smaller angle.
     """
-    fibers = _fiber_values_at_branches(f, data)
-    if not fibers:
+    if not data.points or f.w_degree < 3:
         return 0.0
+    merged = _merge_double_roots(_certified_fibers(f, data.values()))
+
+    def gaps(thetas: np.ndarray) -> np.ndarray:
+        rot = np.exp(1j * thetas)
+        re = np.sort((rot[:, None, None] * merged[None]).real, axis=-1)
+        return np.diff(re, axis=-1).min(axis=(1, 2))
+
+    def gap(theta: float) -> float:
+        return float(gaps(np.array([theta]))[0])
+
     thetas = np.arange(samples) * (2.0 * math.pi / samples)
-    gaps = np.array([_min_gap(fibers, t) for t in thetas])
-    best_idx = int(np.argmax(gaps))
+    best_idx = int(np.argmax(gaps(thetas)))
 
     lo = thetas[best_idx] - 2.0 * math.pi / samples
     hi = thetas[best_idx] + 2.0 * math.pi / samples
@@ -376,19 +373,19 @@ def select_rotation(
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = _min_gap(fibers, c), _min_gap(fibers, d)
+    fc, fd = gap(c), gap(d)
     for _ in range(60):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = _min_gap(fibers, c)
+            fc = gap(c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = _min_gap(fibers, d)
+            fd = gap(d)
     theta_best = (c if fc >= fd else d) % (2.0 * math.pi)
-    gap_best = max(_min_gap(fibers, theta_best), 0.0)
-    gap_zero = _min_gap(fibers, 0.0)
+    gap_best = max(gap(theta_best), 0.0)
+    gap_zero = gap(0.0)
     if gap_zero >= 0.5 * gap_best and gap_zero > 0.0:
         return 0.0
     if gap_best <= 0.0:

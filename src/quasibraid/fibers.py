@@ -16,19 +16,24 @@ from .errors import NumericalFailure
 from .poly import BivariatePolynomial
 
 
-def solve(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
-    """Roots of every fiber f(z, .) for an array of z, shape (len(zs), n)."""
+def coefficients(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
+    """Ascending w-coefficients of every fiber f(z, .), shape (len(zs), n + 1)."""
     zs = np.asarray(zs, dtype=complex)
-    n = f.w_degree
-    count = zs.shape[0]
     # Horner in z over every w-coefficient at once.
     table = f.coefficient_table
-    coeffs = np.zeros((count, n + 1), dtype=complex) + table[-1]
+    coeffs = np.zeros((zs.shape[0], f.w_degree + 1), dtype=complex) + table[-1]
     column = zs[:, None]
     for row in table[-2::-1]:
         coeffs *= column
         coeffs += row
-    comp = np.repeat(np.eye(n, k=-1, dtype=complex)[None], count, axis=0)
+    return coeffs
+
+
+def solve(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
+    """Roots of every fiber f(z, .) for an array of z, shape (len(zs), n)."""
+    coeffs = coefficients(f, zs)
+    n = f.w_degree
+    comp = np.repeat(np.eye(n, k=-1, dtype=complex)[None], len(coeffs), axis=0)
     comp[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
     try:
         return np.linalg.eigvals(comp)

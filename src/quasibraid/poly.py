@@ -4,16 +4,19 @@ The central objects are polynomials ``f(z, w)`` of fixed degree ``n`` in ``w``
 whose ``w``-leading coefficient is a nonzero constant, so every fiber
 ``f(z0, .)`` has exactly ``n`` roots counted with multiplicity and none escape
 to infinity.  Root finding uses the Aberth simultaneous iteration with
-deterministic seeds on the Cauchy-bound circle; a residual check relative to
-the coefficient magnitude either certifies the output or raises.  Nearby roots
-are merged into multiplicity clusters at radius ``sqrt(tol)`` times the Cauchy
-bound, which matches how accurately a double root can be located in floating
-point.
+deterministic seeds on the Cauchy-bound circle; the monic polynomial rebuilt
+from the roots must match the input coefficients, or root finding raises.
+Nearby roots are merged into multiplicity clusters at radius ``sqrt(tol)``
+times the Cauchy bound, which matches how accurately a double root can be
+located in floating point.
 
-The discriminant with respect to ``w`` is the determinant of the Sylvester
-matrix of ``f`` and its ``w``-derivative, computed over the polynomial ring in
-``z``: expansion by minors (memoized over column subsets) for small matrices,
-fraction-free Bareiss elimination for larger ones.
+The discriminant with respect to ``w`` vanishes where the Sylvester matrix
+``S(z)`` of ``f`` and its ``w``-derivative is singular.  Its roots are found
+without expanding the determinant, as the finite eigenvalues of ``S(z)`` taken
+as a matrix polynomial in ``z`` (Nakatsukasa, Noferini and Townsend, Numer.
+Math. 129, 2015): ``w`` is first translated to the fiber centroid, every row is
+balanced, and the reversal about a shift point is solved with one batched
+eigenvalue call.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -120,8 +123,8 @@ class UnivariatePolynomial:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Clustered roots: distinct values, multiplicities, and the worst
-    relative residual |p(root)| / sum(|c_k| |root|^k) over the values."""
+    """Clustered roots: distinct values, multiplicities, and the coefficient
+    residual of the monic polynomial rebuilt from the unclustered roots."""
 
     values: tuple[complex, ...]
     multiplicities: tuple[int, ...]
@@ -273,6 +276,35 @@ def _grow_multiple_clusters(
     return tuple(c for c, _ in merged), tuple(m for _, m in merged)
 
 
+def _rebuilt_residual(monic: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Coefficient error of the monic polynomial rebuilt from ``values``.
+
+    Rows of a batch are independent: ``monic`` holds ascending coefficients
+    over its last axis and ``values`` the claimed roots.  The error is the
+    largest coefficient difference relative to the largest input coefficient
+    (at least 1).  Per-root backward error degenerates on monomial-like
+    fibers (for w^2 it is 1 at every nonzero point); this does not.
+    """
+    rebuilt = np.ones(values.shape[:-1] + (1,), dtype=complex)
+    pad = np.zeros_like(rebuilt)
+    for v in np.moveaxis(values, -1, 0):
+        rebuilt = np.concatenate([pad, rebuilt], axis=-1) - v[..., None] * np.concatenate(
+            [rebuilt, pad], axis=-1
+        )
+    err = np.abs(rebuilt - monic).max(axis=-1)
+    return err / np.maximum(1.0, np.abs(monic).max(axis=-1))
+
+
+def _certify(monic: np.ndarray, iterates: np.ndarray, certify: float) -> float:
+    err = float(_rebuilt_residual(monic, iterates))
+    if err > certify:
+        raise NumericalFailure(
+            f"root finding did not certify: coefficient residual {err:.3e} > {certify:.3e}",
+            diagnostics={"values": [repr(complex(v)) for v in iterates], "residual": err},
+        )
+    return err
+
+
 def raw_roots(
     p: UnivariatePolynomial,
     tol: float = DEFAULT_ROOT_TOL,
@@ -297,16 +329,7 @@ def raw_roots(
     # a factor of n, so the default certificate scales with the degree.
     certify = 8 * p.degree * tol if certify_tol is None else certify_tol
     iterates = _aberth(monic, tol, max_iterations)
-    # Certify collectively: the monic rebuilt from the iterates must match the
-    # input coefficients.  Per-root backward error degenerates on monomial-like
-    # fibers (for w^2 it is 1 at every nonzero point), this does not.
-    rebuilt = np.poly(iterates)[::-1]
-    err = float(np.max(np.abs(rebuilt - monic))) / max(1.0, float(np.max(np.abs(monic))))
-    if err > certify:
-        raise NumericalFailure(
-            f"root finding did not certify: coefficient residual {err:.3e} > {certify:.3e}",
-            diagnostics={"residual": err},
-        )
+    _certify(monic, iterates, certify)
     return tuple(sorted((complex(v) for v in iterates), key=lambda c: (c.real, c.imag)))
 
 
@@ -318,7 +341,9 @@ def roots(
     """All complex roots of ``p`` with multiplicity clustering.
 
     Raises :class:`NumericalFailure` with the best iterates attached when the
-    relative residual cannot be brought below ``tol``.
+    monic polynomial rebuilt from them misses the input coefficients by more
+    than ``8 * degree * sqrt(tol)``, the certificate of :func:`raw_roots`
+    widened for multiple roots.
     """
     coeffs = np.array(p.coefficients, dtype=complex)
     if len(coeffs) == 0 or p.degree < 1:
@@ -328,22 +353,15 @@ def roots(
         value = complex(-monic[0])
         return RootSet((value,), (1,), 0.0)
     iterates = _aberth(monic, tol, max_iterations)
+    # Iterates stalled on an m-fold root sit about tol^(1/m) from it and move
+    # the rebuilt coefficients by about tol^(2/m), so the certificate admits
+    # multiplicities up to four.
+    err = _certify(monic, iterates, 8 * p.degree * math.sqrt(tol))
     cauchy = 1.0 + float(np.max(np.abs(monic[:-1])))
     values, mults = _cluster_values(iterates, np.sqrt(tol) * cauchy)
     if len(values) > 1:
         values, mults = _grow_multiple_clusters(p, values, mults, tol, cauchy)
-    worst = 0.0
-    for v in values:
-        worst = max(worst, abs(p(v)) / max(p.magnitude_at(v), 1e-300))
-    if worst > tol:
-        raise NumericalFailure(
-            f"root finding did not certify: relative residual {worst:.3e} > {tol:.3e}",
-            diagnostics={
-                "values": [repr(v) for v in values],
-                "residual": worst,
-            },
-        )
-    return RootSet(values, mults, worst)
+    return RootSet(values, mults, err)
 
 
 @dataclass(frozen=True)
@@ -457,153 +475,103 @@ def _maybe_bivariate(coeffs: tuple[UnivariatePolynomial, ...]):
     return _WPoly(tuple(trimmed))
 
 
-_ZERO = UnivariatePolynomial(())
+# Shift points for the pencil reversal, placed like generic sample points.
+_SHIFTS = 1.37 * np.exp(2j * np.pi * (np.arange(9) + 0.31) / 9)
+# Relative distance within which the two reversals must agree on an
+# eigenvalue for it to count as finite.  A perturbed k-fold finite eigenvalue
+# moves by about eps^(1/k); a perturbed infinite one lands on a different
+# far-away point for every shift.
+_AGREEMENT_RTOL = 1e-3
 
 
-def _sylvester_rows(
-    f: Sequence[UnivariatePolynomial], g: Sequence[UnivariatePolynomial]
-) -> list[list[UnivariatePolynomial]]:
-    # f has w-degree m, g has w-degree k; matrix is (m + k) square with k
-    # shifted copies of f's coefficients (descending) and m of g's.
-    m, k = len(f) - 1, len(g) - 1
-    size = m + k
-    rows = []
-    fd = list(reversed(f))
-    gd = list(reversed(g))
-    for shift in range(k):
-        row = [_ZERO] * size
-        for j, c in enumerate(fd):
-            row[shift + j] = c
-        rows.append(row)
-    for shift in range(m):
-        row = [_ZERO] * size
-        for j, c in enumerate(gd):
-            row[shift + j] = c
-        rows.append(row)
-    return rows
+def _sylvester_pencil(f: BivariatePolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """Row-balanced Sylvester matrix of f and f_w as a polynomial in z.
 
-
-def _det_expansion(rows: list[list[UnivariatePolynomial]]) -> UnivariatePolynomial:
-    """Determinant over the polynomial ring by memoized expansion on columns."""
-    size = len(rows)
-    memo: dict[int, UnivariatePolynomial] = {}
-
-    def minor(col_mask: int) -> UnivariatePolynomial:
-        if col_mask == 0:
-            return UnivariatePolynomial((1,))
-        cached = memo.get(col_mask)
-        if cached is not None:
-            return cached
-        row_index = size - bin(col_mask).count("1")
-        total = UnivariatePolynomial(())
-        sign = 1
-        rest = col_mask
-        while rest:
-            low = rest & (-rest)
-            col = low.bit_length() - 1
-            entry = rows[row_index][col]
-            if entry.degree >= 0:
-                term = entry * minor(col_mask & ~low)
-                total = total + (term if sign > 0 else term.scale(-1))
-            sign = -sign
-            rest &= rest - 1
-        memo[col_mask] = total
-        return total
-
-    return minor((1 << size) - 1)
-
-
-def _poly_div_exact(
-    num: UnivariatePolynomial, den: UnivariatePolynomial
-) -> UnivariatePolynomial:
-    if den.degree < 0:
-        raise NumericalFailure("division by the zero polynomial during elimination")
-    if num.degree < 0:
-        return num
-    q, r = np.polydiv(
-        np.array(list(reversed(num.coefficients)), dtype=complex),
-        np.array(list(reversed(den.coefficients)), dtype=complex),
+    Entry [j] of the returned stack multiplies z^j.  The layout is n - 1
+    shifted rows of f's descending w-coefficients over n rows of f_w's, after
+    w is translated by the centroid of the fiber over z = 0; a translation
+    leaves the resultant unchanged and keeps the coefficients from growing
+    with the distance of the roots from the origin.  Returns the stack and
+    the row scales it was divided by.
+    """
+    table = f.coefficient_table
+    n = f.w_degree
+    center = -table[0, n - 1] / (n * table[0, n])
+    k = np.arange(n + 1)
+    taylor = np.array([[math.comb(a, b) for b in k] for a in k]) * center ** np.maximum(
+        k[:, None] - k[None, :], 0
     )
-    return UnivariatePolynomial(tuple(reversed(q)))
+    shifted = table @ taylor
+    deriv = shifted[:, 1:] * k[1:]
+    size = 2 * n - 1
+    stack = np.zeros((len(table), size, size), dtype=complex)
+    for r in range(n - 1):
+        stack[:, r, r : r + n + 1] = shifted[:, ::-1]
+    for r in range(n):
+        stack[:, n - 1 + r, r : r + n] = deriv[:, ::-1]
+    scale = np.abs(stack).max(axis=(0, 2))
+    return stack / scale[:, None], scale
 
 
-def _det_bareiss(rows: list[list[UnivariatePolynomial]]) -> UnivariatePolynomial:
-    """Fraction-free elimination; divisions are exact in the polynomial ring."""
-    size = len(rows)
-    mat = [list(r) for r in rows]
-    sign = 1
-    prev = UnivariatePolynomial((1,))
-    for k in range(size - 1):
-        if mat[k][k].degree < 0:
-            swap = next(
-                (i for i in range(k + 1, size) if mat[i][k].degree >= 0), None
-            )
-            if swap is None:
-                return UnivariatePolynomial(())
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = mat[k][k] * mat[i][j] - mat[i][k] * mat[k][j]
-                mat[i][j] = _poly_div_exact(num, prev)
-            mat[i][k] = _ZERO
-        prev = mat[k][k]
-    result = mat[size - 1][size - 1]
-    return result if sign > 0 else result.scale(-1)
+def _discriminant_roots(
+    f: BivariatePolynomial, zero_rtol: float = 1e-10
+) -> tuple[np.ndarray, complex]:
+    """Roots of the w-discriminant, unclustered, and its leading coefficient.
 
-
-_EXPANSION_SIZE_LIMIT = 13
+    The roots are the finite eigenvalues of the Sylvester pencil S(z).  For a
+    shift point sigma with S(sigma) regular, the reversal mu^d S(sigma + 1/mu)
+    has the regular leading coefficient S(sigma) and a block companion
+    linearization; infinite eigenvalues of S become mu = 0, which rounding
+    turns into far-away z that move with sigma.  Two shifts are solved in one
+    eigenvalue call and only the eigenvalues both agree on are kept.  Raises
+    :class:`InputError` when S is singular at every shift point, which means
+    f has a repeated factor.
+    """
+    stack, scale = _sylvester_pencil(f)
+    d = len(stack) - 1
+    size = stack.shape[1]
+    at = np.zeros((len(_SHIFTS), size, size), dtype=complex) + stack[-1]
+    for coeff in stack[-2::-1]:
+        at = at * _SHIFTS[:, None, None] + coeff
+    sing = np.linalg.svd(at, compute_uv=False)
+    rcond = sing[:, -1] / np.maximum(sing[:, 0], 1e-300)
+    if rcond.max() <= zero_rtol:
+        raise InputError("f has a repeated factor (discriminant is identically zero)")
+    best = np.argsort(-rcond, kind="stable")[:2]
+    sigma = _SHIFTS[best]
+    if d == 0:
+        values = np.zeros(0, dtype=complex)
+    else:
+        # Coefficient k of mu^d S(sigma + 1/mu) is sum_j C(j, i) sigma^i S_j
+        # over i + d - j = k; the top one, k = d, is S(sigma).
+        rev = np.zeros((2, d + 1, size, size), dtype=complex)
+        for j in range(d + 1):
+            for i in range(j + 1):
+                rev[:, i + d - j] += math.comb(j, i) * sigma[:, None, None] ** i * stack[j]
+        lower = np.concatenate([rev[:, k] for k in range(d - 1, -1, -1)], axis=2)
+        companion = np.zeros((2, d * size, d * size), dtype=complex)
+        companion[:, :size] = -np.linalg.solve(rev[:, d], lower)
+        companion[:, size:, :-size] = np.eye((d - 1) * size)
+        mu = np.linalg.eigvals(companion)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = sigma[:, None] + 1.0 / mu
+            apart = np.abs(z[0][:, None] - z[1][None, :]).min(axis=1)
+            values = z[0][apart <= _AGREEMENT_RTOL * (1.0 + np.abs(z[0]))]
+    det = np.linalg.det(at[best[0]]) * np.prod(scale)
+    return values, complex(det / np.prod(sigma[0] - values))
 
 
 def discriminant_w(f: BivariatePolynomial, zero_rtol: float = 1e-10) -> UnivariatePolynomial:
     """Resultant of f and df/dw with respect to w, as a polynomial in z.
 
-    Vanishes exactly at the z where the fiber has a repeated root.  Raises
-    :class:`InputError` when the result is numerically the zero polynomial,
-    which means f has a repeated factor.
+    Vanishes exactly at the z where the fiber has a repeated root.  Returned
+    in product form, the leading coefficient times the monic polynomial with
+    the eigenvalues of the Sylvester pencil as roots.  Raises
+    :class:`InputError` when the Sylvester matrix is numerically singular for
+    every z, which means f has a repeated factor.
     """
-    fw = f.dw()
-    rows = _sylvester_rows(f.w_coefficients, fw.w_coefficients)
-    if _resultant_is_noise(rows, zero_rtol):
-        raise InputError(
-            "f has a repeated factor (discriminant is identically zero)"
-        )
-    if len(rows) <= _EXPANSION_SIZE_LIMIT:
-        det = _det_expansion(rows)
-    else:
-        det = _det_bareiss(rows)
-    coeffs = det.coefficients
-    peak = max((abs(c) for c in coeffs), default=0.0)
-    kept = tuple(c if abs(c) > 1e-13 * peak else 0j for c in coeffs)
-    trimmed = UnivariatePolynomial(kept)
-    if trimmed.degree < 0:
-        raise NumericalFailure(
-            "discriminant coefficients were lost to cancellation"
-        )
-    return trimmed
-
-
-def _resultant_is_noise(rows, zero_rtol: float) -> bool:
-    """Whether the Sylvester matrix is numerically singular for every z.
-
-    A repeated factor makes the matrix singular identically, so a handful of
-    sample points suffices.  Singularity at a point is judged by the singular
-    value ratio, which is scale-free.
-    """
-    for k in range(9):
-        angle = 2.0 * math.pi * (k + 0.31) / 9.0
-        z = 1.37 * complex(math.cos(angle), math.sin(angle))
-        m = np.array(
-            [
-                [entry(z) if entry.degree >= 0 else 0j for entry in row]
-                for row in rows
-            ],
-            dtype=complex,
-        )
-        sing = np.linalg.svd(m, compute_uv=False)
-        if sing[-1] > zero_rtol * max(sing[0], 1e-300):
-            return False
-    return True
+    values, lead = _discriminant_roots(f, zero_rtol)
+    return UnivariatePolynomial(tuple(lead * np.atleast_1d(np.poly(values))[::-1]))
 
 
 def fiber_roots(

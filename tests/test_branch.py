@@ -10,11 +10,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quasibraid import (
+    BivariatePolynomial,
     BranchData,
     BranchPoint,
     InputError,
+    UnivariatePolynomial,
     branch_data_from_json,
     branch_data_to_json,
     branch_points,
@@ -48,6 +52,38 @@ def assert_same_point_set(values, expected, tol=1e-8):
         remaining.remove(got)
 
 
+def family_curve(n, eps=0.05):
+    """P(w)(w - z) + eps with P(w) = (w - 1)...(w - (n - 1))."""
+    p = np.poly(np.arange(1.0, n))[::-1]
+    coeffs = []
+    for m in range(n + 1):
+        const = (p[m - 1] if m >= 1 else 0.0) + (eps if m == 0 else 0.0)
+        coeffs.append(UnivariatePolynomial((const, -p[m] if m < n else 0.0)))
+    return BivariatePolynomial(tuple(coeffs))
+
+
+def family_closed_form(n, eps=0.05):
+    """Branch points z = w + P(w)/P'(w) over the roots of P^2 = eps P'.
+
+    Away from the roots of P the equation reads P(w) = eps s1(w) with
+    s1 = P'/P = sum 1/(w - j), which Newton solves in product form from a
+    seed j +- sqrt(eps / P'(j)) next to each integer root j.
+    """
+    ks = np.arange(1.0, n)
+    points = []
+    for j in range(1, n):
+        slope = np.prod([j - i for i in ks if i != j])
+        for sign in (1, -1):
+            w = j + sign * np.sqrt(complex(eps / slope))
+            for _ in range(30):
+                s1 = np.sum(1 / (w - ks))
+                s2 = np.sum(1 / (w - ks) ** 2)
+                p = np.prod(w - ks)
+                w = w - (p - eps * s1) / (p * s1 + eps * s2)
+            points.append(complex(w + 1 / np.sum(1 / (w - ks))))
+    return points
+
+
 class TestBranchPoints:
     def test_square_root_surface_branches_at_the_origin(self):
         data = branch_points(parse_bivariate_text("w^2 - z"))
@@ -79,6 +115,65 @@ class TestBranchPoints:
     def test_repeated_factor_is_rejected(self):
         with pytest.raises(InputError):
             branch_points(parse_bivariate_text("w^4 - 2*z*w^2 + z^2"))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_realization_family_matches_the_closed_form(self, n):
+        f = family_curve(n)
+        data = branch_points(f)
+        assert len(data.points) == 2 * (n - 1)
+        assert all(p.multiplicity == 1 for p in data.points)
+        assert_same_point_set(data.values(), family_closed_form(n), tol=1e-9)
+        if n <= 7:
+            assert check_genericity(f, data).ok
+
+    def test_constant_discriminant_has_no_branch_points(self):
+        # The pencil of (w + z)^2 - 1 has only infinite eigenvalues.
+        assert branch_points(parse_bivariate_text("w^2 + 2*z*w + z^2 - 1")).points == ()
+
+    def test_degree_drop_keeps_the_two_finite_points(self):
+        f = parse_bivariate_text("w^3 + 3*z*w^2 + 3*z^2*w + z^3 - w")
+        root = 2 / math.sqrt(27)
+        assert_same_point_set(branch_points(f).values(), [root, -root])
+
+    def test_conjugate_pairs_list_the_lower_half_plane_first(self):
+        for f in (
+            parse_bivariate_text("w^3 - 3*w + 2*z^4"),
+            parse_bivariate_text("w^3 - z*w^2 + w - z + 0.01"),
+            family_curve(5),
+        ):
+            values = branch_points(f).values()
+            for k, z in enumerate(values):
+                if z.imag > 1e-9:
+                    assert abs(values[k - 1] - z.conjugate()) < 1e-9
+            tie = 1e-9 * (1 + max(abs(z) for z in values))
+            assert all(b.real >= a.real - tie for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        w_degree=st.integers(2, 5),
+        z_degree=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_every_branch_fiber_has_a_double_root(self, w_degree, z_degree, data):
+        entries = st.integers(-3, 3)
+        coeffs = [
+            UnivariatePolynomial(tuple(data.draw(entries) for _ in range(z_degree + 1)))
+            for _ in range(w_degree)
+        ]
+        f = BivariatePolynomial(tuple(coeffs) + (UnivariatePolynomial((1,)),))
+        try:
+            found = branch_points(f)
+        except InputError:
+            assume(False)
+        # A branch point off by dz splits the double root by about
+        # sqrt(dz |f_z / f_ww|) and a triple root by dz^(1/3): simple points
+        # within 1e-13 have shown pairs 3e-6 apart where f_ww is small.
+        for p in found.points:
+            vals = np.roots(f.fiber(p.z).coefficients[::-1])
+            scale = max(1.0, float(np.abs(vals).max()))
+            gaps = np.abs(vals[:, None] - vals[None, :])
+            np.fill_diagonal(gaps, np.inf)
+            assert gaps.min() <= (1e-5 if p.multiplicity == 1 else 1e-3) * scale
 
 
 class TestGenericity:
@@ -168,6 +263,22 @@ class TestRotation:
             return worst
 
         assert worst_gap(theta) > 2 * worst_gap(0.0)
+
+
+    def test_double_root_at_the_origin_is_merged(self):
+        # The fiber over the branch point z = 0 is w^2 (w + 2); its rotation
+        # is chosen from the merged double root and -2.
+        f = parse_bivariate_text("w^3 + 2*w^2 - 2*z*w^2 + 2*z*w + z^2 - 3*z")
+        data = branch_points(f)
+        assert min(abs(z) for z in data.values()) < 1e-12
+        theta = select_rotation(f, data)
+        for p in data.points:
+            distinct = distinct_fiber_values(f, p.z)
+            assert len(distinct) == 2
+            rotated = sorted((v * cmath.exp(1j * theta)).real for v in distinct)
+            scale = max(1.0, max(abs(v) for v in distinct))
+            for a, b in zip(rotated, rotated[1:]):
+                assert b - a > 1e-9 * scale
 
 
 class TestSerialization:

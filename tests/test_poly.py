@@ -122,6 +122,16 @@ class TestRootFinding:
         with pytest.raises(NumericalFailure):
             roots(p, max_iterations=1)
 
+    def test_double_root_at_the_origin_certifies(self):
+        # Every term of w^3 + 2 w^2 vanishes at the double root 0, where the
+        # per-root relative residual is 1 however close the iterates get.
+        found = roots(UnivariatePolynomial((0, 0, 2, 1)))
+        assert found.total == 3
+        by_value = {round(v.real) + 0j: m for v, m in zip(found.values, found.multiplicities)}
+        assert by_value == {0: 2, -2: 1}
+        for v in found.values:
+            assert abs(v - round(v.real)) < 1e-6
+
     def test_raw_roots_certification_can_be_relaxed(self):
         # Near-coincident roots stall the iteration around the square root of
         # machine precision; the collective certificate must still accept the
@@ -179,6 +189,22 @@ class TestDiscriminant:
             ratios.append(disc(z) / gap)
         ratios = np.array(ratios)
         assert np.allclose(ratios, ratios[0], rtol=1e-6)
+
+    def test_constant_discriminant_has_degree_zero(self):
+        # The discriminant of (w + z)^2 - 1 is the constant 4, while the
+        # Sylvester matrix has z-degree 2: every pencil eigenvalue is infinite.
+        disc = discriminant_w(parse_bivariate_text("w^2 + 2*z*w + z^2 - 1"))
+        assert disc.degree == 0
+        assert abs(abs(disc.coefficients[0]) - 4) < 1e-9
+
+    def test_degree_drop_keeps_only_the_finite_roots(self):
+        # (w + z)^3 - w is v^3 - v + z in v = w + z, with discriminant
+        # 4 - 27 z^2.
+        f = parse_bivariate_text("w^3 + 3*z*w^2 + 3*z^2*w + z^3 - w")
+        disc = discriminant_w(f)
+        assert disc.degree == 2
+        for z in (0.3, -1.1 + 0.4j, 2j):
+            assert disc(z) / (4 - 27 * z**2) == pytest.approx(disc(0) / 4, rel=1e-9)
 
     def test_repeated_factor_is_rejected(self):
         squared = parse_bivariate_text("w^2 - 2*z*w + z^2")

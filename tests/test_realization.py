@@ -13,6 +13,7 @@ from quasibraid import (
     Band,
     BraidWord,
     InputError,
+    NumericalFailure,
     QuasipositiveFactorization,
     braid_along,
     branch_points,
@@ -131,6 +132,16 @@ class TestRealizeRoundTrips:
 
     def test_annular_factorization_with_a_long_conjugator(self):
         self.verify(qpf(3, ((), 1), (((2, 1), (2, 1), (2, 1)), 1)))
+
+    def test_six_strands_round_trip(self):
+        self.verify(qpf(6, (((2, 1),), 4)))
+
+    def test_seven_strands_fail_as_a_numerical_problem(self):
+        # The branch points are right at n = 7, but the template circle
+        # around the first batch passes closer to its branch points than the
+        # tracker's clearance floor, and halving epsilon shrinks it further.
+        with pytest.raises(NumericalFailure):
+            realize(qpf(7, ((), 3)))
 
     def test_empty_factorizations_are_rejected(self):
         with pytest.raises(InputError):

@@ -10,8 +10,10 @@ Both properties hold after adding a small multiple of w to f, which is what
 
 The discriminant roots come from the Sylvester pencil eigensolve in
 :mod:`quasibraid.poly`.  Every fiber over a branch point, or over a vertical
-tangent point near one, is solved in one batch by the shared fiber kernel and
-certified by the coefficients rebuilt from its roots.
+tangent point near one, is solved in one batch by the companion eigensolve
+of the fiber kernel and certified by the coefficients rebuilt from its roots.
+Values and derivatives of f at tangent points come from
+:meth:`~quasibraid.poly.BivariatePolynomial.jet`.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import numpy as np
 
 from .errors import InputError, NumericalFailure
 from .fibers import coefficients as fiber_coefficients
-from .fibers import min_gap, solve
 from .poly import (
     BivariatePolynomial,
+    _companion_roots,
     _cluster_values,
     _discriminant_roots,
     _rebuilt_residual,
@@ -94,29 +96,16 @@ def branch_points(f: BivariatePolynomial, tol: float = 1e-12) -> BranchData:
 
     The roots are the finite eigenvalues of the Sylvester pencil of f and
     df/dw, clustered at ``sqrt(tol)`` of their scale into multiplicities.
-    Each simple root is refined by a Newton solve of the vertical-tangent
-    system (f = 0, df/dw = 0) seeded from the closest root pair of its fiber.
-    The refinement is kept only when it stays well inside the branch
-    separation, which prevents a noisy root from being snapped to a
-    different branch point.  Points are sorted by real part, with real parts
-    within 1e-9 of the scale counted as equal, then by imaginary part.
+    Points are sorted by real part, with real parts within 1e-9 of the scale
+    counted as equal, then by imaginary part.
     """
     values, _ = _discriminant_roots(f)
     if len(values) == 0:
         return BranchData(points=())
     scale = 1.0 + float(np.max(np.abs(values)))
     centers, mults = _cluster_values(values, math.sqrt(tol) * scale)
-    gap = float(min_gap(np.array(centers)))
-    derivs = _derivatives(f)
-    simple = [i for i, m in enumerate(mults) if m == 1]
-    zs = list(centers)
-    vals, residual = _branch_fibers(f, [centers[i] for i in simple])
-    seeds = _merge_double_roots(vals)[:, -1]
-    for i, w0, err in zip(simple, seeds, residual):
-        if err <= FIBER_CERTIFY_TOL:
-            zs[i] = _tangent_refined(f, derivs, centers[i], w0, gap)
     tie = 1e-9 * scale
-    pts = sorted((BranchPoint(z, m) for z, m in zip(zs, mults)), key=lambda p: p.z.real)
+    pts = sorted((BranchPoint(z, m) for z, m in zip(centers, mults)), key=lambda p: p.z.real)
     runs: list[list[BranchPoint]] = []
     for p in pts:
         if runs and p.z.real - runs[-1][-1].z.real <= tie:
@@ -127,24 +116,13 @@ def branch_points(f: BivariatePolynomial, tol: float = 1e-12) -> BranchData:
     return BranchData(points=tuple(ordered))
 
 
-def _derivatives(f: BivariatePolynomial) -> tuple:
-    """f_z, f_w, f_zw and f_ww, in the argument order of the Newton solves."""
-    fw = f.dw()
-    fz = f.dz()
-    return fz, fw, fz.dw(), fw.dw()
-
-
-def _branch_fibers(f: BivariatePolynomial, zs) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of the fibers over ``zs`` from one kernel solve, with the
-    coefficient residual of each fiber rebuilt from its roots."""
+def _certified_fibers(f: BivariatePolynomial, zs) -> np.ndarray:
+    """Roots of the fibers over ``zs`` from one kernel solve, certified by
+    the coefficient residual of each fiber rebuilt from its roots."""
     zs = np.asarray(zs, dtype=complex)
     coeffs = fiber_coefficients(f, zs)
-    vals = solve(f, zs)
-    return vals, _rebuilt_residual(coeffs / coeffs[:, -1:], vals)
-
-
-def _certified_fibers(f: BivariatePolynomial, zs) -> np.ndarray:
-    vals, residual = _branch_fibers(f, zs)
+    vals = _companion_roots(coeffs)
+    residual = _rebuilt_residual(coeffs / coeffs[:, -1:], vals)
     worst = float(residual.max(initial=0.0))
     if worst > FIBER_CERTIFY_TOL:
         raise NumericalFailure(
@@ -169,14 +147,6 @@ def _merge_double_roots(vals: np.ndarray) -> np.ndarray:
     return np.concatenate([vals[keep].reshape(count, n - 2), mid[:, None]], axis=1)
 
 
-def _tangent_refined(f, derivs, z, w0, gap: float) -> complex:
-    limit = min(1e-3 * (1.0 + abs(z)), 0.25 * gap)
-    z_t, _, converged = _polish_tangent(f, *derivs, z, w0)
-    if converged and abs(z_t - z) <= limit:
-        return z_t
-    return z
-
-
 def _bbox_diameter(values: tuple[complex, ...]) -> float:
     if not values:
         return 0.0
@@ -198,7 +168,6 @@ def check_genericity(
     genuine vertical tangent of a smooth curve point); and the branch point is
     a simple discriminant root.
     """
-    derivs = _derivatives(f)
     issues = {
         k: f"discriminant root has multiplicity {p.multiplicity}"
         for k, p in enumerate(data.points)
@@ -214,7 +183,7 @@ def check_genericity(
     tangents: dict[int, tuple[complex, complex]] = {}
     for k, w0 in zip(simple, seeds):
         z = data.points[k].z
-        z_t, w_t, converged = _polish_tangent(f, *derivs, z, w0)
+        z_t, w_t, converged = _polish_tangent(f, z, w0)
         if not converged:
             issues[k] = "vertical tangent refinement did not converge"
         elif abs(z_t - z) > 1e-6 * (1.0 + abs(z)):
@@ -223,7 +192,7 @@ def check_genericity(
             tangents[k] = (z_t, w_t)
     fibers_t = _certified_fibers(f, [z_t for z_t, _ in tangents.values()])
     for (k, (z_t, w_t)), vals in zip(tangents.items(), fibers_t):
-        reason = _tangent_issue(f.w_degree, derivs, z_t, w_t, vals, rtol)
+        reason = _tangent_issue(f, z_t, w_t, vals, rtol)
         if reason is not None:
             issues[k] = reason
     return GenericityReport(
@@ -232,10 +201,10 @@ def check_genericity(
     )
 
 
-def _tangent_issue(n: int, derivs, z_t, w_t, tangent_vals, rtol: float) -> str | None:
+def _tangent_issue(f: BivariatePolynomial, z_t, w_t, tangent_vals, rtol: float) -> str | None:
     """Why the fiber over the tangent point (z_t, w_t) is not one simple
     double root at w_t plus n - 2 simple roots, or None."""
-    fz, _, _, fww = derivs
+    n = f.w_degree
     scale_w = max(1.0, float(np.abs(tangent_vals).max()))
     floor = 1e-4 * scale_w
     near = [i for i, v in enumerate(tangent_vals) if abs(v - w_t) < 0.5 * floor]
@@ -247,42 +216,37 @@ def _tangent_issue(n: int, derivs, z_t, w_t, tangent_vals, rtol: float) -> str |
     )
     if len(near) != 2 or not simple_ok:
         return f"fiber does not split into one double and {n - 2} simple roots"
-    dz_val = fz.evaluate(z_t, w_t)
-    dz_scale = max(fz.magnitude_at(z_t, w_t), 1e-300)
+    (dz_val, dww_val), scales = f.jet(z_t, w_t, ((1, 0), (0, 2)))
+    dz_scale, dww_scale = np.maximum(scales, 1e-300)
     if abs(dz_val) <= rtol * dz_scale:
         return "z-derivative vanishes at the double root"
-    dww_val = fww.evaluate(z_t, w_t)
-    dww_scale = max(fww.magnitude_at(z_t, w_t), 1e-300)
     if abs(dww_val) <= rtol * dww_scale:
         return "second w-derivative vanishes at the double root"
     return None
 
 
-def _polish_tangent(f, fz, fw, fzw, fww, z0, w0):
+# f and f_w, whose common zero is a vertical tangent point, then f_z, f_zw and
+# f_ww, which complete the Jacobian of that system.
+_TANGENT_ORDERS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2))
+
+
+def _polish_tangent(f: BivariatePolynomial, z0, w0):
     """Newton refinement of a vertical tangent point (f = 0, f_w = 0)."""
     z, w = complex(z0), complex(w0)
     for _ in range(40):
-        v1 = f.evaluate(z, w)
-        v2 = fw.evaluate(z, w)
-        s1 = max(f.magnitude_at(z, w), 1e-300)
-        s2 = max(fw.magnitude_at(z, w), 1e-300)
-        if abs(v1) <= 1e-13 * s1 and abs(v2) <= 1e-13 * s2:
+        values, scales = f.jet(z, w, _TANGENT_ORDERS)
+        f0, fw, fz, fzw, fww = values.tolist()
+        s0, sw = np.maximum(scales[:2], 1e-300)
+        if abs(f0) <= 1e-13 * s0 and abs(fw) <= 1e-13 * sw:
             return z, w, True
-        a = fz.evaluate(z, w)
-        b = fw.evaluate(z, w)
-        c = fzw.evaluate(z, w)
-        d = fww.evaluate(z, w)
-        det = a * d - b * c
+        det = fz * fww - fw * fzw
         if det == 0:
             return z, w, False
-        z -= (v1 * d - v2 * b) / det
-        w -= (a * v2 - c * v1) / det
-    v1 = f.evaluate(z, w)
-    v2 = fw.evaluate(z, w)
-    ok = abs(v1) <= 1e-12 * max(f.magnitude_at(z, w), 1e-300) and abs(
-        v2
-    ) <= 1e-12 * max(fw.magnitude_at(z, w), 1e-300)
-    return z, w, ok
+        z -= (f0 * fww - fw * fw) / det
+        w -= (fz * fw - fzw * f0) / det
+    (f0, fw), scales = f.jet(z, w, _TANGENT_ORDERS[:2])
+    s0, sw = np.maximum(scales, 1e-300)
+    return z, w, abs(f0) <= 1e-12 * s0 and abs(fw) <= 1e-12 * sw
 
 
 def _separation_ok(values: tuple[complex, ...]) -> bool:

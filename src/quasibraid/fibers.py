@@ -12,8 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalFailure
-from .poly import BivariatePolynomial
+from .poly import BivariatePolynomial, _companion_roots
 
 
 def coefficients(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
@@ -31,14 +30,7 @@ def coefficients(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
 
 def solve(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
     """Roots of every fiber f(z, .) for an array of z, shape (len(zs), n)."""
-    coeffs = coefficients(f, zs)
-    n = f.w_degree
-    comp = np.repeat(np.eye(n, k=-1, dtype=complex)[None], len(coeffs), axis=0)
-    comp[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
-    try:
-        return np.linalg.eigvals(comp)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"fiber eigenvalue solve failed: {exc}") from exc
+    return _companion_roots(coefficients(f, zs))
 
 
 def min_gap(vals: np.ndarray) -> np.ndarray:

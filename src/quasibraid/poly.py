@@ -3,12 +3,15 @@
 The central objects are polynomials ``f(z, w)`` of fixed degree ``n`` in ``w``
 whose ``w``-leading coefficient is a nonzero constant, so every fiber
 ``f(z0, .)`` has exactly ``n`` roots counted with multiplicity and none escape
-to infinity.  Root finding uses the Aberth simultaneous iteration with
-deterministic seeds on the Cauchy-bound circle; the monic polynomial rebuilt
-from the roots must match the input coefficients, or root finding raises.
-Nearby roots are merged into multiplicity clusters at radius ``sqrt(tol)``
-times the Cauchy bound, which matches how accurately a double root can be
-located in floating point.
+to infinity.  Roots are the eigenvalues of companion matrices, a
+backward-stable root finder solved for a whole batch of polynomials in one
+call; the same solve serves single polynomials and every fiber of the fiber
+kernel.  The monic polynomial rebuilt from the roots must match the input
+coefficients, or root finding raises.  Nearby roots are merged into
+multiplicity clusters at radius ``sqrt(tol)`` times the Cauchy bound, which
+matches how accurately a double root can be located in floating point.
+Values and partial derivatives of ``f`` are all read off one coefficient
+table by :meth:`BivariatePolynomial.jet`.
 
 The discriminant with respect to ``w`` vanishes where the Sylvester matrix
 ``S(z)`` of ``f`` and its ``w``-derivative is singular.  Its roots are found
@@ -45,7 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_ROOT_TOL = 1e-12
-DEFAULT_MAX_ITERATIONS = 200
 
 
 def _as_complex_tuple(values: Iterable[complex]) -> tuple[complex, ...]:
@@ -139,47 +141,6 @@ class RootSet:
         return sum(self.multiplicities)
 
 
-def _aberth(monic: np.ndarray, tol: float, max_iterations: int) -> np.ndarray:
-    """Simultaneous root iteration for a monic polynomial, ascending coeffs."""
-    m = len(monic) - 1
-    cauchy = 1.0 + float(np.max(np.abs(monic[:-1]))) if m > 0 else 1.0
-    # Seeds on the Cauchy circle with an angular offset that breaks the
-    # symmetry of real-coefficient inputs.
-    angles = 2.0 * np.pi * np.arange(m) / m + 0.4
-    z = cauchy * np.exp(1j * angles)
-    deriv = monic[1:] * np.arange(1, m + 1)
-    abs_asc = np.abs(monic)
-
-    for _ in range(max_iterations):
-        p = np.polyval(monic[::-1], z)
-        scale = np.maximum(np.polyval(abs_asc[::-1], np.abs(z)), 1e-300)
-        if np.max(np.abs(p) / scale) <= tol:
-            break
-        dp = np.polyval(deriv[::-1], z)
-        dp = np.where(dp == 0, 1e-300, dp)
-        newton = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            repulsion = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * repulsion
-        denom = np.where(denom == 0, 1e-300, denom)
-        delta = newton / denom
-        bad = ~np.isfinite(delta)
-        if np.any(bad):
-            delta = np.where(bad, 1e-8 * cauchy * (1 + 1j), delta)
-        # Cap the step length so a near-singular denominator cannot fling an
-        # iterate far outside the root bound.
-        mag = np.abs(delta)
-        cap = 0.5 * cauchy
-        shrink = np.where(mag > cap, cap / np.maximum(mag, 1e-300), 1.0)
-        delta = delta * shrink
-        z = z - delta
-        if np.max(np.abs(delta)) <= 1e-15 * (1.0 + np.max(np.abs(z))):
-            break
-    return z
-
-
 def _cluster_values(
     values: np.ndarray, radius: float
 ) -> tuple[tuple[complex, ...], tuple[int, ...]]:
@@ -218,8 +179,8 @@ def _grow_multiple_clusters(
 ) -> tuple[tuple[complex, ...], tuple[int, ...]]:
     """Merge clusters that jointly certify as one root of higher multiplicity.
 
-    An iteration stalled on a root of multiplicity m stops about tol^(1/m)
-    away from it, so clusters of a multiple root can land outside the base
+    The eigensolve splits a root of multiplicity m into values about
+    eps^(1/m) apart, so clusters of a multiple root can land outside the base
     pairing radius.  A merge of total size m is accepted only when p and its
     first m-1 derivatives all vanish at the merged mean to the accuracy a
     genuine m-fold root would give, which keeps nearby simple roots apart.
@@ -295,6 +256,22 @@ def _rebuilt_residual(monic: np.ndarray, values: np.ndarray) -> np.ndarray:
     return err / np.maximum(1.0, np.abs(monic).max(axis=-1))
 
 
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of every row of ascending coefficients, shape (rows, degree).
+
+    They are the eigenvalues of the companion matrices, solved in one batched
+    call: a backward-stable root finder (Edelman and Murakami, Math. Comp. 64,
+    1995).
+    """
+    n = coeffs.shape[-1] - 1
+    comp = np.repeat(np.eye(n, k=-1, dtype=complex)[None], len(coeffs), axis=0)
+    comp[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
+    try:
+        return np.linalg.eigvals(comp)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"companion eigenvalue solve failed: {exc}") from exc
+
+
 def _certify(monic: np.ndarray, iterates: np.ndarray, certify: float) -> float:
     err = float(_rebuilt_residual(monic, iterates))
     if err > certify:
@@ -305,60 +282,41 @@ def _certify(monic: np.ndarray, iterates: np.ndarray, certify: float) -> float:
     return err
 
 
-def raw_roots(
-    p: UnivariatePolynomial,
-    tol: float = DEFAULT_ROOT_TOL,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    certify_tol: float | None = None,
-) -> tuple[complex, ...]:
+def _monic_roots(p: UnivariatePolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """The monic ascending coefficients of ``p`` and its uncertified roots."""
+    if p.degree < 1:
+        raise InputError("root finding needs a polynomial of degree >= 1")
+    coeffs = np.array(p.coefficients, dtype=complex)
+    return coeffs / coeffs[-1], _companion_roots(coeffs[None])[0]
+
+
+def raw_roots(p: UnivariatePolynomial, tol: float = DEFAULT_ROOT_TOL) -> tuple[complex, ...]:
     """All complex roots without multiplicity clustering.
 
     Near-coincident values are returned as they are, which is what structural
-    checks on nearly-degenerate fibers need.  ``tol`` drives the iteration
-    (pass a tiny value to run to machine convergence; near-double iterates
-    stall early otherwise) while ``certify_tol`` is the accepted backward
-    error, defaulting to ``tol``.
+    checks on nearly-degenerate fibers need.  Rebuilding coefficients from n
+    roots amplifies per-root error by about a factor of n, so the roots are
+    certified to a coefficient residual of ``8 * degree * tol``.
     """
-    coeffs = np.array(p.coefficients, dtype=complex)
-    if len(coeffs) == 0 or p.degree < 1:
-        raise InputError("root finding needs a polynomial of degree >= 1")
-    monic = coeffs / coeffs[-1]
-    if p.degree == 1:
-        return (complex(-monic[0]),)
-    # Rebuilding coefficients from n roots amplifies per-root error by about
-    # a factor of n, so the default certificate scales with the degree.
-    certify = 8 * p.degree * tol if certify_tol is None else certify_tol
-    iterates = _aberth(monic, tol, max_iterations)
-    _certify(monic, iterates, certify)
-    return tuple(sorted((complex(v) for v in iterates), key=lambda c: (c.real, c.imag)))
+    monic, values = _monic_roots(p)
+    _certify(monic, values, 8 * p.degree * tol)
+    return tuple(sorted((complex(v) for v in values), key=lambda c: (c.real, c.imag)))
 
 
-def roots(
-    p: UnivariatePolynomial,
-    tol: float = DEFAULT_ROOT_TOL,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> RootSet:
+def roots(p: UnivariatePolynomial, tol: float = DEFAULT_ROOT_TOL) -> RootSet:
     """All complex roots of ``p`` with multiplicity clustering.
 
-    Raises :class:`NumericalFailure` with the best iterates attached when the
-    monic polynomial rebuilt from them misses the input coefficients by more
-    than ``8 * degree * sqrt(tol)``, the certificate of :func:`raw_roots`
-    widened for multiple roots.
+    Raises :class:`NumericalFailure` with the roots attached when the monic
+    polynomial rebuilt from them misses the input coefficients by more than
+    ``8 * degree * sqrt(tol)``, the certificate of :func:`raw_roots` at the
+    accuracy to which a double root can be located.  Roots within
+    ``sqrt(tol)`` of the Cauchy bound are clustered, and clusters that jointly
+    certify as one multiple root are merged.
     """
-    coeffs = np.array(p.coefficients, dtype=complex)
-    if len(coeffs) == 0 or p.degree < 1:
-        raise InputError("root finding needs a polynomial of degree >= 1")
-    monic = coeffs / coeffs[-1]
-    if p.degree == 1:
-        value = complex(-monic[0])
-        return RootSet((value,), (1,), 0.0)
-    iterates = _aberth(monic, tol, max_iterations)
-    # Iterates stalled on an m-fold root sit about tol^(1/m) from it and move
-    # the rebuilt coefficients by about tol^(2/m), so the certificate admits
-    # multiplicities up to four.
-    err = _certify(monic, iterates, 8 * p.degree * math.sqrt(tol))
+    monic, found = _monic_roots(p)
+    err = _certify(monic, found, 8 * p.degree * math.sqrt(tol))
     cauchy = 1.0 + float(np.max(np.abs(monic[:-1])))
-    values, mults = _cluster_values(iterates, np.sqrt(tol) * cauchy)
+    values, mults = _cluster_values(found, np.sqrt(tol) * cauchy)
     if len(values) > 1:
         values, mults = _grow_multiple_clusters(p, values, mults, tol, cauchy)
     return RootSet(values, mults, err)
@@ -407,21 +365,45 @@ class BivariatePolynomial:
         return UnivariatePolynomial(tuple(c(z) for c in self.w_coefficients))
 
     def evaluate(self, z: complex, w: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.w_coefficients):
-            acc = acc * w + c(z)
-        return acc
+        """f(z, w); broadcasts over arrays of z and w."""
+        return self.jet(z, w, ((0, 0),))[0][0]
 
-    def dw(self) -> BivariatePolynomial | UnivariatePolynomial:
-        coeffs = tuple(
-            self.w_coefficients[k].scale(k)
-            for k in range(1, len(self.w_coefficients))
-        )
-        return _maybe_bivariate(coeffs)
+    def jet(self, z, w, orders) -> tuple[np.ndarray, np.ndarray]:
+        """Partial derivatives of f with their scales, read off the coefficient table.
 
-    def dz(self):
-        coeffs = tuple(c.derivative() for c in self.w_coefficients)
-        return _maybe_bivariate(coeffs)
+        ``orders`` is a tuple of pairs (a, b).  Entry i of the first array is
+        the partial derivative of f taken a times in z and b times in w, for
+        ``(a, b) = orders[i]``; entry i of the second is its sum of absolute
+        terms, the scale against which it counts as zero.  Both broadcast over
+        ``z`` and ``w``: their shape is ``(len(orders),)`` followed by the
+        broadcast shape of z and w.
+        """
+        tables = self._derivative_tables.get(orders)
+        if tables is None:
+            table = self.coefficient_table
+            depth, width = table.shape
+            parts = np.zeros((len(orders), depth, width), dtype=complex)
+            for i, (a, b) in enumerate(orders):
+                # The a-th derivative of z^j is j! / (j - a)! z^(j - a); w alike.
+                falling = np.multiply.outer(
+                    [math.perm(j, a) for j in range(a, depth)],
+                    [math.perm(k, b) for k in range(b, width)],
+                )
+                parts[i, : depth - a, : width - b] = table[a:, b:] * falling
+            tables = self._derivative_tables[orders] = (parts, np.abs(parts))
+        parts, magnitudes = tables
+        depth, width = parts.shape[1:]
+        z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+        terms = "ijk,...j,...k->i..."
+        values = np.einsum(terms, parts, _powers(z, depth), _powers(w, width))
+        scales = np.einsum(terms, magnitudes, _powers(np.abs(z), depth), _powers(np.abs(w), width))
+        return values, scales
+
+    @cached_property
+    def _derivative_tables(self) -> dict:
+        """Coefficient tables of the partials :meth:`jet` was asked for, and
+        their absolute values, by tuple of orders."""
+        return {}
 
     def add_w_linear(self, epsilon: complex) -> BivariatePolynomial:
         """f + epsilon * w, the standard genericity perturbation."""
@@ -429,50 +411,12 @@ class BivariatePolynomial:
         coeffs[1] = coeffs[1] + UnivariatePolynomial((epsilon,))
         return BivariatePolynomial(tuple(coeffs))
 
-    def magnitude_at(self, z: complex, w: complex) -> float:
-        r = abs(w)
-        total, power = 0.0, 1.0
-        for c in self.w_coefficients:
-            total += c.magnitude_at(z) * power
-            power *= r
-        return total
 
-
-@dataclass(frozen=True)
-class _WPoly:
-    """Evaluation view for derivative results that may drop to w-degree < 2."""
-
-    w_coefficients: tuple[UnivariatePolynomial, ...]
-
-    def evaluate(self, z: complex, w: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.w_coefficients):
-            acc = acc * w + c(z)
-        return acc
-
-    def magnitude_at(self, z: complex, w: complex) -> float:
-        r = abs(w)
-        total, power = 0.0, 1.0
-        for c in self.w_coefficients:
-            total += c.magnitude_at(z) * power
-            power *= r
-        return total
-
-    def dw(self):
-        coeffs = tuple(
-            self.w_coefficients[k].scale(k)
-            for k in range(1, len(self.w_coefficients))
-        )
-        return _maybe_bivariate(coeffs)
-
-
-def _maybe_bivariate(coeffs: tuple[UnivariatePolynomial, ...]):
-    trimmed = list(coeffs)
-    while trimmed and trimmed[-1].degree < 0:
-        trimmed.pop()
-    if len(trimmed) >= 3 and trimmed[-1].degree == 0:
-        return BivariatePolynomial(tuple(trimmed))
-    return _WPoly(tuple(trimmed))
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """x^0, ..., x^(count - 1) over a new last axis."""
+    powers = np.ones(x.shape + (count,), dtype=x.dtype)
+    powers[..., 1:] = x[..., None]
+    return np.cumprod(powers, axis=-1)
 
 
 # Shift points for the pencil reversal, placed like generic sample points.
@@ -637,9 +581,11 @@ def parse_bivariate_text(text: str) -> BivariatePolynomial:
                     i += 1
                     if i >= len(tokens) or tokens[i][0] != "number":
                         raise InputError("exponent must follow '^'")
-                    exponent = int(float(tokens[i][1]))
-                    if exponent < 0:
-                        raise InputError("negative exponents are not allowed")
+                    if not tokens[i][1].isdigit():
+                        raise InputError(
+                            f"exponent must be a non-negative integer, got {tokens[i][1]!r}"
+                        )
+                    exponent = int(tokens[i][1])
                     i += 1
                 if value == "z":
                     zdeg += exponent
@@ -684,17 +630,18 @@ def bivariate_from_json(data: dict) -> BivariatePolynomial:
     try:
         n = int(data["n"])
         desc = data["coeffs_w_desc"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(
-            f"polynomial JSON needs 'n' and 'coeffs_w_desc': {exc}"
-        ) from exc
-    if len(desc) != n + 1:
-        raise InputError(
-            f"expected {n + 1} coefficient lists for w-degree {n}, got {len(desc)}"
-        )
-    asc = []
-    for entry in reversed(desc):
-        asc.append(
+        count = len(desc)
+        asc = tuple(
             UnivariatePolynomial(tuple(complex(re, im) for re, im in entry))
+            for entry in reversed(desc)
         )
-    return BivariatePolynomial(tuple(asc))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(
+            f"polynomial JSON needs an integer 'n' and 'coeffs_w_desc' lists of"
+            f" [re, im] pairs: {exc}"
+        ) from exc
+    if count != n + 1:
+        raise InputError(
+            f"expected {n + 1} coefficient lists for w-degree {n}, got {count}"
+        )
+    return BivariatePolynomial(asc)

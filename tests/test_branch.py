@@ -27,6 +27,7 @@ from quasibraid import (
     perturb_generic,
     select_rotation,
 )
+from quasibraid.branch import _polish_tangent
 
 
 def distinct_fiber_values(f, z, merge_tol=1e-3):
@@ -198,6 +199,18 @@ class TestGenericity:
         f = parse_bivariate_text("w^3 - z")
         report = check_genericity(f, branch_points(f))
         assert abs(report.issues[0].z) < 1e-6
+
+    def test_tangent_polish_converges_on_the_quartic(self):
+        # The vertical tangents of w^3 - 3w + 2z^4 sit over the eighth roots
+        # of unity, with w = 1 where z^4 = 1 and w = -1 where z^4 = -1.
+        f = parse_bivariate_text("w^3 - 3*w + 2*z^4")
+        for k in range(8):
+            z = cmath.exp(1j * math.pi * k / 4)
+            w = 1.0 if k % 2 == 0 else -1.0
+            z_t, w_t, converged = _polish_tangent(f, z * (1 + 1e-4j), w + 1e-4)
+            assert converged
+            assert abs(z_t - z) < 1e-12
+            assert abs(w_t - w) < 1e-12
 
 
 class TestPerturbation:

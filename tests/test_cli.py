@@ -44,6 +44,28 @@ class TestAnalyze:
         assert "perturbation" in out
         assert "generic: yes" in out
 
+    def test_fractional_exponent_is_an_input_error(self, capsys):
+        rc = main(["analyze", "--poly", "w^2 - z^1.9"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert json.loads(captured.err.strip())["error"] == "input"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": "two", "coeffs_w_desc": [[[1, 0]], [[0, 0]], [[-1, 0]]]},
+            {"n": 2, "coeffs_w_desc": [[[1, 0]], [[1]], [[-1, 0]]]},
+            {"n": 2, "coeffs_w_desc": [[[1, 0]], [["a", 0]], [[-1, 0]]]},
+        ],
+    )
+    def test_malformed_polynomial_json_is_an_input_error(self, capsys, tmp_path, payload):
+        poly_file = tmp_path / "poly.json"
+        poly_file.write_text(json.dumps(payload))
+        rc = main(["analyze", "--poly", str(poly_file)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert json.loads(captured.err.strip())["error"] == "input"
+
 
 class TestBraid:
     def test_unit_circle_on_the_square_root_surface(self, capsys, tmp_path):

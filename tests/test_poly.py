@@ -117,10 +117,16 @@ class TestRootFinding:
         assert found.multiplicities == (3,)
         assert abs(found.values[0] - 1j) < 1e-4
 
-    def test_starved_iteration_fails_loudly(self):
+    def test_unreachable_certificate_fails_loudly(self):
+        # 8 * degree * sqrt(1e-40) is far below rounding, so the certificate
+        # must refuse even these well-separated roots and report them.
         p = poly_from_roots([k / 4 for k in range(1, 9)])
-        with pytest.raises(NumericalFailure):
-            roots(p, max_iterations=1)
+        with pytest.raises(NumericalFailure) as info:
+            roots(p, tol=1e-40)
+        values = [complex(v) for v in info.value.diagnostics["values"]]
+        assert len(values) == 8
+        assert sorted(round(v.real * 4) for v in values) == list(range(1, 9))
+        assert info.value.diagnostics["residual"] > 8 * 8 * 1e-20
 
     def test_double_root_at_the_origin_certifies(self):
         # Every term of w^3 + 2 w^2 vanishes at the double root 0, where the
@@ -133,11 +139,11 @@ class TestRootFinding:
             assert abs(v - round(v.real)) < 1e-6
 
     def test_raw_roots_certification_can_be_relaxed(self):
-        # Near-coincident roots stall the iteration around the square root of
-        # machine precision; the collective certificate must still accept the
-        # cluster at a loosened tolerance.
+        # Near-coincident roots are located only to about the square root of
+        # machine precision, yet the coefficients rebuilt from them stay
+        # accurate: the default certificate accepts the pair unmerged.
         p = poly_from_roots([1.0, 1.0 + 1e-9, -1.0])
-        values = raw_roots(p, tol=1e-15, certify_tol=1e-7)
+        values = raw_roots(p)
         assert sum(1 for v in values if abs(v - 1) < 1e-3) == 2
 
 
@@ -258,3 +264,74 @@ class TestBivariate:
     def test_json_rejects_malformed_payloads(self):
         with pytest.raises(InputError):
             bivariate_from_json({"n": 2})
+
+    @pytest.mark.parametrize("text", ["w^2 - z^1.9", "w^2.5 - z", "w^2 - z^1e0", "w^2 - z^2."])
+    def test_non_integer_exponents_are_rejected(self, text):
+        with pytest.raises(InputError, match="exponent"):
+            parse_bivariate_text(text)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": "two", "coeffs_w_desc": [[[1, 0]], [[0, 0]], [[-1, 0]]]},
+            {"n": 2, "coeffs_w_desc": [[[1, 0]], [[1]], [[-1, 0]]]},
+            {"n": 2, "coeffs_w_desc": [[[1, 0]], [["a", 0]], [[-1, 0]]]},
+            {"n": 2, "coeffs_w_desc": 5},
+            [2, [[1, 0]]],
+        ],
+    )
+    def test_json_type_errors_are_input_errors(self, payload):
+        with pytest.raises(InputError):
+            bivariate_from_json(payload)
+
+
+class TestJet:
+    # f = w^3 - 3 z w + 2 z^4 with its partials in closed form, each paired
+    # with the sum of the absolute values of its terms.
+    TEXT = "w^3 - 3*z*w + 2*z^4"
+    ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
+
+    @staticmethod
+    def closed_forms(z, w):
+        r, s = np.abs(z), np.abs(w)
+        values = [
+            w**3 - 3 * z * w + 2 * z**4,
+            -3 * w + 8 * z**3,
+            3 * w**2 - 3 * z,
+            np.full_like(z * w, -3),
+            6 * w,
+        ]
+        scales = [
+            s**3 + 3 * r * s + 2 * r**4,
+            3 * s + 8 * r**3,
+            3 * s**2 + 3 * r,
+            np.full_like(r * s, 3.0),
+            6 * s,
+        ]
+        return np.array(values), np.array(scales)
+
+    def test_scalar_partials_match_closed_forms(self):
+        f = parse_bivariate_text(self.TEXT)
+        for z, w in ((0.7 - 0.2j, -1.3 + 0.4j), (2.0, 1j), (-1.1j, 0.5)):
+            values, scales = f.jet(z, w, self.ORDERS)
+            expect_values, expect_scales = self.closed_forms(np.asarray(z), np.asarray(w))
+            assert values.shape == scales.shape == (len(self.ORDERS),)
+            assert np.allclose(values, expect_values, rtol=1e-12, atol=0)
+            assert np.allclose(scales, expect_scales, rtol=1e-12, atol=0)
+
+    def test_partials_broadcast_over_arrays(self):
+        f = parse_bivariate_text(self.TEXT)
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+        w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        values, scales = f.jet(z, w, self.ORDERS)
+        expect_values, expect_scales = self.closed_forms(*np.broadcast_arrays(z, w))
+        assert values.shape == scales.shape == (len(self.ORDERS), 3, 4)
+        assert np.allclose(values, expect_values, rtol=1e-12, atol=0)
+        assert np.allclose(scales, expect_scales, rtol=1e-12, atol=0)
+
+    def test_evaluate_is_the_order_zero_jet(self):
+        f = parse_bivariate_text(self.TEXT)
+        z = np.array([0.3, 1j, -2.0])
+        assert np.array_equal(f.evaluate(z, 1.5), f.jet(z, 1.5, ((0, 0),))[0][0])
+        assert f.evaluate(1, 1) == 1 - 3 + 2

@@ -3,10 +3,12 @@
 Over the region of interest, the set of z whose fiber has two roots sharing a
 rotated real part forms a system of curves attached to the branch points.  A
 loop's braid word is readable from its successive transversal crossings of
-those curves: each curve carries a strand position label k and a
-co-orientation (the side whose traversal reads the positive letter).  This
-module extracts that picture on a grid and turns it back into words, which
-gives a second, independent route to the braid word of a loop.
+those curves: each curve carries a strand position label k and a direction,
+which alone carries its co-orientation: a loop crossing a curve from right
+to left reads the positive letter.  Equal-label segments chain head to tail
+into whole labeled curves.  This module extracts that picture on a grid and
+turns it back into words, which gives a second, independent route to the
+braid word of a loop.
 
 Extraction is by continuation on grid edges.  Each lattice fiber is solved
 and sorted by rotated real part; a grid edge whose endpoint orders differ by
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +35,7 @@ import numpy as np
 from .branch import BranchData
 from .errors import InputError, NumericalFailure
 from .fibers import bisect_crossings, match, min_gap, solve
-from .paths import Arc, LoopPath, Primitive, Segment, primitive_intersections
+from .paths import LoopPath, Segment, bounding_box, primitive_intersections
 from .poly import BivariatePolynomial
 from .words import BraidLetter, BraidWord
 
@@ -55,23 +58,28 @@ _BISECT_ITERATIONS = 48
 
 @dataclass(frozen=True)
 class LabeledSegment:
-    """One straight piece of the locus: endpoints, strand position label,
-    and the unit normal whose traversal direction reads the positive letter."""
+    """One straight piece of the locus with its strand position label.  It
+    runs so that a loop crossing it from right to left reads the positive
+    letter."""
 
     start: complex
     end: complex
     label: int
-    normal: complex
+
+    @property
+    def normal(self) -> complex:
+        """Unit normal whose traversal direction reads the positive letter:
+        the counterclockwise perpendicular of start -> end."""
+        chord = self.end - self.start
+        return 1j * chord / abs(chord)
 
 
 @dataclass(frozen=True)
 class GraphEdge:
-    """A chained polyline of equal-label segments.  ``side`` is +1 when the
-    positive-reading normal is the counterclockwise perpendicular of the
-    travel direction along ``points``, -1 when it is the clockwise one."""
+    """A chained polyline of equal-label segments, each in its own direction,
+    so the positive-reading side is left of the travel along ``points``."""
 
     label: int
-    side: int
     points: tuple[complex, ...]
 
 
@@ -187,26 +195,26 @@ def _edge_events(
     return events, unresolved
 
 
-def _segment_normal(
-    start: complex,
-    end: complex,
+def _oriented(
+    z1: complex,
+    z2: complex,
     demands: list[tuple[complex, int]],
-) -> complex | None:
-    """Unit normal n with dot(n, sign * axis) > 0 for every edge demand."""
-    chord = end - start
+) -> tuple[complex, complex] | None:
+    """The ends ordered so that the counterclockwise perpendicular n of
+    start -> end has dot(n, sign * axis) > 0 for every edge demand."""
+    chord = z2 - z1
     if abs(chord) == 0:
         return None
-    tangent = chord / abs(chord)
-    perp = 1j * tangent
-    votes = []
+    perp = 1j * chord / abs(chord)
+    votes = set()
     for axis, sign in demands:
         dot = (perp.conjugate() * (sign * axis)).real
         if abs(dot) < 0.05:
             return None
-        votes.append(1.0 if dot > 0 else -1.0)
-    if len(set(votes)) != 1:
+        votes.add(dot > 0)
+    if len(votes) != 1:
         return None
-    return perp * votes[0]
+    return (z1, z2) if votes.pop() else (z2, z1)
 
 
 def _extract(
@@ -285,11 +293,11 @@ def _extract(
                 (z1, ax1, s1), (z2, ax2, s2) = items
                 if abs(z1 - z2) < 1e-9 * max(abs(xs[i + 1] - xs[i]), 1.0):
                     continue
-                normal = _segment_normal(z1, z2, [(ax1, s1), (ax2, s2)])
-                if normal is None:
+                ends = _oriented(z1, z2, [(ax1, s1), (ax2, s2)])
+                if ends is None:
                     bad = True
                     break
-                built.append(LabeledSegment(z1, z2, label, normal))
+                built.append(LabeledSegment(*ends, label))
         if not bad:
             segments.extend(built)
             continue
@@ -305,66 +313,59 @@ def _quantize(z: complex, unit: float) -> tuple[int, int]:
     return (int(round(z.real / unit)), int(round(z.imag / unit)))
 
 
+def _segment_key(seg: LabeledSegment) -> tuple[int, float, float, float, float]:
+    return (seg.label, seg.start.real, seg.start.imag, seg.end.real, seg.end.imag)
+
+
 def _chain_segments(
     segments: tuple[LabeledSegment, ...], join_tol: float
 ) -> tuple[GraphEdge, ...]:
-    """Join segments of equal label and consistent side into polylines."""
-    pieces = []
-    for seg in segments:
-        tangent = (seg.end - seg.start) / abs(seg.end - seg.start)
-        cross = (1j * tangent).conjugate() * seg.normal
-        side = 1 if cross.real > 0 else -1
-        pieces.append((seg, side))
+    """Join segments of equal label head to tail into polylines.
 
-    by_key: dict[tuple[int, int], list[tuple[LabeledSegment, int]]] = {}
-    for seg, side in pieces:
-        by_key.setdefault((seg.label, side), []).append((seg, side))
+    A segment continues the one ending where it starts when exactly one
+    segment of the label ends and exactly one starts there; any other node
+    ends a chain.  Open chains are walked from their first segment, then
+    closed ones from their lowest-indexed segment.
+    """
+    by_label: dict[int, list[LabeledSegment]] = {}
+    for seg in segments:
+        by_label.setdefault(seg.label, []).append(seg)
 
     edges: list[GraphEdge] = []
-    for (label, side), group in sorted(by_key.items()):
-        adjacency: dict[tuple[int, int], list[int]] = {}
-        for idx, (seg, _) in enumerate(group):
-            for endpoint in (seg.start, seg.end):
-                adjacency.setdefault(_quantize(endpoint, join_tol), []).append(idx)
+    for label, group in sorted(by_label.items()):
+        starting: dict[tuple[int, int], list[int]] = {}
+        ending: dict[tuple[int, int], list[int]] = {}
+        for idx, seg in enumerate(group):
+            starting.setdefault(_quantize(seg.start, join_tol), []).append(idx)
+            ending.setdefault(_quantize(seg.end, join_tol), []).append(idx)
+        successor: dict[int, int] = {}
+        for node, outs in starting.items():
+            ins = ending.get(node, [])
+            if len(outs) == 1 and len(ins) == 1:
+                successor[ins[0]] = outs[0]
+        continued = set(successor.values())
         used = [False] * len(group)
-
-        def walk(start_idx: int, from_node: tuple[int, int]) -> list[complex]:
-            chain: list[complex] = []
-            idx = start_idx
-            node = from_node
-            while True:
+        firsts = [i for i in range(len(group)) if i not in continued]
+        for first in firsts + list(range(len(group))):
+            if used[first]:
+                continue
+            points = [group[first].start]
+            idx: int | None = first
+            while idx is not None and not used[idx]:
                 used[idx] = True
-                seg = group[idx][0]
-                a_key = _quantize(seg.start, join_tol)
-                nxt = seg.end if a_key == node else seg.start
-                chain.append(nxt)
-                node = _quantize(nxt, join_tol)
-                candidates = [
-                    c for c in adjacency.get(node, []) if not used[c]
-                ]
-                if len(candidates) != 1 or len(adjacency.get(node, [])) > 2:
-                    return chain
-                idx = candidates[0]
-
-        degree = {node: len(v) for node, v in adjacency.items()}
-        for idx, (seg, _) in enumerate(group):
-            if used[idx]:
-                continue
-            a_key = _quantize(seg.start, join_tol)
-            b_key = _quantize(seg.end, join_tol)
-            if degree.get(a_key, 0) == 1:
-                points = [seg.start] + walk(idx, a_key)
-            elif degree.get(b_key, 0) == 1:
-                points = [seg.end] + walk(idx, b_key)
-            else:
-                continue
-            edges.append(GraphEdge(label=label, side=side, points=tuple(points)))
-        for idx, (seg, _) in enumerate(group):
-            if used[idx]:
-                continue
-            points = [seg.start] + walk(idx, _quantize(seg.start, join_tol))
-            edges.append(GraphEdge(label=label, side=side, points=tuple(points)))
+                points.append(group[idx].end)
+                idx = successor.get(idx)
+            edges.append(GraphEdge(label=label, points=tuple(points)))
     return tuple(edges)
+
+
+def _edge_segments(edges: Iterable[GraphEdge]) -> tuple[LabeledSegment, ...]:
+    """Every consecutive point pair of every edge, in canonical order.  The
+    graph's segments are read off its edges, so a chain joint is one point."""
+    steps = (
+        LabeledSegment(a, b, e.label) for e in edges for a, b in zip(e.points, e.points[1:])
+    )
+    return tuple(sorted(steps, key=_segment_key))
 
 
 def sample_crossing_graph(
@@ -402,20 +403,13 @@ def sample_crossing_graph(
     flagged: list[tuple[float, float, float, float]] = []
     _extract(f, rot, values, xs, ys, 0, segments, flagged)
 
-    join_tol = 1e-7 * min(dx, dy)
-    ordered = tuple(
-        sorted(
-            segments,
-            key=lambda s: (s.label, s.start.real, s.start.imag, s.end.real, s.end.imag),
-        )
-    )
-    chains = _chain_segments(ordered, join_tol)
+    edges = _chain_segments(tuple(sorted(segments, key=_segment_key)), 1e-7 * min(dx, dy))
     vertices = tuple(values) + tuple(
         complex((r[0] + r[2]) / 2.0, (r[1] + r[3]) / 2.0) for r in flagged
     )
     return CrossingGraph(
-        segments=ordered,
-        edges=chains,
+        segments=_edge_segments(edges),
+        edges=edges,
         vertices=vertices,
         region=(x0, y0, x1, y1),
         resolution=resolution,
@@ -454,10 +448,9 @@ def crossings_of(graph: CrossingGraph, loop: LoopPath) -> BraidWord:
     if not loop.closed:
         raise InputError("braid words are read along closed loops")
     x0, y0, x1, y1 = graph.region
-    for prim in loop.primitives:
-        for z in (prim.start, prim.end):
-            if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
-                raise InputError("loop leaves the sampled region")
+    bx0, by0, bx1, by1 = bounding_box(loop.primitives)
+    if not (x0 <= bx0 and y0 <= by0 and bx1 <= x1 and by1 <= y1):
+        raise InputError("loop leaves the sampled region")
     for rect in graph.flagged:
         if _loop_hits_rect(loop, rect):
             raise NumericalFailure(
@@ -511,7 +504,6 @@ def graph_to_json(graph: CrossingGraph) -> dict:
         "edges": [
             {
                 "label": e.label,
-                "side": e.side,
                 "points": [[p.real, p.imag] for p in e.points],
             }
             for e in graph.edges
@@ -534,26 +526,26 @@ def graph_from_json(payload: dict) -> CrossingGraph:
     if len(region) != 4:
         raise InputError("region must have four numbers")
     edges = []
-    segments = []
     for item in edge_items:
         try:
             label = int(item["label"])
-            side = int(item["side"])
             points = tuple(complex(p[0], p[1]) for p in item["points"])
+            retired = "side" in item
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InputError(f"malformed crossing graph edge: {exc}") from exc
-        if side not in (-1, 1):
-            raise InputError("edge side must be +1 or -1")
+        if retired:
+            raise InputError(
+                "crossing graph edge carries the retired 'side' key, whose "
+                "meaning the edge direction now carries; re-sample the graph "
+                "to write it in the current format"
+            )
         if len(points) < 2:
             raise InputError("edge polylines need at least two points")
-        edges.append(GraphEdge(label=label, side=side, points=points))
-        for a, b in zip(points, points[1:]):
-            tangent = (b - a) / abs(b - a)
-            segments.append(
-                LabeledSegment(a, b, label, side * (1j * tangent))
-            )
+        if any(a == b for a, b in zip(points, points[1:])):
+            raise InputError("edge polylines need distinct consecutive points")
+        edges.append(GraphEdge(label=label, points=points))
     return CrossingGraph(
-        segments=tuple(segments),
+        segments=_edge_segments(edges),
         edges=tuple(edges),
         vertices=vertices,
         region=region,  # type: ignore[arg-type]

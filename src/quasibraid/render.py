@@ -150,7 +150,7 @@ def render_plane_svg(
             a, b = edge.points[0], edge.points[-1]
         tangent = b - a
         if tangent != 0:
-            normal = edge.side * 1j * tangent / abs(tangent)
+            normal = 1j * tangent / abs(tangent)
             mid = 0.5 * (a + b)
             base = to_svg(mid)
             tip_plane = mid + normal * (9.0 / scale)

@@ -31,6 +31,10 @@ from tests.test_monodromy import circle, prepared
 SQRT = prepared("w^2 - z")
 CUBIC = prepared("w^3 - 3*w + 2*z")
 QUARTIC = prepared("w^3 - 3*w + 2*z^4")
+FOUR = prepared("w^4 - z*w^3 - w^2 + z*w + 0.05")
+SQUARE = (-2, -2, 2, 2)
+FIXTURES = [(SQRT, SQUARE), (QUARTIC, SQUARE), (FOUR, (-3, -3, 3, 3))]
+FIXTURE_IDS = ["sqrt", "quartic", "four-strand"]
 
 
 def segment_cloud(graph, per_segment=5):
@@ -130,6 +134,40 @@ class TestRefinement:
         assert float(gaps.max()) <= cell
 
 
+class TestEdges:
+    @pytest.mark.parametrize("resolution", [32, 64, 128])
+    def test_quartic_has_one_edge_per_ray_at_every_resolution(self, resolution):
+        f, data = QUARTIC
+        graph = sample_crossing_graph(f, data, SQUARE, resolution)
+        labels = [e.label for e in graph.edges]
+        assert sorted(labels) == [1] * 4 + [2] * 4
+
+    def test_square_root_locus_is_one_edge(self):
+        f, data = SQRT
+        graph = sample_crossing_graph(f, data, SQUARE, 64)
+        assert len(graph.edges) == 1
+
+    @pytest.mark.parametrize("fixture, region", FIXTURES, ids=FIXTURE_IDS)
+    def test_each_segment_is_one_step_of_one_edge_in_its_direction(self, fixture, region):
+        f, data = fixture
+        resolution = 48
+        graph = sample_crossing_graph(f, data, region, resolution)
+        join_tol = 1e-7 * (region[2] - region[0]) / resolution
+        steps = [
+            (e.label, a, b) for e in graph.edges for a, b in zip(e.points, e.points[1:])
+        ]
+        assert len(steps) == len(graph.segments)
+        for seg in graph.segments:
+            matches = [
+                (label, a, b)
+                for label, a, b in steps
+                if label == seg.label
+                and abs(a - seg.start) <= join_tol
+                and abs(b - seg.end) <= join_tol
+            ]
+            assert len(matches) == 1
+
+
 class TestReadingLoops:
     def test_matches_continuation_on_the_square_root_surface(self):
         f, data = SQRT
@@ -181,6 +219,14 @@ class TestReadingLoops:
         with pytest.raises(InputError):
             crossings_of(graph, circle(radius=3.0))
 
+    def test_arc_bulging_out_of_the_region_is_rejected(self):
+        # Both ends of the arc lie inside the region, its far side does not.
+        f, data = SQRT
+        graph = sample_crossing_graph(f, data, (-2, -2, 2, 2), 32)
+        loop = LoopPath((Arc(-1.5 + 0.1j, 1.0, 0.0, 2 * math.pi),), closed=True)
+        with pytest.raises(InputError):
+            crossings_of(graph, loop)
+
     def test_loop_through_a_flagged_cell_is_rejected(self):
         f, data = SQRT
         graph = sample_crossing_graph(f, data, (-2, -2, 2, 2), 32)
@@ -206,10 +252,23 @@ class TestValidationAndSerialization:
             sample_crossing_graph(f, data, (-0.5, -0.5, 0.5, 0.5), 16)
 
     def test_json_round_trip(self):
-        f, data = SQRT
-        graph = sample_crossing_graph(f, data, (-2, -2, 2, 2), 32)
-        assert graph_from_json(graph_to_json(graph)) == graph
+        for (f, data), region in FIXTURES:
+            graph = sample_crossing_graph(f, data, region, 48)
+            assert graph_from_json(graph_to_json(graph)) == graph
 
     def test_malformed_payload_is_rejected(self):
         with pytest.raises(InputError):
             graph_from_json({"strands": 2})
+        f, data = SQRT
+        payload = graph_to_json(sample_crossing_graph(f, data, (-2, -2, 2, 2), 32))
+        # A repeated point would make a segment without a direction.
+        payload["edges"][0]["points"].insert(1, payload["edges"][0]["points"][0])
+        with pytest.raises(InputError):
+            graph_from_json(payload)
+
+    def test_edges_in_the_retired_side_format_are_rejected(self):
+        f, data = SQRT
+        payload = graph_to_json(sample_crossing_graph(f, data, (-2, -2, 2, 2), 32))
+        payload["edges"][0]["side"] = -1
+        with pytest.raises(InputError, match="re-sample"):
+            graph_from_json(payload)

@@ -12,10 +12,12 @@ theta = 0 this reads the counterclockwise unit circle of ``w^2 - z`` as the
 single positive letter s1, which pins the convention.
 
 Continuation is solve-and-match on the shared kernel :mod:`quasibraid.fibers`:
-fibers are solved in batches and matched to the previous step by nearest
-distance, a step being accepted only when the largest root displacement stays
-below a third of the smallest pairwise root distance.  That bound makes nearest
-matching provably bijective.  The swaps of a step are bisected together.
+fibers are solved in chunks of steps and matched to the previous step by
+nearest distance, a step being accepted only when the largest root displacement
+stays below a third of the smallest pairwise root distance.  That bound makes
+nearest matching provably bijective.  A chunk is judged with array operations
+up to its first rejected step.  Every swap is recorded as a bracket over its
+accepted step, and all brackets of a pass are bisected in one batch at its end.
 
 The module also builds lollipop loops (per-target stick, counterclockwise
 circle, stick back) whose crossing events split into conjugator and band
@@ -99,14 +101,12 @@ class Track:
     accepted_steps: int
 
 
-def _order_key(vals: np.ndarray, rot: complex) -> tuple[int, ...]:
+def _orders(vals: np.ndarray, rot: complex) -> np.ndarray:
     rv = rot * vals
-    return tuple(np.lexsort((rv.imag, rv.real)).tolist())
+    return np.lexsort((rv.imag, rv.real), axis=-1)
 
 
-def _adjacent_swaps(
-    old: tuple[int, ...], new: tuple[int, ...]
-) -> list[int] | None:
+def _adjacent_swaps(old: list[int], new: list[int]) -> list[int] | None:
     """Positions p where old and new differ by disjoint swaps of (p, p+1)."""
     pairs: list[int] = []
     i, n = 0, len(old)
@@ -136,37 +136,6 @@ def _clearance_check(branch: BranchData, loop: LoopPath) -> None:
             )
 
 
-def _locate_crossings(
-    f: BivariatePolynomial,
-    loop: LoopPath,
-    rot: complex,
-    roots_ref: np.ndarray,
-    t_lo: float,
-    t_hi: float,
-    order: tuple[int, ...],
-    swaps: list[int],
-) -> list[CrossingEvent]:
-    """Events of the adjacent swaps p in ``swaps`` over the accepted step
-    t_lo -> t_hi, in order.  Matching back to ``roots_ref`` stays valid inside
-    the step because its displacements are below a third of the root gap."""
-    t, _, w_a, w_b, sign = bisect_crossings(
-        f,
-        rot,
-        lambda ts, _: np.array([loop.point_at(float(s)) for s in ts]),
-        roots_ref[[order[p] for p in swaps]],
-        roots_ref[[order[p + 1] for p in swaps]],
-        np.full(len(swaps), t_lo),
-        np.full(len(swaps), t_hi),
-        BISECTION_MAX_HALVINGS,
-        BISECTION_T_TOL,
-    )
-    found = [
-        CrossingEvent(float(t[k]), p + 1, int(sign[k]), (complex(w_a[k]), complex(w_b[k])))
-        for k, p in enumerate(swaps)
-    ]
-    return sorted(found, key=lambda e: (e.t, e.position))
-
-
 def track_roots(
     f: BivariatePolynomial,
     branch: BranchData,
@@ -180,13 +149,17 @@ def track_roots(
     steps halve on rejection and recover back up to the cap after a run of
     accepted steps.  Step underflow below 1e-12 of the loop length raises,
     which is the symptom of a loop hugging the branch locus or meeting the
-    crossing locus non-transversally.
+    crossing locus non-transversally; its diagnostics give t, the rejected
+    step h, the gap, that step's largest move and the primitive index at t.
+    Each swap is bracketed by its accepted step, and all brackets of a pass
+    are bisected in one batch after it.
 
     With ``stabilize`` on (the default) the pass is repeated at half the cap
     and must reproduce the letter sequence exactly; otherwise the cap keeps
     halving, so a pair of crossings hiding inside a single step cannot go
     unnoticed.  The first pass that survives its own refinement is returned.
     """
+    _clearance_check(branch, loop)
     track = _track_once(f, branch, loop, step_cap_fraction)
     if not stabilize:
         return track
@@ -213,7 +186,6 @@ def _track_once(
     loop: LoopPath,
     step_cap_fraction: float,
 ) -> Track:
-    _clearance_check(branch, loop)
     rot = complex(math.cos(branch.rotation_theta), math.sin(branch.rotation_theta))
     n = f.w_degree
 
@@ -221,8 +193,8 @@ def _track_once(
     gap0 = min_gap(roots0)
     if gap0 <= 0.0:
         raise InputError("the fiber at the loop start has coincident roots")
-    order0 = _order_key(roots0, rot)
-    ordered0 = (rot * roots0[np.array(order0)]).real
+    order0 = _orders(roots0, rot)
+    ordered0 = (rot * roots0[order0]).real
     scale0 = max(1.0, float(np.abs(roots0).max()))
     if n > 1 and float(np.diff(ordered0).min()) < 1e-9 * scale0:
         raise InputError(
@@ -230,14 +202,11 @@ def _track_once(
             "move the basepoint or pick a different rotation"
         )
 
-    events: list[CrossingEvent] = []
-    t_cur = 0.0
-    roots_cur = roots0
-    gap_cur = gap0
-    order_cur = order0
-    h = step_cap_fraction
-    streak = 0
-    accepted = 0
+    # One bracket per swap of an accepted step: the two roots at the step
+    # start (lower position first), the step's ends and the letter position.
+    brackets: list[tuple[complex, complex, float, float, int]] = []
+    t_cur, roots_cur, gap_cur, order_cur = 0.0, roots0, gap0, order0
+    h, streak, accepted = step_cap_fraction, 0, 0
 
     while t_cur < 1.0 - 1e-15:
         steps_left = int(math.ceil((1.0 - t_cur) / h - 1e-12))
@@ -248,44 +217,71 @@ def _track_once(
         fibers = solve(f, loop.sample_points(ts))
         gaps = min_gap(fibers)
 
-        rejected = False
-        for i in range(count):
-            sel, max_move, bijective = match(roots_cur, fibers[i])
-            if not bijective or max_move >= gap_cur / 3.0:
-                rejected = True
-            else:
-                new_roots = fibers[i][sel]
-                order_new = _order_key(new_roots, rot)
-                if order_new != order_cur:
-                    swaps = _adjacent_swaps(order_cur, order_new)
-                    if swaps is None:
-                        rejected = True
-                    else:
-                        events.extend(
-                            _locate_crossings(
-                                f, loop, rot, roots_cur, t_cur, float(ts[i]), order_cur, swaps
-                            )
-                        )
-            if rejected:
-                h *= 0.5
-                streak = 0
-                if h < STEP_UNDERFLOW:
-                    raise NumericalFailure(
-                        "continuation step underflow: the path runs too close "
-                        "to the branch locus or meets the crossing locus "
-                        "non-transversally",
-                        diagnostics={"t": t_cur},
-                    )
+        # Matching is blind to the order of the old roots, so every step of
+        # the chunk is judged against the raw fiber before it at once; the
+        # accepted prefix ends at the first step that fails.
+        sel, moves, bijective = match(np.concatenate([roots_cur[None], fibers[:-1]]), fibers)
+        ok = bijective & (moves < np.concatenate([[gap_cur], gaps[:-1]]) / 3.0)
+        k = count if ok.all() else int(np.argmin(ok))
+        perms = np.empty((k, n), dtype=int)
+        perm = np.arange(n)
+        for i in range(k):
+            perm = perms[i] = sel[i][perm]
+        tracked = np.take_along_axis(fibers[:k], perms, axis=-1)
+        orders = _orders(tracked, rot)
+        prev_orders = np.concatenate([order_cur[None], orders[:-1]])
+        for i in np.flatnonzero((orders != prev_orders).any(axis=-1)):
+            swaps = _adjacent_swaps(prev_orders[i].tolist(), orders[i].tolist())
+            if swaps is None:
+                k = int(i)
                 break
-            t_cur = float(ts[i])
-            roots_cur = new_roots
-            gap_cur = gaps[i]
-            order_cur = order_new
-            accepted += 1
-            streak += 1
-        if not rejected and streak >= 8 and h < step_cap_fraction:
+            prev, t_lo = (tracked[i - 1], float(ts[i - 1])) if i else (roots_cur, t_cur)
+            t_hi = float(ts[i])
+            brackets += [(*prev[prev_orders[i][[p, p + 1]]], t_lo, t_hi, p + 1) for p in swaps]
+
+        accepted += k
+        streak += k
+        if k:
+            t_cur = float(ts[k - 1])
+            roots_cur, gap_cur, order_cur = tracked[k - 1], gaps[k - 1], orders[k - 1]
+        if k < count:
+            if 0.5 * h < STEP_UNDERFLOW:
+                raise NumericalFailure(
+                    "continuation step underflow: the path runs too close "
+                    "to the branch locus or meets the crossing locus "
+                    "non-transversally",
+                    diagnostics={
+                        "t": t_cur,
+                        "h": h,
+                        "gap": float(gap_cur),
+                        "max_move": float(moves[k]),
+                        "primitive": loop._locate(t_cur)[0],
+                    },
+                )
+            h *= 0.5
+            streak = 0
+        elif streak >= 8 and h < step_cap_fraction:
             h = min(step_cap_fraction, 2.0 * h)
             streak = 0
+
+    events: list[CrossingEvent] = []
+    if brackets:
+        ref_a, ref_b, t_lo, t_hi, positions = map(np.array, zip(*brackets))
+        t, _, w_a, w_b, sign = bisect_crossings(
+            f,
+            rot,
+            lambda ts, _: np.array([loop.point_at(float(s)) for s in ts]),
+            ref_a,
+            ref_b,
+            t_lo,
+            t_hi,
+            BISECTION_MAX_HALVINGS,
+            BISECTION_T_TOL,
+        )
+        # Each t lies strictly inside its own step, so one sort keeps step order.
+        pairs = zip(w_a.tolist(), w_b.tolist())
+        found = map(CrossingEvent, t.tolist(), positions.tolist(), sign.tolist(), pairs)
+        events = sorted(found, key=lambda e: (e.t, e.position))
 
     permutation: tuple[int, ...] | None = None
     if loop.closed:
@@ -293,15 +289,19 @@ def _track_once(
         if not bijective or max_move >= gap0 / 3.0:
             raise NumericalFailure(
                 "could not match the final fiber back to the starting fiber",
-                diagnostics={"max_move": float(max_move)},
+                diagnostics={
+                    "max_move": float(max_move),
+                    "gap0": float(gap0),
+                    "bijective": bool(bijective),
+                },
             )
         # Occupant convention: entry q is the starting position of the strand
         # that finishes at position q.
-        pos0 = {slot: rank + 1 for rank, slot in enumerate(order0)}
-        images = [0] * n
-        for slot in range(n):
-            images[pos0[int(sel[slot])] - 1] = pos0[slot]
-        permutation = tuple(images)
+        pos0 = np.empty(n, dtype=int)
+        pos0[order0] = np.arange(1, n + 1)
+        images = np.empty(n, dtype=int)
+        images[pos0[sel] - 1] = pos0
+        permutation = tuple(images.tolist())
 
     return Track(
         events=tuple(events),

@@ -5,16 +5,22 @@ circle counterclockwise must give exactly one positive generator.  Everything
 else is checked against that anchor plus group-theoretic consistency.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quasibraid import (
     Arc,
+    Band,
+    BraidLetter,
     InputError,
     LollipopSpec,
     LoopPath,
+    NumericalFailure,
+    QuasipositiveFactorization,
     Segment,
     braid_along,
     branch_points,
@@ -27,15 +33,21 @@ from quasibraid import (
     free_reduce,
     invert,
     lollipop_loop,
+    loop_from_json,
     parse_bivariate_text,
     permutation_of,
     qp_factorization,
+    realize,
     reverse_loop,
     select_rotation,
     track_roots,
     word_to_text,
 )
+from quasibraid import monodromy
 from quasibraid.monodromy import events_to_jsonl
+from quasibraid.realization import build_plan
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def prepared(text):
@@ -250,3 +262,97 @@ class TestEnclosedCounts:
         assert enclosed_count(circle(radius=1.8, turns=-1), data) == -8
         assert enclosed_count(circle(radius=0.5), data) == 0
         assert enclosed_count(circle(center=1 + 0j, radius=0.5), data) == 1
+
+
+def figure_loop():
+    return loop_from_json(json.loads((DATA_DIR / "figure_loop.json").read_text()))
+
+
+def three_target_lollipop():
+    _, data = QUARTIC
+    spec = LollipopSpec(basepoint=-3 + 0.75j, targets=(0, 2, 5), circle_radius=0.25)
+    return lollipop_loop(data, spec).path
+
+
+def realize_case():
+    qpf = QuasipositiveFactorization(4, (Band((BraidLetter(1, 1),), 2), Band((), 3)))
+    _, loop, _ = realize(qpf)
+    plan = build_plan(4)
+    return plan.f, plan.branch, loop
+
+
+def frozen_cases():
+    """(name, f, branch data, loop) of every track in track_events.json."""
+    f, data = QUARTIC
+    cases = [
+        ("figure", f, data, figure_loop()),
+        ("circle_2_turns", f, data, circle(radius=1.5, turns=2, start_angle=0.4)),
+        ("lollipop", f, data, three_target_lollipop()),
+        ("realize_n4", *realize_case()),
+    ]
+    return cases
+
+
+def _pair(v):
+    return [v.real, v.imag]
+
+
+def track_record(track):
+    return {
+        "events": [
+            {"t": e.t, "position": e.position, "sign": e.sign, "roots": [_pair(v) for v in e.roots]}
+            for e in track.events
+        ],
+        "end_roots": [_pair(v) for v in track.end_roots],
+        "permutation": list(track.permutation),
+        "accepted_steps": track.accepted_steps,
+    }
+
+
+def frozen_records():
+    return {
+        f"{name}/stabilize={stabilize}": track_record(track_roots(f, data, loop, stabilize=stabilize))
+        for name, f, data, loop in frozen_cases()
+        for stabilize in (True, False)
+    }
+
+
+class TestFrozenTracks:
+    def test_tracks_equal_the_frozen_tracks_exactly(self):
+        # Written by running this module as a script; JSON floats round-trip,
+        # so equality here is bitwise.
+        frozen = json.loads((DATA_DIR / "track_events.json").read_text())
+        assert frozen_records() == frozen
+
+
+class TestChunking:
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunk_size_does_not_change_the_track(self, monkeypatch, chunk):
+        # These loops never reject a step, so the step sequence does not
+        # depend on where chunks end; a chunk of one is the step-by-step loop.
+        f, data = QUARTIC
+        loops = (figure_loop(), circle(radius=1.5, turns=2, start_angle=0.4), three_target_lollipop())
+        reference = [track_roots(f, data, loop) for loop in loops]
+        monkeypatch.setattr(monodromy, "_CHUNK", chunk)
+        assert [track_roots(f, data, loop) for loop in loops] == reference
+
+
+class TestFailureContext:
+    def test_step_underflow_reports_step_gap_move_and_primitive(self, monkeypatch):
+        f, data = SQRT
+        loop = LoopPath((Arc(0.5, 0.497, math.pi / 2, math.pi / 2 + 2 * math.pi),), closed=True)
+        monkeypatch.setattr(monodromy, "STEP_UNDERFLOW", 0.003)
+        with pytest.raises(NumericalFailure, match="underflow") as info:
+            track_roots(f, data, loop)
+        diagnostics = info.value.diagnostics
+        assert {"t", "h", "gap", "max_move", "primitive"} <= set(diagnostics)
+        assert 0.0 < diagnostics["t"] < 1.0
+        assert diagnostics["h"] < 2 * 0.003
+        assert diagnostics["max_move"] >= diagnostics["gap"] / 3.0
+        assert diagnostics["primitive"] == 0
+
+
+if __name__ == "__main__":
+    # Regenerates the frozen tracks; run only when a change of the tracks
+    # is intended: PYTHONPATH=src python tests/test_monodromy.py
+    (DATA_DIR / "track_events.json").write_text(json.dumps(frozen_records(), indent=1) + "\n")

@@ -270,7 +270,7 @@ def _track_once(
         t, _, w_a, w_b, sign = bisect_crossings(
             f,
             rot,
-            lambda ts, _: np.array([loop.point_at(float(s)) for s in ts]),
+            lambda ts, _: loop.sample_points(ts),
             ref_a,
             ref_b,
             t_lo,

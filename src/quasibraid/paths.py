@@ -200,10 +200,9 @@ class LoopPath:
             len(self.primitives) - 1,
         )
         out = np.empty(ts.shape, dtype=complex)
-        for i, prim in enumerate(self.primitives):
+        for i in np.unique(idxs).tolist():
+            prim = self.primitives[i]
             mask = idxs == i
-            if not np.any(mask):
-                continue
             seg_len = cum[i + 1] - cum[i]
             s = (targets[mask] - cum[i]) / (seg_len if seg_len else 1.0)
             if isinstance(prim, Segment):

@@ -12,12 +12,14 @@ braid word of a loop.
 
 Extraction is by continuation on grid edges.  Each lattice fiber is solved
 and sorted by rotated real part; a grid edge whose endpoint orders differ by
-one adjacent transposition carries a crossing, and all such edges are bisected
-together by :mod:`quasibraid.fibers`.  Within each cell the crossing points
-of equal label are joined by straight segments; cells that cannot be resolved
-that way are subdivided a bounded number of times and then flagged.  Cells
-containing a branch point are excluded, so curve ends near branch points stop
-at the cell boundary.
+one adjacent transposition carries a crossing, and all such edges are closed
+on it together by :func:`quasibraid.fibers.bisect_crossings`, to 2^-48 of the
+edge (or until the z of the midpoint repeats an end) in at most 3 * 48
+evaluations, with the lattice fibers at both ends reused.  Within each cell
+the crossing points of equal label are joined by straight segments; cells
+that cannot be resolved that way are subdivided a bounded number of times and
+then flagged.  Cells containing a branch point are excluded, so curve ends
+near branch points stop at the cell boundary.
 
 The grid is jittered by a fixed sub-cell offset so that lattice nodes and
 grid lines do not land exactly on symmetric loci such as the real axis.
@@ -35,7 +37,13 @@ import numpy as np
 from .branch import BranchData
 from .errors import InputError, NumericalFailure
 from .fibers import bisect_crossings, match, min_gap, solve
-from .paths import LoopPath, Segment, bounding_box, primitive_intersections
+from .paths import (
+    LoopPath,
+    Segment,
+    bounding_box,
+    intersection_reach,
+    primitive_intersections,
+)
 from .poly import BivariatePolynomial
 from .words import BraidLetter, BraidWord
 
@@ -142,9 +150,10 @@ def _edge_events(
 ) -> tuple[dict[int, list[tuple[complex, int, int]]], set[int]]:
     """Crossing events per edge index; second return is unresolved edges.
 
-    Edges whose endpoint orders differ by one adjacent swap are bisected in
-    one batch; other edges are halved, up to ``_EDGE_SPLIT_DEPTH`` times.  A
-    rotated real-part tie at an endpoint leaves an edge unresolved.
+    Edges whose endpoint orders differ by one adjacent swap are closed on
+    their crossings in one batch; other edges are halved, up to
+    ``_EDGE_SPLIT_DEPTH`` times.  A rotated real-part tie at an endpoint
+    leaves an edge unresolved.
     """
     sel, move, bij = match(fa, fb)
     tie_floor = 1e-11 * scale
@@ -156,16 +165,19 @@ def _edge_events(
     events: dict[int, list[tuple[complex, int, int]]] = {}
     simple = np.flatnonzero(ok & (swap_pos >= 0))
     p = swap_pos[simple]
-    a, b, ref = a_pts[simple], b_pts[simple], fa[simple]
+    a, b, rows = a_pts[simple], b_pts[simple], np.arange(len(p))
+    ref, far = fa[simple], fb[simple]
     _, z_star, _, _, sign = bisect_crossings(
         f,
         rot,
         lambda ts, idx: a[idx] + (b[idx] - a[idx]) * ts,
-        ref[np.arange(len(p)), p],
-        ref[np.arange(len(p)), p + 1],
+        ref[rows, p],
+        ref[rows, p + 1],
         np.zeros(len(p)),
         np.ones(len(p)),
         _BISECT_ITERATIONS,
+        far_a=far[rows, p + 1],
+        far_b=far[rows, p],
     )
     for e, z, label, s in zip(simple, z_star, p + 1, sign):
         events[int(e)] = [(complex(z), int(label), int(s))]
@@ -458,10 +470,22 @@ def crossings_of(graph: CrossingGraph, loop: LoopPath) -> BraidWord:
                 diagnostics={"cell": list(rect)},
             )
 
+    # Only segments whose boxes come within reach of a primitive's box are
+    # tested against it.
+    segments = graph.segments
+    starts = np.array([seg.start for seg in segments], dtype=complex)
+    ends = np.array([seg.end for seg in segments], dtype=complex)
+    lengths = np.abs(ends - starts)
+    sx0, sx1 = np.minimum(starts.real, ends.real), np.maximum(starts.real, ends.real)
+    sy0, sy1 = np.minimum(starts.imag, ends.imag), np.maximum(starts.imag, ends.imag)
+
     spans = loop.primitive_spans()
     hits: list[tuple[float, int, int, complex]] = []
     for prim, (t_lo, t_hi) in zip(loop.primitives, spans):
-        for seg in graph.segments:
+        px0, py0, px1, py1 = bounding_box([prim])
+        gap = np.max([sx0 - px1, px0 - sx1, sy0 - py1, py0 - sy1], axis=0)
+        near = np.flatnonzero(gap <= intersection_reach(prim, starts, lengths))
+        for seg in (segments[j] for j in near.tolist()):
             chord = Segment(seg.start, seg.end)
             for s_prim, _ in primitive_intersections(prim, chord):
                 t = t_lo + (t_hi - t_lo) * s_prim

@@ -2,8 +2,13 @@
 
 The fiber over z is the n roots in w of f(z, w), solved for a batch of z as
 the eigenvalues of stacked companion matrices.  Fibers are matched root to
-root by nearest distance, and :func:`bisect_crossings` halves every open
-bracket of a batch with one solve per halving.
+root by nearest distance, and :func:`bisect_crossings` closes every bracket
+of a batch on the crossing inside it with one solve per iteration over the
+open brackets: a safeguarded regula falsi (Illinois) step, or a midpoint
+step whenever two evaluations in a row have not halved the bracket.  A
+bracket closes at its tolerance (``t_tol``, or 2^-``max_halvings`` of its
+width, the width fixed halving reached) after at most 3 * ``max_halvings``
+evaluations, or earlier once its midpoint repeats the z of an end.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ def match(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 
 # Rotated parts are written out rather than taken from ``rot * w``: numpy's
-# vectorized complex product may fuse multiply-adds, and the bisection must
+# vectorized complex product may fuse multiply-adds, and bracket closing must
 # round the same way whatever the batch size.
 def _rotated_re(rot: complex, w: np.ndarray) -> np.ndarray:
     return rot.real * w.real - rot.imag * w.imag
@@ -72,6 +77,10 @@ def _tracked(f: BivariatePolynomial, refs: np.ndarray, zs: np.ndarray) -> np.nda
     return fibers[np.arange(len(zs))[:, None], sel]
 
 
+def _gap(rot: complex, pair: np.ndarray) -> np.ndarray:
+    return _rotated_re(rot, pair[:, 0] - pair[:, 1])
+
+
 def bisect_crossings(
     f: BivariatePolynomial,
     rot: complex,
@@ -82,32 +91,89 @@ def bisect_crossings(
     hi: np.ndarray,
     max_halvings: int,
     t_tol: float = 0.0,
+    far_a: np.ndarray | None = None,
+    far_b: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Locate the crossing inside every bracket of a batch.
 
     Bracket i spans parameters ``lo[i]`` to ``hi[i]``, mapped to z by
     ``point(ts, idx)`` for brackets ``idx``.  Along it the roots w_a, w_b
     nearest to ``ref_a[i]``, ``ref_b[i]`` are tracked (valid while no root
-    moves by a third of the smallest root gap) and Re(rot * (w_a - w_b))
-    changes sign.  A bracket closes after ``max_halvings`` halvings or once
-    ``hi - lo <= t_tol``.  Returns t*, z*, w_a, w_b at t*, and the letter
-    sign: +1 when Im(rot * w_b) > Im(rot * w_a), else -1.
+    moves by a third of the smallest root gap) and the gap
+    g = Re(rot * (w_a - w_b)) changes sign.  ``far_a``, ``far_b`` are the
+    tracked roots at ``hi`` when the caller already holds them; otherwise
+    they are solved.
+
+    Brackets narrow by regula falsi with the Illinois modification, one
+    batched solve per iteration over the open brackets.  Every iterate lies
+    strictly inside its bracket, and a midpoint step is taken whenever the
+    two evaluations since the width last halved have not halved it, so the
+    width halves at least once every three evaluations.  A bracket closes
+    once its width is at most ``t_tol`` or at most 2^-``max_halvings`` of its
+    starting width, whichever is larger, so after at most
+    3 * ``max_halvings`` evaluations; it also closes once its midpoint maps
+    to the z of one of its ends.  Returns t* (the final midpoint), z*, w_a,
+    w_b at t*, and the letter sign: +1 when Im(rot * w_b) > Im(rot * w_a),
+    else -1.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     pair = np.stack([ref_a, ref_b], axis=1)
-    below = _rotated_re(rot, pair[:, 0] - pair[:, 1]) < 0
-    for _ in range(max_halvings):
-        idx = np.flatnonzero(hi - lo > t_tol)
+    every = np.arange(len(lo))
+    z_lo, z_hi = point(lo, every), point(hi, every)
+    far = _tracked(f, pair, z_hi) if far_a is None else np.stack([far_a, far_b], axis=1)
+    g_lo, g_hi = _gap(rot, pair), _gap(rot, far)
+    below = g_lo < 0
+    tol = np.maximum(t_tol, (hi - lo) * 0.5**max_halvings)
+    # No iterate comes nearer an end than half the tolerance, or than the
+    # parameter spacing of representable z, below which it repeats the end.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spacing = np.spacing(np.abs([z_lo, z_hi]).max(axis=0)) * (hi - lo) / np.abs(z_hi - z_lo)
+    step = np.fmax(0.5 * tol, spacing)
+    mark = hi - lo  # the width when it last halved
+    stale = np.zeros(len(lo), dtype=int)  # evaluations since then
+    last = np.zeros(len(lo), dtype=int)  # end the last step replaced: -1 lo, 1 hi
+    open_ = hi - lo > tol
+    for _ in range(3 * max_halvings):
+        idx = np.flatnonzero(open_)
+        if idx.size:
+            a, b = lo[idx], hi[idx]
+            mid = 0.5 * (a + b)
+            z_mid = point(mid, idx)
+            # No representable point is left between the ends.
+            stuck = (z_mid == z_lo[idx]) | (z_mid == z_hi[idx])
+            open_[idx[stuck]] = False
+            idx, a, b, mid = idx[~stuck], a[~stuck], b[~stuck], mid[~stuck]
         if idx.size == 0:
             break
-        mid = 0.5 * (lo[idx] + hi[idx])
-        w = _tracked(f, pair[idx], point(mid, idx))
-        left = (_rotated_re(rot, w[:, 0] - w[:, 1]) < 0) == below[idx]
-        lo[idx] = np.where(left, mid, lo[idx])
-        hi[idx] = np.where(left, hi[idx], mid)
+        ga, gb = g_lo[idx], g_hi[idx]
+        # Kept off the ends, a secant point next to an end that has converged
+        # closes the bracket from the other side.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = ga / (ga - gb)
+            x = np.clip(a + frac * (b - a), a + step[idx], b - step[idx])
+        secant = (stale[idx] < 2) & (frac >= 0) & (frac <= 1) & (a < x) & (x < b)
+        x = np.where(secant, x, mid)
+        z = point(x, idx)
+        g = _gap(rot, _tracked(f, pair[idx], z))
+        left = (g < 0) == below[idx]
+        side = np.where(left, -1, 1)
+        # Illinois: the value of an end kept twice running is halved.
+        again = side == last[idx]
+        g_lo[idx] = np.where(left, g, np.where(again, 0.5 * ga, ga))
+        g_hi[idx] = np.where(left, np.where(again, 0.5 * gb, gb), g)
+        lo[idx] = np.where(left, x, a)
+        hi[idx] = np.where(left, b, x)
+        z_lo[idx] = np.where(left, z, z_lo[idx])
+        z_hi[idx] = np.where(left, z_hi[idx], z)
+        last[idx] = side
+        width = hi[idx] - lo[idx]
+        halved = ~secant | (width <= 0.5 * mark[idx])
+        mark[idx] = np.where(halved, width, mark[idx])
+        stale[idx] = np.where(halved, 0, stale[idx] + 1)
+        open_[idx] = width > tol[idx]
     t = 0.5 * (lo + hi)
-    z = point(t, np.arange(len(t)))
+    z = point(t, every)
     w_a, w_b = _tracked(f, pair, z).T
     sign = np.where(_rotated_im(rot, w_b) - _rotated_im(rot, w_a) > 0, 1, -1)
     return t, z, w_a, w_b, sign

@@ -17,7 +17,9 @@ nearest distance, a step being accepted only when the largest root displacement
 stays below a third of the smallest pairwise root distance.  That bound makes
 nearest matching provably bijective.  A chunk is judged with array operations
 up to its first rejected step.  Every swap is recorded as a bracket over its
-accepted step, and all brackets of a pass are bisected in one batch at its end.
+accepted step, and all brackets of a pass are closed in one batch at its end
+by :func:`quasibraid.fibers.bisect_crossings`, to a width of
+``BISECTION_T_TOL`` in at most three times the evaluations halving took.
 
 The module also builds lollipop loops (per-target stick, counterclockwise
 circle, stick back) whose crossing events split into conjugator and band
@@ -152,7 +154,7 @@ def track_roots(
     crossing locus non-transversally; its diagnostics give t, the rejected
     step h, the gap, that step's largest move and the primitive index at t.
     Each swap is bracketed by its accepted step, and all brackets of a pass
-    are bisected in one batch after it.
+    are closed on their crossings in one batch after it.
 
     With ``stabilize`` on (the default) the pass is repeated at half the cap
     and must reproduce the letter sequence exactly; otherwise the cap keeps
@@ -203,8 +205,9 @@ def _track_once(
         )
 
     # One bracket per swap of an accepted step: the two roots at the step
-    # start (lower position first), the step's ends and the letter position.
-    brackets: list[tuple[complex, complex, float, float, int]] = []
+    # start (lower position first), the same two strands at its end, the
+    # step's ends and the letter position.
+    brackets: list[tuple[complex, complex, complex, complex, float, float, int]] = []
     t_cur, roots_cur, gap_cur, order_cur = 0.0, roots0, gap0, order0
     h, streak, accepted = step_cap_fraction, 0, 0
 
@@ -237,7 +240,9 @@ def _track_once(
                 break
             prev, t_lo = (tracked[i - 1], float(ts[i - 1])) if i else (roots_cur, t_cur)
             t_hi = float(ts[i])
-            brackets += [(*prev[prev_orders[i][[p, p + 1]]], t_lo, t_hi, p + 1) for p in swaps]
+            for p in swaps:
+                strands = prev_orders[i][[p, p + 1]]
+                brackets.append((*prev[strands], *tracked[i][strands], t_lo, t_hi, p + 1))
 
         accepted += k
         streak += k
@@ -266,7 +271,7 @@ def _track_once(
 
     events: list[CrossingEvent] = []
     if brackets:
-        ref_a, ref_b, t_lo, t_hi, positions = map(np.array, zip(*brackets))
+        ref_a, ref_b, far_a, far_b, t_lo, t_hi, positions = map(np.array, zip(*brackets))
         t, _, w_a, w_b, sign = bisect_crossings(
             f,
             rot,
@@ -277,6 +282,8 @@ def _track_once(
             t_hi,
             BISECTION_MAX_HALVINGS,
             BISECTION_T_TOL,
+            far_a=far_a,
+            far_b=far_b,
         )
         # Each t lies strictly inside its own step, so one sort keeps step order.
         pairs = zip(w_a.tolist(), w_b.tolist())

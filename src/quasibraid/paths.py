@@ -447,6 +447,30 @@ def primitive_intersections(
     return _arc_arc(p1, p2, tol)
 
 
+def intersection_reach(
+    prim: Primitive, starts: np.ndarray, lengths: np.ndarray, tol: float = 1e-9
+) -> np.ndarray:
+    """Per segment (its start and length), a distance from ``prim`` beyond
+    which :func:`primitive_intersections` at ``tol`` reports no hit.
+
+    Its tolerances admit near misses: nearly parallel segments within
+    tol * scale^2 / length of each other, and near a circle a discriminant
+    slack that grows as the segment shortens.  The bound doubles those and
+    adds 1e-6 of the distances involved for rounding.
+    """
+    if isinstance(prim, Segment):
+        rel = np.abs(starts - prim.a)
+        size = prim.length
+        scale = np.maximum(np.maximum(size, lengths), 1.0)
+        slack = tol * (2.0 * scale**2 / np.minimum(size, lengths) + size + lengths)
+    else:
+        rel = np.abs(starts - prim.center)
+        size = prim.radius
+        spread = tol * ((rel + lengths) ** 2 + size**2) ** 2 / (4.0 * lengths**2)
+        slack = tol * lengths + spread / size
+    return 2.0 * (slack + 1e-6 * (rel + lengths + size))
+
+
 def is_embedded(loop: LoopPath, tol: float = 1e-9) -> bool:
     """Whether the loop has no self-intersections beyond consecutive joints."""
     prims = loop.primitives

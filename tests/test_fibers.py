@@ -1,9 +1,11 @@
-"""Tests for the shared fiber kernel: solves, matching and batched bisection.
+"""Tests for the shared fiber kernel: solves, matching and bracket closing.
 
-Bisection of a batch must give exactly what bisecting each bracket alone
-gives, whatever positions the brackets swap.  The crossing points it finds
-are checked against ``numpy.roots`` of the fiber there, and the crossing
-graph they build is checked against a frozen graph of the quartic.
+Closing a batch of brackets must give exactly what closing each bracket alone
+gives, whatever positions the brackets swap.  The crossings it finds agree
+with the fixed-halving bisection it replaced, within fewer evaluations.  The
+crossing points are checked against ``numpy.roots`` of the fiber there, and
+the crossing graph they build is checked against a frozen graph of the
+quartic.
 """
 
 import json
@@ -13,12 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasibraid import graph_to_json, sample_crossing_graph
-from quasibraid.fibers import bisect_crossings, match, min_gap, solve
+from quasibraid import fibers, graph_to_json, sample_crossing_graph
+from quasibraid.fibers import _rotated_re, _tracked, bisect_crossings, match, min_gap, solve
 from tests.test_monodromy import prepared
 
 DATA_DIR = Path(__file__).parent / "data"
 QUARTIC = prepared("w^3 - 3*w + 2*z^4")
+FOUR_STRAND = prepared("w^4 - z*w^3 - w^2 + z*w + 0.05")
+HALVINGS = 48
 
 
 def rotation(data):
@@ -26,10 +30,10 @@ def rotation(data):
 
 
 def sorted_fibers(f, rot, zs):
-    fibers = solve(f, zs)
-    rv = rot * fibers
+    roots = solve(f, zs)
+    rv = rot * roots
     order = np.lexsort((rv.imag, rv.real), axis=-1)
-    return np.take_along_axis(fibers, order, axis=-1)
+    return np.take_along_axis(roots, order, axis=-1)
 
 
 def swap_brackets(f, rot):
@@ -55,18 +59,92 @@ def edge_points(brackets):
     return a, b, ref_a, ref_b
 
 
+def edge_map(a, b):
+    return lambda ts, idx: a[idx] + (b[idx] - a[idx]) * ts
+
+
 def bisect(f, rot, brackets):
     a, b, ref_a, ref_b = edge_points(brackets)
     return bisect_crossings(
         f,
         rot,
-        lambda ts, idx: a[idx] + (b[idx] - a[idx]) * ts,
+        edge_map(a, b),
         ref_a,
         ref_b,
         np.zeros(len(a)),
         np.ones(len(a)),
-        48,
+        HALVINGS,
     )
+
+
+def reference_bisection(f, rot, point, ref_a, ref_b, lo, hi, halvings):
+    """The fixed-halving loop that bisect_crossings replaced: the final
+    midpoints after ``halvings`` halvings of every bracket."""
+    pair = np.stack([ref_a, ref_b], axis=1)
+    below = _rotated_re(rot, pair[:, 0] - pair[:, 1]) < 0
+    idx = np.arange(len(lo))
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        w = _tracked(f, pair, point(mid, idx))
+        left = (_rotated_re(rot, w[:, 0] - w[:, 1]) < 0) == below
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def rotated_gaps(f, rot, ref_a, ref_b, zs):
+    """Rotated real-part gap of the tracked pair at its references and at zs."""
+    pair = np.stack([ref_a, ref_b], axis=1)
+    far = _tracked(f, pair, zs)
+    return _rotated_re(rot, ref_a - ref_b), _rotated_re(rot, far[:, 0] - far[:, 1])
+
+
+def untied(f, rot, brackets):
+    """The brackets with no rotated real-part tie at either end, as the
+    crossing graph keeps them (at a tie the sign change sits on that end)."""
+    a, b, ref_a, ref_b = edge_points(brackets)
+    scale = np.maximum(1.0, np.abs(np.stack([ref_a, ref_b])).max(axis=0))
+    g_a, g_b = rotated_gaps(f, rot, ref_a, ref_b, b)
+    keep = (np.abs(g_a) >= 1e-11 * scale) & (np.abs(g_b) >= 1e-11 * scale)
+    return [br for br, k in zip(brackets, keep) if k]
+
+
+def crossing_tolerance(f, rot, brackets, width=1.0):
+    """Per bracket, the larger of 2^-48 of its width and the parameter
+    distance over which the rotated gap changes by 1e-14 of the root size:
+    below that the gap is rounding, and two methods may name different sign
+    changes of it."""
+    a, b, ref_a, ref_b = edge_points(brackets)
+    scale = np.maximum(1.0, np.abs(np.stack([ref_a, ref_b])).max(axis=0))
+    g_a, g_b = rotated_gaps(f, rot, ref_a, ref_b, b)
+    return np.maximum(width * 0.5**HALVINGS, 1e-14 * scale / np.abs(g_b - g_a))
+
+
+def record_evaluations(monkeypatch, rot, point, ref_a, ref_b):
+    """Wrap ``point`` and patch the kernel's tracked solve so that every solve
+    is logged as (brackets, their t, their rotated gap); the brackets are found
+    by their references and t comes from the point call that gave the z."""
+    pair = np.stack([ref_a, ref_b], axis=1)
+    calls, last = [], {}
+
+    def logged_point(ts, idx):
+        z = point(ts, idx)
+        last["t"], last["z"] = np.array(ts, dtype=float), z
+        return z
+
+    def tracked(f, refs, zs):
+        w = _tracked(f, refs, zs)
+        ids = np.array([np.flatnonzero((pair == r).all(axis=1))[0] for r in refs], dtype=int)
+        ts = last["t"] if zs is last["z"] else None
+        calls.append((ids, ts, _rotated_re(rot, w[:, 0] - w[:, 1])))
+        return w
+
+    monkeypatch.setattr(fibers, "_tracked", tracked)
+    return logged_point, calls
+
+
+def evaluations_per_bracket(calls, count):
+    return np.bincount(np.concatenate([ids for ids, _, _ in calls]), minlength=count)
 
 
 class TestSolveAndMatch:
@@ -105,21 +183,96 @@ class TestBatchedBisection:
             for got, want in zip(batch, alone):
                 assert np.asarray(got[k]).tobytes() == np.asarray(want[0]).tobytes()
 
-    def test_brackets_close_at_their_own_tolerance(self):
+    def test_brackets_close_at_their_own_tolerance(self, monkeypatch):
         f, data = QUARTIC
         rot = rotation(data)
-        a, b, ref_a, ref_b = edge_points(swap_brackets(f, rot)[:3])
-        calls = []
-
-        def point(ts, idx):
-            calls.append(len(idx))
-            return a[idx] + (b[idx] - a[idx]) * ts
-
+        a, b, ref_a, ref_b = edge_points(untied(f, rot, swap_brackets(f, rot))[:3])
+        point, calls = record_evaluations(monkeypatch, rot, edge_map(a, b), ref_a, ref_b)
         hi = np.array([1.0, 0.5, 0.25])
         t, *_ = bisect_crossings(f, rot, point, ref_a, ref_b, np.zeros(3), hi, 64, 1e-3)
-        # 1, 1/2 and 1/4 need 10, 9 and 8 halvings to get below 1e-3.
-        assert calls == [3] * 8 + [2, 1, 3]
-        assert np.all(t <= hi)
+        # The first solve is of the far ends and the last of the final
+        # midpoints; the brackets are replayed from the evaluations between.
+        evaluations = calls[1:-1]
+        below = _rotated_re(rot, ref_a - ref_b) < 0
+        lo, up = np.zeros(3), hi.copy()
+        closed: set[int] = set()
+        for k, (ids, ts, g) in enumerate(evaluations):
+            # Open brackets never rise; a closed one is not evaluated again.
+            if k:
+                assert set(ids.tolist()) <= set(evaluations[k - 1][0].tolist())
+            assert not closed & set(ids.tolist())
+            assert np.all((lo[ids] < ts) & (ts < up[ids]))
+            left = (g < 0) == below[ids]
+            lo[ids] = np.where(left, ts, lo[ids])
+            up[ids] = np.where(left, up[ids], ts)
+            closed |= set(np.flatnonzero(up - lo <= 1e-3).tolist())
+        assert closed == {0, 1, 2}
+        assert np.array_equal(t, 0.5 * (lo + up))
+        assert np.array_equal(calls[-1][1], t)
+
+    @pytest.mark.parametrize("fixture", [QUARTIC, FOUR_STRAND], ids=["quartic", "four_strand"])
+    def test_crossings_agree_with_fixed_halving(self, fixture):
+        f, data = fixture
+        rot = rotation(data)
+        brackets = untied(f, rot, swap_brackets(f, rot))
+        a, b, ref_a, ref_b = edge_points(brackets)
+        lo, hi = np.zeros(len(a)), np.ones(len(a))
+        t = bisect(f, rot, brackets)[0]
+        want = reference_bisection(f, rot, edge_map(a, b), ref_a, ref_b, lo, hi, HALVINGS)
+        assert np.all(np.abs(t - want) <= crossing_tolerance(f, rot, brackets))
+
+    def test_evaluations_per_bracket_are_bounded(self, monkeypatch):
+        f, data = QUARTIC
+        rot = rotation(data)
+        brackets = swap_brackets(f, rot)
+        a, b, ref_a, ref_b = edge_points(brackets)
+        point, calls = record_evaluations(monkeypatch, rot, edge_map(a, b), ref_a, ref_b)
+        bisect_crossings(
+            f, rot, point, ref_a, ref_b, np.zeros(len(a)), np.ones(len(a)), HALVINGS
+        )
+        # The far-end and final solves included; halving took 48 + 1.
+        per_bracket = evaluations_per_bracket(calls, len(a))
+        assert np.median(per_bracket) <= 12
+        assert per_bracket.max() <= 3 * HALVINGS + 2
+
+    def test_lopsided_brackets_close_within_the_bound(self, monkeypatch):
+        f, data = QUARTIC
+        rot = rotation(data)
+        brackets = untied(f, rot, swap_brackets(f, rot))
+        a, b, ref_a, ref_b = edge_points(brackets)
+        edge = edge_map(a, b)
+        every = np.arange(len(a))
+        crossing = bisect(f, rot, brackets)[0]
+        # Brackets half an edge wide whose crossing sits 1e-6 of their width
+        # from their near end, the low end or the high end by turns.
+        width = 0.5
+        near_lo = crossing >= width
+        lo = np.where(near_lo, crossing - 1e-6 * width, crossing + 1e-6 * width - width)
+        pair = _tracked(f, np.stack([ref_a, ref_b], axis=1), edge(lo, every))
+        point, calls = record_evaluations(monkeypatch, rot, edge, pair[:, 0], pair[:, 1])
+        t, *_ = bisect_crossings(f, rot, point, pair[:, 0], pair[:, 1], lo, lo + width, HALVINGS)
+        assert near_lo.any() and not near_lo.all()
+        assert evaluations_per_bracket(calls, len(a)).max() <= 3 * HALVINGS + 2
+        assert np.all(np.abs(t - crossing) <= crossing_tolerance(f, rot, brackets, width))
+
+
+    def test_brackets_narrower_than_z_resolution_close(self, monkeypatch):
+        # A bracket 1e-9 of an edge wide near t = 0.5 cannot narrow to 2^-48
+        # of that in representable t; it closes once its midpoint repeats the
+        # z of an end instead of running to the evaluation cap.
+        f, data = QUARTIC
+        rot = rotation(data)
+        brackets = untied(f, rot, swap_brackets(f, rot))
+        a, b, ref_a, ref_b = edge_points(brackets)
+        edge = edge_map(a, b)
+        width = 1e-9
+        lo = bisect(f, rot, brackets)[0] - 0.3 * width
+        pair = _tracked(f, np.stack([ref_a, ref_b], axis=1), edge(lo, np.arange(len(a))))
+        point, calls = record_evaluations(monkeypatch, rot, edge, pair[:, 0], pair[:, 1])
+        bisect_crossings(f, rot, point, pair[:, 0], pair[:, 1], lo, lo + width, HALVINGS)
+        per_bracket = evaluations_per_bracket(calls, len(a))
+        assert np.median(per_bracket) <= 12
+        assert per_bracket.max() < 3 * HALVINGS
 
 
 class TestCrossingPoints:

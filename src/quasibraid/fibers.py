@@ -136,17 +136,17 @@ def bisect_crossings(
     open_ = hi - lo > tol
     for _ in range(3 * max_halvings):
         idx = np.flatnonzero(open_)
-        if idx.size:
-            a, b = lo[idx], hi[idx]
-            mid = 0.5 * (a + b)
-            z_mid = point(mid, idx)
-            # No representable point is left between the ends.
-            stuck = (z_mid == z_lo[idx]) | (z_mid == z_hi[idx])
-            open_[idx[stuck]] = False
-            idx, a, b, mid = idx[~stuck], a[~stuck], b[~stuck], mid[~stuck]
         if idx.size == 0:
             break
-        ga, gb = g_lo[idx], g_hi[idx]
+        mid = 0.5 * (lo[idx] + hi[idx])
+        z_mid = point(mid, idx)
+        # No representable point is left between the ends.
+        stuck = (z_mid == z_lo[idx]) | (z_mid == z_hi[idx])
+        open_[idx[stuck]] = False
+        idx, mid = idx[~stuck], mid[~stuck]
+        if idx.size == 0:
+            break
+        a, b, ga, gb = lo[idx], hi[idx], g_lo[idx], g_hi[idx]
         # Kept off the ends, a secant point next to an end that has converged
         # closes the bracket from the other side.
         with np.errstate(divide="ignore", invalid="ignore"):

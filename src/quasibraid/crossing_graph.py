@@ -173,11 +173,11 @@ def _edge_events(
         lambda ts, idx: a[idx] + (b[idx] - a[idx]) * ts,
         ref[rows, p],
         ref[rows, p + 1],
+        far[rows, p + 1],
+        far[rows, p],
         np.zeros(len(p)),
         np.ones(len(p)),
         _BISECT_ITERATIONS,
-        far_a=far[rows, p + 1],
-        far_b=far[rows, p],
     )
     for e, z, label, s in zip(simple, z_star, p + 1, sign):
         events[int(e)] = [(complex(z), int(label), int(s))]

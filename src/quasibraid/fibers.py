@@ -87,12 +87,12 @@ def bisect_crossings(
     point: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ref_a: np.ndarray,
     ref_b: np.ndarray,
+    far_a: np.ndarray,
+    far_b: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     max_halvings: int,
     t_tol: float = 0.0,
-    far_a: np.ndarray | None = None,
-    far_b: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Locate the crossing inside every bracket of a batch.
 
@@ -101,8 +101,7 @@ def bisect_crossings(
     nearest to ``ref_a[i]``, ``ref_b[i]`` are tracked (valid while no root
     moves by a third of the smallest root gap) and the gap
     g = Re(rot * (w_a - w_b)) changes sign.  ``far_a``, ``far_b`` are the
-    tracked roots at ``hi`` when the caller already holds them; otherwise
-    they are solved.
+    tracked roots at ``hi``, which every caller already holds.
 
     Brackets narrow by regula falsi with the Illinois modification, one
     batched solve per iteration over the open brackets.  Every iterate lies
@@ -121,8 +120,7 @@ def bisect_crossings(
     pair = np.stack([ref_a, ref_b], axis=1)
     every = np.arange(len(lo))
     z_lo, z_hi = point(lo, every), point(hi, every)
-    far = _tracked(f, pair, z_hi) if far_a is None else np.stack([far_a, far_b], axis=1)
-    g_lo, g_hi = _gap(rot, pair), _gap(rot, far)
+    g_lo, g_hi = _gap(rot, pair), _rotated_re(rot, far_a - far_b)
     below = g_lo < 0
     tol = np.maximum(t_tol, (hi - lo) * 0.5**max_halvings)
     # No iterate comes nearer an end than half the tolerance, or than the

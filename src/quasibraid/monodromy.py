@@ -278,12 +278,12 @@ def _track_once(
             lambda ts, _: loop.sample_points(ts),
             ref_a,
             ref_b,
+            far_a,
+            far_b,
             t_lo,
             t_hi,
             BISECTION_MAX_HALVINGS,
             BISECTION_T_TOL,
-            far_a=far_a,
-            far_b=far_b,
         )
         # Each t lies strictly inside its own step, so one sort keeps step order.
         pairs = zip(w_a.tolist(), w_b.tolist())

@@ -349,6 +349,8 @@ def _cross(a: complex, b: complex) -> float:
 
 
 def _seg_seg(s1: Segment, s2: Segment, tol: float) -> list[tuple[float, float]]:
+    # intersection_reach bounds how far apart the near misses these
+    # tolerances admit can lie; it must change with them.
     d1, d2 = s1.b - s1.a, s2.b - s2.a
     denom = _cross(d1, d2)
     rel = s2.a - s1.a
@@ -378,6 +380,8 @@ def _seg_seg(s1: Segment, s2: Segment, tol: float) -> list[tuple[float, float]]:
 
 
 def _arc_seg(arc: Arc, seg: Segment, tol: float) -> list[tuple[float, float]]:
+    # intersection_reach bounds how far apart the near misses these
+    # tolerances admit can lie; it must change with them.
     d = seg.b - seg.a
     rel = seg.a - arc.center
     aa = abs(d) ** 2

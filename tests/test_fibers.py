@@ -63,6 +63,11 @@ def edge_map(a, b):
     return lambda ts, idx: a[idx] + (b[idx] - a[idx]) * ts
 
 
+def tracked_at(f, ref_a, ref_b, zs):
+    """The roots over zs nearest to ``ref_a`` and to ``ref_b``."""
+    return _tracked(f, np.stack([ref_a, ref_b], axis=1), zs).T
+
+
 def bisect(f, rot, brackets):
     a, b, ref_a, ref_b = edge_points(brackets)
     return bisect_crossings(
@@ -71,6 +76,7 @@ def bisect(f, rot, brackets):
         edge_map(a, b),
         ref_a,
         ref_b,
+        *tracked_at(f, ref_a, ref_b, b),
         np.zeros(len(a)),
         np.ones(len(a)),
         HALVINGS,
@@ -94,9 +100,8 @@ def reference_bisection(f, rot, point, ref_a, ref_b, lo, hi, halvings):
 
 def rotated_gaps(f, rot, ref_a, ref_b, zs):
     """Rotated real-part gap of the tracked pair at its references and at zs."""
-    pair = np.stack([ref_a, ref_b], axis=1)
-    far = _tracked(f, pair, zs)
-    return _rotated_re(rot, ref_a - ref_b), _rotated_re(rot, far[:, 0] - far[:, 1])
+    far_a, far_b = tracked_at(f, ref_a, ref_b, zs)
+    return _rotated_re(rot, ref_a - ref_b), _rotated_re(rot, far_a - far_b)
 
 
 def untied(f, rot, brackets):
@@ -186,13 +191,17 @@ class TestBatchedBisection:
     def test_brackets_close_at_their_own_tolerance(self, monkeypatch):
         f, data = QUARTIC
         rot = rotation(data)
-        a, b, ref_a, ref_b = edge_points(untied(f, rot, swap_brackets(f, rot))[:3])
-        point, calls = record_evaluations(monkeypatch, rot, edge_map(a, b), ref_a, ref_b)
+        a, b, ref_a, ref_b = edge_points(swap_brackets(f, rot)[:3])
+        edge = edge_map(a, b)
         hi = np.array([1.0, 0.5, 0.25])
-        t, *_ = bisect_crossings(f, rot, point, ref_a, ref_b, np.zeros(3), hi, 64, 1e-3)
-        # The first solve is of the far ends and the last of the final
-        # midpoints; the brackets are replayed from the evaluations between.
-        evaluations = calls[1:-1]
+        far_a, far_b = tracked_at(f, ref_a, ref_b, edge(hi, np.arange(3)))
+        point, calls = record_evaluations(monkeypatch, rot, edge, ref_a, ref_b)
+        t, *_ = bisect_crossings(
+            f, rot, point, ref_a, ref_b, far_a, far_b, np.zeros(3), hi, 64, 1e-3
+        )
+        # The last solve is of the final midpoints; the brackets are replayed
+        # from the evaluations before it.
+        evaluations = calls[:-1]
         below = _rotated_re(rot, ref_a - ref_b) < 0
         lo, up = np.zeros(3), hi.copy()
         closed: set[int] = set()
@@ -226,14 +235,15 @@ class TestBatchedBisection:
         rot = rotation(data)
         brackets = swap_brackets(f, rot)
         a, b, ref_a, ref_b = edge_points(brackets)
+        far_a, far_b = tracked_at(f, ref_a, ref_b, b)
         point, calls = record_evaluations(monkeypatch, rot, edge_map(a, b), ref_a, ref_b)
         bisect_crossings(
-            f, rot, point, ref_a, ref_b, np.zeros(len(a)), np.ones(len(a)), HALVINGS
+            f, rot, point, ref_a, ref_b, far_a, far_b, np.zeros(len(a)), np.ones(len(a)), HALVINGS
         )
-        # The far-end and final solves included; halving took 48 + 1.
+        # The final solve included; halving took 48 + 1 and a far-end solve.
         per_bracket = evaluations_per_bracket(calls, len(a))
         assert np.median(per_bracket) <= 12
-        assert per_bracket.max() <= 3 * HALVINGS + 2
+        assert per_bracket.max() <= 3 * HALVINGS + 1
 
     def test_lopsided_brackets_close_within_the_bound(self, monkeypatch):
         f, data = QUARTIC
@@ -248,13 +258,15 @@ class TestBatchedBisection:
         width = 0.5
         near_lo = crossing >= width
         lo = np.where(near_lo, crossing - 1e-6 * width, crossing + 1e-6 * width - width)
-        pair = _tracked(f, np.stack([ref_a, ref_b], axis=1), edge(lo, every))
-        point, calls = record_evaluations(monkeypatch, rot, edge, pair[:, 0], pair[:, 1])
-        t, *_ = bisect_crossings(f, rot, point, pair[:, 0], pair[:, 1], lo, lo + width, HALVINGS)
+        lo_a, lo_b = tracked_at(f, ref_a, ref_b, edge(lo, every))
+        far_a, far_b = tracked_at(f, lo_a, lo_b, edge(lo + width, every))
+        point, calls = record_evaluations(monkeypatch, rot, edge, lo_a, lo_b)
+        t, *_ = bisect_crossings(
+            f, rot, point, lo_a, lo_b, far_a, far_b, lo, lo + width, HALVINGS
+        )
         assert near_lo.any() and not near_lo.all()
-        assert evaluations_per_bracket(calls, len(a)).max() <= 3 * HALVINGS + 2
+        assert evaluations_per_bracket(calls, len(a)).max() <= 3 * HALVINGS + 1
         assert np.all(np.abs(t - crossing) <= crossing_tolerance(f, rot, brackets, width))
-
 
     def test_brackets_narrower_than_z_resolution_close(self, monkeypatch):
         # A bracket 1e-9 of an edge wide near t = 0.5 cannot narrow to 2^-48
@@ -267,9 +279,11 @@ class TestBatchedBisection:
         edge = edge_map(a, b)
         width = 1e-9
         lo = bisect(f, rot, brackets)[0] - 0.3 * width
-        pair = _tracked(f, np.stack([ref_a, ref_b], axis=1), edge(lo, np.arange(len(a))))
-        point, calls = record_evaluations(monkeypatch, rot, edge, pair[:, 0], pair[:, 1])
-        bisect_crossings(f, rot, point, pair[:, 0], pair[:, 1], lo, lo + width, HALVINGS)
+        every = np.arange(len(a))
+        lo_a, lo_b = tracked_at(f, ref_a, ref_b, edge(lo, every))
+        far_a, far_b = tracked_at(f, lo_a, lo_b, edge(lo + width, every))
+        point, calls = record_evaluations(monkeypatch, rot, edge, lo_a, lo_b)
+        bisect_crossings(f, rot, point, lo_a, lo_b, far_a, far_b, lo, lo + width, HALVINGS)
         per_bracket = evaluations_per_bracket(calls, len(a))
         assert np.median(per_bracket) <= 12
         assert per_bracket.max() < 3 * HALVINGS

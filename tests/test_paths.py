@@ -20,7 +20,12 @@ from quasibraid import (
     reverse_loop,
     winding_number,
 )
-from quasibraid.paths import bbox_diameter, is_embedded, primitive_intersections
+from quasibraid.paths import (
+    bbox_diameter,
+    intersection_reach,
+    is_embedded,
+    primitive_intersections,
+)
 
 
 def circle(center=0j, radius=1.0, turns=1, start_angle=math.pi / 2):
@@ -236,6 +241,72 @@ class TestIntersections:
 
     def test_multi_turn_loops_are_never_embedded(self):
         assert not is_embedded(circle(turns=2))
+
+
+def box_gap(p, q):
+    """The gap between the bounding boxes of two primitives, the distance
+    that crossings_of compares with intersection_reach."""
+    a, b = bounding_box([p]), bounding_box([q])
+    return max(b[0] - a[2], a[0] - b[2], b[1] - a[3], a[1] - b[3])
+
+
+def near_miss_gaps(prim, chords):
+    """(box gap, reach) of every chord that primitive_intersections reports
+    as meeting ``prim`` at its default tolerance."""
+    out = []
+    for chord in chords:
+        if primitive_intersections(prim, chord):
+            reach = intersection_reach(prim, np.array([chord.a]), np.array([chord.length]))
+            out.append((box_gap(prim, chord), float(reach[0])))
+    return np.array(out)
+
+
+# Offsets from exact contact, past the widest near miss either routine admits.
+OFFSETS = np.logspace(-14, 1, 31)
+
+
+class TestIntersectionReach:
+    """crossings_of skips every locus segment whose box lies farther from a
+    loop primitive's box than intersection_reach; a chord reported as a hit
+    must never lie that far away, however slack the tolerances make the hit."""
+
+    def test_near_parallel_segments_lie_within_reach(self):
+        gaps = []
+        for length in (1e-4, 1e-2, 1.0, 4.0):
+            for angle in (0.0, 0.3, 1.1):
+                u = complex(math.cos(angle), math.sin(angle))
+                prim = Segment(0.2 - 0.1j, 0.2 - 0.1j + length * u)
+                for chord_length in (1e-6, 1e-4, 1e-2, 1.0):
+                    for along in (-0.5, 0.3, 0.9):
+                        for tilt in (0.0, 1e-12, -1e-9, 1e-6):
+                            d = chord_length * u * complex(math.cos(tilt), math.sin(tilt))
+                            starts = prim.a + along * length * u + OFFSETS * 1j * u
+                            gaps.extend(near_miss_gaps(prim, [Segment(a, a + d) for a in starts]))
+        gaps = np.array(gaps)
+        assert np.all(gaps[:, 0] <= gaps[:, 1])
+        # Parallel near misses reach tol * scale^2 / length off the line.
+        assert gaps[:, 0].max() > 1e-6
+
+    def test_near_tangent_short_chords_lie_within_reach(self):
+        gaps = []
+        for radius in (0.5, 2.0):
+            for span in (2 * math.pi, 1.0):
+                arc = Arc(0.3 + 0.2j, radius, 0.4, 0.4 + span)
+                for psi in (0.9, 0.4 + span + 0.01):
+                    normal = complex(math.cos(psi), math.sin(psi))
+                    for length in (1e-7, 1e-6, 1e-5, 1e-4, 1e-2):
+                        for along in (0.0, 0.5, 1.0):
+                            for tilt in (0.0, 1e-3):
+                                d = length * 1j * normal * complex(math.cos(tilt), math.sin(tilt))
+                                for side in (1.0, -1.0):
+                                    feet = arc.center + (radius + side * OFFSETS) * normal
+                                    starts = feet - along * d
+                                    chords = [Segment(a, a + d) for a in starts]
+                                    gaps.extend(near_miss_gaps(arc, chords))
+        gaps = np.array(gaps)
+        assert np.all(gaps[:, 0] <= gaps[:, 1])
+        # The discriminant slack reports short chords far off the circle.
+        assert gaps[:, 0].max() > 1e-2
 
 
 class TestSerialization:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import InputError, NumericalFailure
 from .fibers import coefficients as fiber_coefficients
+from .paths import bbox_diameter, bounding_box
 from .poly import (
     BivariatePolynomial,
     _companion_roots,
@@ -147,14 +148,6 @@ def _merge_double_roots(vals: np.ndarray) -> np.ndarray:
     return np.concatenate([vals[keep].reshape(count, n - 2), mid[:, None]], axis=1)
 
 
-def _bbox_diameter(values: tuple[complex, ...]) -> float:
-    if not values:
-        return 0.0
-    xs = [v.real for v in values]
-    ys = [v.imag for v in values]
-    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-
-
 def check_genericity(
     f: BivariatePolynomial,
     data: BranchData,
@@ -252,7 +245,7 @@ def _polish_tangent(f: BivariatePolynomial, z0, w0):
 def _separation_ok(values: tuple[complex, ...]) -> bool:
     if len(values) < 2:
         return True
-    floor = SEPARATION_FLOOR_FACTOR * _bbox_diameter(values)
+    floor = SEPARATION_FLOOR_FACTOR * bbox_diameter(bounding_box(values))
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             if abs(values[i] - values[j]) < floor:

@@ -37,13 +37,7 @@ import numpy as np
 from .branch import BranchData
 from .errors import InputError, NumericalFailure
 from .fibers import bisect_crossings, match, min_gap, solve
-from .paths import (
-    LoopPath,
-    Segment,
-    bounding_box,
-    intersection_reach,
-    primitive_intersections,
-)
+from .paths import LoopPath, bounding_box, segment_crossings
 from .poly import BivariatePolynomial
 from .words import BraidLetter, BraidWord
 
@@ -431,31 +425,35 @@ def sample_crossing_graph(
     )
 
 
-def _rect_boundary(rect: tuple[float, float, float, float]) -> list[Segment]:
-    x0, y0, x1, y1 = rect
-    c = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    return [Segment(c[i], c[(i + 1) % 4]) for i in range(4)]
-
-
-def _loop_hits_rect(loop: LoopPath, rect: tuple[float, float, float, float]) -> bool:
-    x0, y0, x1, y1 = rect
+def _first_entered_cell(
+    loop: LoopPath, cells: tuple[tuple[float, float, float, float], ...]
+) -> int | None:
+    """Index of the first cell that a closed loop crosses a side of or, not
+    crossing any, lies in; or None."""
+    if not cells:
+        return None
+    x0, y0, x1, y1 = np.array(cells).T
+    corners = np.array(
+        [[complex(a, b), complex(c, b), complex(c, d), complex(a, d)] for a, b, c, d in cells]
+    )
+    starts, ends = corners.ravel(), np.roll(corners, -1, axis=1).ravel()
+    z = loop.basepoint
+    inside = (x0 <= z.real) & (z.real <= x1) & (y0 <= z.imag) & (z.imag <= y1)
+    entered = set(np.flatnonzero(inside).tolist())
     for prim in loop.primitives:
-        z = prim.start
-        if x0 <= z.real <= x1 and y0 <= z.imag <= y1:
-            return True
-        for side in _rect_boundary(rect):
-            if primitive_intersections(prim, side):
-                return True
-    return False
+        entered.update(j // 4 for _, j in segment_crossings(prim, starts, ends))
+    return min(entered, default=None)
 
 
 def crossings_of(graph: CrossingGraph, loop: LoopPath) -> BraidWord:
     """Read a loop's braid word from its crossings of the sampled locus.
 
-    Intersections are ordered by loop parameter; each contributes the label's
-    letter with the sign of the dot product between the loop direction and
-    the co-orientation normal.  Near-tangent crossings and visits to flagged
-    cells are errors, since the picture cannot be trusted there.
+    Each loop primitive meets all locus segments in one
+    :func:`quasibraid.paths.segment_crossings` call.  Crossings are ordered
+    by loop parameter; each contributes the label's letter with the sign of
+    the dot product between the loop direction and the co-orientation
+    normal.  Near-tangent crossings and visits to flagged cells are errors,
+    since the picture cannot be trusted there.
     """
     if not loop.closed:
         raise InputError("braid words are read along closed loops")
@@ -463,58 +461,32 @@ def crossings_of(graph: CrossingGraph, loop: LoopPath) -> BraidWord:
     bx0, by0, bx1, by1 = bounding_box(loop.primitives)
     if not (x0 <= bx0 and y0 <= by0 and bx1 <= x1 and by1 <= y1):
         raise InputError("loop leaves the sampled region")
-    for rect in graph.flagged:
-        if _loop_hits_rect(loop, rect):
-            raise NumericalFailure(
-                "loop enters a flagged cell where the sampled locus is unreliable",
-                diagnostics={"cell": list(rect)},
-            )
+    entered = _first_entered_cell(loop, graph.flagged)
+    if entered is not None:
+        raise NumericalFailure(
+            "loop enters a flagged cell where the sampled locus is unreliable",
+            diagnostics={"cell": list(graph.flagged[entered])},
+        )
 
-    # Only segments whose boxes come within reach of a primitive's box are
-    # tested against it.
     segments = graph.segments
     starts = np.array([seg.start for seg in segments], dtype=complex)
     ends = np.array([seg.end for seg in segments], dtype=complex)
-    lengths = np.abs(ends - starts)
-    sx0, sx1 = np.minimum(starts.real, ends.real), np.maximum(starts.real, ends.real)
-    sy0, sy1 = np.minimum(starts.imag, ends.imag), np.maximum(starts.imag, ends.imag)
-
-    spans = loop.primitive_spans()
-    hits: list[tuple[float, int, int, complex]] = []
-    for prim, (t_lo, t_hi) in zip(loop.primitives, spans):
-        px0, py0, px1, py1 = bounding_box([prim])
-        gap = np.max([sx0 - px1, px0 - sx1, sy0 - py1, py0 - sy1], axis=0)
-        near = np.flatnonzero(gap <= intersection_reach(prim, starts, lengths))
-        for seg in (segments[j] for j in near.tolist()):
-            chord = Segment(seg.start, seg.end)
-            for s_prim, _ in primitive_intersections(prim, chord):
-                t = t_lo + (t_hi - t_lo) * s_prim
-                direction = loop.direction_at(min(max(t, 0.0), 1.0))
-                dot = (seg.normal.conjugate() * direction).real
-                if abs(dot) < 1e-9:
-                    raise NumericalFailure(
-                        "loop is tangent to a locus segment; the reading is "
-                        "not transversal",
-                        diagnostics={"t": t, "label": seg.label},
-                    )
-                sign = 1 if dot > 0 else -1
-                point = loop.point_at(min(max(t, 0.0), 1.0))
-                hits.append((t, seg.label, sign, point))
+    hits: list[tuple[float, int, int]] = []
+    for prim, (t_lo, t_hi) in zip(loop.primitives, loop.primitive_spans()):
+        for s_prim, j in segment_crossings(prim, starts, ends):
+            seg = segments[j]
+            t = t_lo + (t_hi - t_lo) * s_prim
+            dot = (seg.normal.conjugate() * prim.direction(s_prim)).real
+            if abs(dot) < 1e-9:
+                raise NumericalFailure(
+                    "loop is tangent to a locus segment; the reading is "
+                    "not transversal",
+                    diagnostics={"t": t, "label": seg.label},
+                )
+            hits.append((t, seg.label, 1 if dot > 0 else -1))
 
     hits.sort(key=lambda h: (h[0], h[1]))
-    deduped: list[tuple[float, int, int, complex]] = []
-    for h in hits:
-        if deduped:
-            prev = deduped[-1]
-            if (
-                abs(h[0] - prev[0]) < 1e-9
-                and h[1] == prev[1]
-                and h[2] == prev[2]
-                and abs(h[3] - prev[3]) < 1e-6 * (1.0 + abs(prev[3]))
-            ):
-                continue
-        deduped.append(h)
-    letters = tuple(BraidLetter(label, sign) for _, label, sign, _ in deduped)
+    letters = tuple(BraidLetter(label, sign) for _, label, sign in hits)
     return BraidWord(graph.strands, letters)
 
 

@@ -42,6 +42,7 @@ from .paths import (
     LoopPath,
     Primitive,
     Segment,
+    _cis,
     bbox_diameter,
     bounding_box,
     min_distance,
@@ -438,7 +439,7 @@ def _detour_around(
         phi1 = math.atan2((entry - z).imag, (entry - z).real)
         phi2 = math.atan2((exit_ - z).imag, (exit_ - z).real)
         span_ccw = (phi2 - phi1) % (2.0 * math.pi)
-        mid_ccw = z + radius * _cis_local(phi1 + span_ccw / 2.0)
+        mid_ccw = z + radius * _cis(phi1 + span_ccw / 2.0)
         chord_mid = (entry + exit_) / 2.0
         left = ((mid_ccw - chord_mid) / direction).imag > 0
         if left:
@@ -454,10 +455,6 @@ def _detour_around(
     if not prims:
         prims.append(Segment(start, end))
     return prims
-
-
-def _cis_local(angle: float) -> complex:
-    return complex(math.cos(angle), math.sin(angle))
 
 
 def lollipop_loop(branch: BranchData, spec: LollipopSpec) -> LollipopLoop:

@@ -3,10 +3,10 @@
 Loops are parametrized by normalized arc length, t in [0, 1], so a uniform
 step in t is a uniform step along the curve.  Arcs may span more than one full
 turn (used for repeated windings); orientation is counterclockwise when the
-end angle exceeds the start angle.  The module also supplies the exact
-geometric predicates the rest of the package leans on: distance from a point
-to the path, winding numbers, pairwise intersections, and an embeddedness
-test.
+end angle exceeds the start angle.  The module also supplies distances,
+winding numbers, tolerance-based pairwise intersections for an embeddedness
+test, and :func:`segment_crossings`, a sign predicate that decides once per
+vertex where a batch of segments crosses a primitive.
 """
 
 from __future__ import annotations
@@ -349,8 +349,6 @@ def _cross(a: complex, b: complex) -> float:
 
 
 def _seg_seg(s1: Segment, s2: Segment, tol: float) -> list[tuple[float, float]]:
-    # intersection_reach bounds how far apart the near misses these
-    # tolerances admit can lie; it must change with them.
     d1, d2 = s1.b - s1.a, s2.b - s2.a
     denom = _cross(d1, d2)
     rel = s2.a - s1.a
@@ -380,17 +378,14 @@ def _seg_seg(s1: Segment, s2: Segment, tol: float) -> list[tuple[float, float]]:
 
 
 def _arc_seg(arc: Arc, seg: Segment, tol: float) -> list[tuple[float, float]]:
-    # intersection_reach bounds how far apart the near misses these
-    # tolerances admit can lie; it must change with them.
     d = seg.b - seg.a
     rel = seg.a - arc.center
     aa = abs(d) ** 2
     bb = 2.0 * (rel.real * d.real + rel.imag * d.imag)
     cc = abs(rel) ** 2 - arc.radius**2
     disc = bb * bb - 4.0 * aa * cc
-    if disc < -tol * (aa + abs(bb) + abs(cc)) ** 2:
+    if disc < 0:
         return []
-    disc = max(disc, 0.0)
     out: list[tuple[float, float]] = []
     for root in ((-bb - math.sqrt(disc)) / (2 * aa), (-bb + math.sqrt(disc)) / (2 * aa)):
         if not -tol <= root <= 1.0 + tol:
@@ -451,28 +446,55 @@ def primitive_intersections(
     return _arc_arc(p1, p2, tol)
 
 
-def intersection_reach(
-    prim: Primitive, starts: np.ndarray, lengths: np.ndarray, tol: float = 1e-9
-) -> np.ndarray:
-    """Per segment (its start and length), a distance from ``prim`` beyond
-    which :func:`primitive_intersections` at ``tol`` reports no hit.
+def segment_crossings(
+    prim: Primitive, starts: np.ndarray, ends: np.ndarray
+) -> list[tuple[float, int]]:
+    """(s on ``prim``, i) for every crossing of ``prim`` by starts[i] -> ends[i].
 
-    Its tolerances admit near misses: nearly parallel segments within
-    tol * scale^2 / length of each other, and near a circle a discriminant
-    slack that grows as the segment shortens.  The bound doubles those and
-    adds 1e-6 of the distances involved for rounding.
+    A vertex's side is one sign, left of a segment a -> b or outside an arc's
+    circle, taken by the same expression wherever the vertex occurs: a
+    crossing through a shared vertex counts once, a touch twice or never.
+    Only the angle rule at arc ends takes a tolerance.
     """
+    starts, ends = np.asarray(starts, dtype=complex), np.asarray(ends, dtype=complex)
+    sx, sy, ex, ey = starts.real, starts.imag, ends.real, ends.imag
     if isinstance(prim, Segment):
-        rel = np.abs(starts - prim.a)
-        size = prim.length
-        scale = np.maximum(np.maximum(size, lengths), 1.0)
-        slack = tol * (2.0 * scale**2 / np.minimum(size, lengths) + size + lengths)
-    else:
-        rel = np.abs(starts - prim.center)
-        size = prim.radius
-        spread = tol * ((rel + lengths) ** 2 + size**2) ** 2 / (4.0 * lengths**2)
-        slack = tol * lengths + spread / size
-    return 2.0 * (slack + 1e-6 * (rel + lengths + size))
+        ax, ay, bx, by = prim.a.real, prim.a.imag, prim.b.real, prim.b.imag
+
+        def left(vx, vy):
+            return (bx - ax) * (vy - ay) - (by - ay) * (vx - ax) > 0
+
+        # Collinear vertices take their sides from rounding alone; closed
+        # boxes keep the disjoint collinear segments out.
+        meets = (np.maximum(sx, ex) >= min(ax, bx)) & (np.minimum(sx, ex) <= max(ax, bx))
+        meets &= (np.maximum(sy, ey) >= min(ay, by)) & (np.minimum(sy, ey) <= max(ay, by))
+        idx = np.flatnonzero((left(sx, sy) != left(ex, ey)) & meets)
+        sx, sy, dx, dy = sx[idx], sy[idx], ex[idx] - sx[idx], ey[idx] - sy[idx]
+        # The loop ends take their sides of each crossing segment alike.
+        ca = dx * (ay - sy) - dy * (ax - sx)
+        cb = dx * (by - sy) - dy * (bx - sx)
+        hit = (ca > 0) != (cb > 0)
+        return list(zip((ca[hit] / (ca[hit] - cb[hit])).tolist(), idx[hit].tolist()))
+    cx, cy, r = prim.center.real, prim.center.imag, prim.radius
+
+    def power(vx, vy):
+        return (vx - cx) * (vx - cx) + (vy - cy) * (vy - cy) - r * r
+
+    # Along a segment the power is aa u^2 + 2 hb u + power(start).
+    rx, ry, dx, dy = sx - cx, sy - cy, ex - sx, ey - sy
+    power_s = power(sx, sy)
+    out_s, out_e = power_s > 0, power(ex, ey) > 0
+    aa, hb = dx * dx + dy * dy, rx * dx + ry * dy
+    disc = hb * hb - aa * power_s
+    twice = out_s & out_e & (disc > 0) & (-hb > 0) & (-hb < aa)
+    hits: list[tuple[float, int]] = []
+    for j in np.flatnonzero((out_s != out_e) | twice).tolist():
+        root = math.sqrt(max(disc[j], 0.0))
+        for sign in (-1.0, 1.0) if twice[j] else (-1.0 if out_s[j] else 1.0,):
+            u = min(max((-hb[j] + sign * root) / aa[j], 0.0), 1.0)
+            psi = math.atan2(ry[j] + u * dy[j], rx[j] + u * dx[j])
+            hits.extend((s, j) for s in _angle_params(prim, psi))
+    return hits
 
 
 def is_embedded(loop: LoopPath, tol: float = 1e-9) -> bool:

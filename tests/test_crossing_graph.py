@@ -11,19 +11,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quasibraid import (
     Arc,
+    BivariatePolynomial,
     InputError,
     NumericalFailure,
     LoopPath,
+    UnivariatePolynomial,
+    bounding_box,
     braid_along,
     branch_points,
     crossings_of,
     free_reduce,
     graph_from_json,
     graph_to_json,
+    perturb_generic,
     sample_crossing_graph,
+    select_rotation,
     word_to_text,
 )
 from tests.test_monodromy import circle, prepared
@@ -233,6 +240,80 @@ class TestReadingLoops:
         poisoned = dataclasses.replace(graph, flagged=((0.9, -0.1, 1.1, 0.1),))
         with pytest.raises(NumericalFailure):
             crossings_of(poisoned, circle())
+
+    def test_the_first_flagged_cell_entered_is_named(self):
+        f, data = SQRT
+        graph = sample_crossing_graph(f, data, (-2, -2, 2, 2), 32)
+        cells = ((-1.9, -1.9, -1.7, -1.7), (-0.1, -0.1, 0.1, 0.1), (0.9, -0.1, 1.1, 0.1))
+        poisoned = dataclasses.replace(graph, flagged=cells)
+        # The unit circle crosses the third cell and encloses the second.
+        with pytest.raises(NumericalFailure) as caught:
+            crossings_of(poisoned, circle())
+        assert caught.value.diagnostics["cell"] == list(cells[2])
+        # A loop inside a cell crosses none of its sides.
+        inside = circle(center=-1.8 - 1.8j, radius=0.05)
+        with pytest.raises(NumericalFailure) as caught:
+            crossings_of(poisoned, inside)
+        assert caught.value.diagnostics["cell"] == list(cells[0])
+        assert word_to_text(crossings_of(poisoned, circle(center=0.5j, radius=0.2))) == ""
+
+
+class TestReadingAgreesWithContinuation:
+    """The graph and continuation are independent routes to a loop's braid
+    word; on random curves and circles their freely reduced words agree."""
+
+    RESOLUTION = 64
+    CIRCLES = 3
+
+    @settings(max_examples=10, deadline=None)
+    @given(w_degree=st.integers(2, 3), z_degree=st.integers(1, 2), data=st.data())
+    def test_random_circles_read_as_continuation(self, w_degree, z_degree, data):
+        entries = st.integers(-3, 3)
+        coeffs = [
+            UnivariatePolynomial(tuple(data.draw(entries) for _ in range(z_degree + 1)))
+            for _ in range(w_degree)
+        ]
+        f = BivariatePolynomial(tuple(coeffs) + (UnivariatePolynomial((1,)),))
+        try:
+            f, branch = perturb_generic(f)
+            branch = dataclasses.replace(branch, rotation_theta=select_rotation(f, branch))
+        except (InputError, NumericalFailure):
+            assume(False)
+        points = branch.values()
+        assume(points)
+        bx0, by0, bx1, by1 = bounding_box(points)
+        # Wider boxes make lattices whose edge halving has run for minutes.
+        assume(max(bx1 - bx0, by1 - by0) <= 10.0)
+        px, py = 0.5 + 0.2 * (bx1 - bx0), 0.5 + 0.2 * (by1 - by0)
+        region = (bx0 - px, by0 - py, bx1 + px, by1 + py)
+        graph = sample_crossing_graph(f, branch, region, self.RESOLUTION)
+        cell = max(region[2] - region[0], region[3] - region[1]) / self.RESOLUTION
+        for _ in range(self.CIRCLES):
+            # Centred near a branch point, with a radius at least 4 cells
+            # past the k-th nearest one and short of the next, so the circle
+            # encloses k of them and keeps clear of all.
+            offset = complex(data.draw(st.floats(-1, 1)), data.draw(st.floats(-1, 1)))
+            center = data.draw(st.sampled_from(points)) + 0.5 * min(px, py) * offset
+            room = min(
+                center.real - region[0],
+                region[2] - center.real,
+                center.imag - region[1],
+                region[3] - center.imag,
+            )
+            near = sorted(abs(center - z) for z in points) + [math.inf]
+            k = data.draw(st.integers(1, len(points)))
+            lo, hi = near[k - 1] + 4 * cell, min(near[k] - 4 * cell, room)
+            if hi <= lo:
+                continue
+            radius = lo + data.draw(st.floats(0.05, 0.95)) * (hi - lo)
+            turns = data.draw(st.sampled_from([1, -1]))
+            loop = circle(center, radius, turns, data.draw(st.floats(0.0, 2 * math.pi)))
+            try:
+                read = free_reduce(crossings_of(graph, loop))
+                tracked = free_reduce(braid_along(f, branch, loop))
+            except (InputError, NumericalFailure):
+                assume(False)
+            assert read == tracked, (word_to_text(read), word_to_text(tracked))
 
 
 class TestValidationAndSerialization:

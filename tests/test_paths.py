@@ -1,5 +1,6 @@
 """Tests for path primitives, winding numbers, and loop geometry."""
 
+import cmath
 import math
 
 import numpy as np
@@ -22,9 +23,9 @@ from quasibraid import (
 )
 from quasibraid.paths import (
     bbox_diameter,
-    intersection_reach,
     is_embedded,
     primitive_intersections,
+    segment_crossings,
 )
 
 
@@ -43,6 +44,11 @@ def square(half=1.0, center=0j):
     ]
     segs = [Segment(corners[i], corners[(i + 1) % 4]) for i in range(4)]
     return LoopPath(tuple(segs), closed=True)
+
+
+# The two chords that the discriminant slack once reported a full radius
+# and 0.01 off the unit circle.
+FAR_CHORDS = [Segment(-5e-6 + 2j, 5e-6 + 2j), Segment(-5e-7 + 1.01j, 5e-7 + 1.01j)]
 
 
 class TestPrimitives:
@@ -227,6 +233,10 @@ class TestIntersections:
         for s, t in chord_hits:
             assert abs(arc.point(s) - Segment(-2, 2).point(t)) < 1e-9
 
+    @pytest.mark.parametrize("chord", FAR_CHORDS, ids=["radius-off", "0.01-off"])
+    def test_short_chords_off_the_circle_do_not_meet_it(self, chord):
+        assert primitive_intersections(Arc(0j, 1, 0, 2 * math.pi), chord) == []
+
     def test_embeddedness_detects_a_figure_eight(self):
         eight = LoopPath(
             (
@@ -243,70 +253,96 @@ class TestIntersections:
         assert not is_embedded(circle(turns=2))
 
 
-def box_gap(p, q):
-    """The gap between the bounding boxes of two primitives, the distance
-    that crossings_of compares with intersection_reach."""
-    a, b = bounding_box([p]), bounding_box([q])
-    return max(b[0] - a[2], a[0] - b[2], b[1] - a[3], a[1] - b[3])
+def crossings(prim, polyline):
+    """segment_crossings of ``prim`` by the steps of a polyline."""
+    points = np.array(polyline, dtype=complex)
+    return segment_crossings(prim, points[:-1], points[1:])
 
 
-def near_miss_gaps(prim, chords):
-    """(box gap, reach) of every chord that primitive_intersections reports
-    as meeting ``prim`` at its default tolerance."""
-    out = []
-    for chord in chords:
-        if primitive_intersections(prim, chord):
-            reach = intersection_reach(prim, np.array([chord.a]), np.array([chord.length]))
-            out.append((box_gap(prim, chord), float(reach[0])))
-    return np.array(out)
+def loop_crossings(loop_points, polyline):
+    """Crossings of a polyline by every segment of an open polyline loop."""
+    return [
+        hit
+        for a, b in zip(loop_points, loop_points[1:])
+        for hit in crossings(Segment(a, b), polyline)
+    ]
 
 
-# Offsets from exact contact, past the widest near miss either routine admits.
-OFFSETS = np.logspace(-14, 1, 31)
+class TestSegmentCrossings:
+    """Each vertex is put on one side of a loop primitive by one sign, so a
+    crossing through a shared vertex counts once and a touch counts twice or
+    not at all."""
 
+    @pytest.mark.parametrize(
+        "prim, joint",
+        [(Segment(-1, 1), 0.25 + 0j), (Segment(0j, 3 + 1j), 1.5 + 0.5j)],
+        ids=["axis", "slanted"],
+    )
+    def test_a_polyline_joint_on_a_loop_segment_is_crossed_once(self, prim, joint):
+        normal = 1j * (prim.b - prim.a)
+        for before, after in ((-0.7, 0.8), (0.1, -0.4), (-0.7, 0.0)):
+            path = [joint + normal + before, joint, joint - normal + after]
+            assert len(crossings(prim, path)) == 1
+            assert len(crossings(prim, path[::-1])) == 1
 
-class TestIntersectionReach:
-    """crossings_of skips every locus segment whose box lies farther from a
-    loop primitive's box than intersection_reach; a chord reported as a hit
-    must never lie that far away, however slack the tolerances make the hit."""
+    def test_a_polyline_touching_a_loop_line_at_a_joint_does_not_cross(self):
+        prim = Segment(-1, 1)
+        # Right of the loop's direction: the touching joint's own side.
+        assert crossings(prim, [0.1 - 1j, 0.25, 0.4 - 1j]) == []
+        # From the left the joint is crossed into and out of again.
+        hits = crossings(prim, [0.1 + 1j, 0.25, 0.4 + 1j])
+        assert [j for _, j in hits] == [0, 1]
+        assert hits[0][0] == hits[1][0]
 
-    def test_near_parallel_segments_lie_within_reach(self):
-        gaps = []
-        for length in (1e-4, 1e-2, 1.0, 4.0):
-            for angle in (0.0, 0.3, 1.1):
-                u = complex(math.cos(angle), math.sin(angle))
-                prim = Segment(0.2 - 0.1j, 0.2 - 0.1j + length * u)
-                for chord_length in (1e-6, 1e-4, 1e-2, 1.0):
-                    for along in (-0.5, 0.3, 0.9):
-                        for tilt in (0.0, 1e-12, -1e-9, 1e-6):
-                            d = chord_length * u * complex(math.cos(tilt), math.sin(tilt))
-                            starts = prim.a + along * length * u + OFFSETS * 1j * u
-                            gaps.extend(near_miss_gaps(prim, [Segment(a, a + d) for a in starts]))
-        gaps = np.array(gaps)
-        assert np.all(gaps[:, 0] <= gaps[:, 1])
-        # Parallel near misses reach tol * scale^2 / length off the line.
-        assert gaps[:, 0].max() > 1e-6
+    @pytest.mark.parametrize("psi", [0.0, 0.9, 2.0, -2.6])
+    def test_near_tangent_chords_of_a_circle_cross_it_twice_or_not_at_all(self, psi):
+        arc = Arc(0.3 + 0.2j, 0.7, 0.4, 0.4 + 2 * math.pi)
+        normal = cmath.rect(1.0, psi)
+        counts = set()
+        for length in np.logspace(-7, -2, 11):
+            d = length * 1j * normal
+            for offset in np.concatenate([-np.logspace(-14, -2, 25), np.logspace(-14, -2, 25)]):
+                foot = arc.center + (arc.radius + offset) * normal
+                count = len(crossings(arc, [foot - d / 2, foot + d / 2]))
+                assert count in (0, 2), (length, offset)
+                counts.add(count)
+        assert counts == {0, 2}
 
-    def test_near_tangent_short_chords_lie_within_reach(self):
-        gaps = []
-        for radius in (0.5, 2.0):
-            for span in (2 * math.pi, 1.0):
-                arc = Arc(0.3 + 0.2j, radius, 0.4, 0.4 + span)
-                for psi in (0.9, 0.4 + span + 0.01):
-                    normal = complex(math.cos(psi), math.sin(psi))
-                    for length in (1e-7, 1e-6, 1e-5, 1e-4, 1e-2):
-                        for along in (0.0, 0.5, 1.0):
-                            for tilt in (0.0, 1e-3):
-                                d = length * 1j * normal * complex(math.cos(tilt), math.sin(tilt))
-                                for side in (1.0, -1.0):
-                                    feet = arc.center + (radius + side * OFFSETS) * normal
-                                    starts = feet - along * d
-                                    chords = [Segment(a, a + d) for a in starts]
-                                    gaps.extend(near_miss_gaps(arc, chords))
-        gaps = np.array(gaps)
-        assert np.all(gaps[:, 0] <= gaps[:, 1])
-        # The discriminant slack reports short chords far off the circle.
-        assert gaps[:, 0].max() > 1e-2
+    def test_far_chords_do_not_cross_the_circle(self):
+        arc = Arc(0j, 1.0, 0.0, 2 * math.pi)
+        for chord in FAR_CHORDS:
+            assert crossings(arc, [chord.a, chord.b]) == []
+
+    @pytest.mark.parametrize("angle", [math.pi / 4, 0.3, 1.0, -2.2, 3 * math.pi / 4])
+    def test_collinear_disjoint_segments_do_not_cross(self, angle):
+        # The figure loop's sticks lie on the line of the quartic's diagonal
+        # locus rays; sides taken from rounding alone must not make a hit.
+        u = cmath.rect(1.0, angle)
+        prim = Segment(0.3 * u, 0.7 * u)
+        for lo, hi in ((0.9, 1.3), (-0.6, 0.1), (0.71, 2.0), (-5.0, 0.2999)):
+            assert crossings(prim, [lo * u, hi * u]) == []
+            assert crossings(prim, [hi * u, lo * u]) == []
+            assert crossings(prim, [lo * u, (lo + hi) / 2 * u, hi * u]) == []
+
+    def test_a_crossing_at_a_loop_joint_counts_once(self):
+        locus = [-1j, 0.3j, 1j]
+        # The loop crosses the locus line through its joint 0.3i.
+        assert len(loop_crossings([-1 - 1j, 0.3j, 1 - 1j], locus)) == 1
+        assert len(loop_crossings([1 - 1j, 0.3j, -1 - 1j], locus)) == 1
+        assert len(loop_crossings([-1 + 0.3j, 0.3j, 1 + 0.3j], [-1j, 1j])) == 1
+        # A loop touching the locus at its joint and turning back crosses
+        # it an even number of times.
+        assert len(loop_crossings([-1 - 1j, 0.3j, -1 + 1j], locus)) % 2 == 0
+
+    @pytest.mark.parametrize("turns", [1, 2, -2, 3])
+    def test_multi_turn_arcs_are_crossed_once_per_turn(self, turns):
+        arc = Arc(0j, 1.0, 0.3, 0.3 + turns * 2 * math.pi)
+        hits = crossings(arc, [0j, 2 + 0j])
+        assert len(hits) == abs(turns)
+        assert len({round(s, 9) for s, _ in hits}) == abs(turns)
+        for s, _ in hits:
+            assert abs(arc.point(s) - 1) < 1e-12
+        assert len(crossings(arc, [-2 + 0j, 2 + 0j])) == 2 * abs(turns)
 
 
 class TestSerialization:

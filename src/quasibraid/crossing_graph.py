@@ -31,6 +31,7 @@ import math
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,13 @@ class CrossingGraph:
                 raise InputError(
                     f"segment label {seg.label} outside 1..{self.strands - 1}"
                 )
+
+    @cached_property
+    def _segment_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end points of every segment, built once per graph."""
+        starts = np.array([seg.start for seg in self.segments], dtype=complex)
+        ends = np.array([seg.end for seg in self.segments], dtype=complex)
+        return starts, ends
 
 
 def _sorted_fibers(f: BivariatePolynomial, rot: complex, zs: np.ndarray) -> np.ndarray:
@@ -469,8 +477,7 @@ def crossings_of(graph: CrossingGraph, loop: LoopPath) -> BraidWord:
         )
 
     segments = graph.segments
-    starts = np.array([seg.start for seg in segments], dtype=complex)
-    ends = np.array([seg.end for seg in segments], dtype=complex)
+    starts, ends = graph._segment_ends
     hits: list[tuple[float, int, int]] = []
     for prim, (t_lo, t_hi) in zip(loop.primitives, loop.primitive_spans()):
         for s_prim, j in segment_crossings(prim, starts, ends):

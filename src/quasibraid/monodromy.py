@@ -21,6 +21,14 @@ accepted step, and all brackets of a pass are closed in one batch at its end
 by :func:`quasibraid.fibers.bisect_crossings`, to a width of
 ``BISECTION_T_TOL`` in at most three times the evaluations halving took.
 
+Steps are judged at their ends only, so a swap and its inverse can hide
+inside one step.  Stabilization checks every accepted step of a pass once
+more at its parameter midpoint: both halves must pass the acceptance rule,
+the second keeping the strands' identity, and the swaps of the two halves
+together must be the step's own.  A failing step sends the whole pass back
+at half the cap; the letters of a step that passes still come from the one
+bracket of its swap.
+
 The module also builds lollipop loops (per-target stick, counterclockwise
 circle, stick back) whose crossing events split into conjugator and band
 letters, producing a quasipositive factorization of the loop's braid.
@@ -79,6 +87,7 @@ BISECTION_MAX_HALVINGS = 64
 STEP_UNDERFLOW = 1e-12
 CLEARANCE_FLOOR_FACTOR = 1e-3
 _CHUNK = 64
+_REFINEMENTS = 6
 
 
 @dataclass(frozen=True)
@@ -157,39 +166,85 @@ def track_roots(
     Each swap is bracketed by its accepted step, and all brackets of a pass
     are closed on their crossings in one batch after it.
 
-    With ``stabilize`` on (the default) the pass is repeated at half the cap
-    and must reproduce the letter sequence exactly; otherwise the cap keeps
-    halving, so a pair of crossings hiding inside a single step cannot go
-    unnoticed.  The first pass that survives its own refinement is returned.
+    With ``stabilize`` on (the default) every accepted step of the pass is
+    checked at its parameter midpoint (see :func:`_midpoint_failure`), so a
+    pair of crossings hiding inside a single step cannot go unnoticed.  When
+    a step fails, the pass is repeated at half the cap, up to six times; the
+    first pass whose steps all survive is returned.  Otherwise the raised
+    ``NumericalFailure`` gives the last cap and the last failing step's t,
+    h, primitive index and the rule it broke.
     """
     _clearance_check(branch, loop)
-    track = _track_once(f, branch, loop, step_cap_fraction)
-    if not stabilize:
-        return track
-    cap = step_cap_fraction
-    for _ in range(6):
-        finer = _track_once(f, branch, loop, cap / 2.0)
-        if _letters_of(track) == _letters_of(finer):
+    rot = _cis(branch.rotation_theta)
+    for halvings in range(_REFINEMENTS + 1):
+        cap = step_cap_fraction * 0.5**halvings
+        track, *steps = _track_once(f, branch, loop, rot, cap)
+        failure = _midpoint_failure(f, loop, rot, *steps) if stabilize else None
+        if failure is None:
             return track
-        track = finer
-        cap /= 2.0
     raise NumericalFailure(
         "crossing sequence did not stabilize under step refinement",
-        diagnostics={"final_cap": cap},
+        diagnostics={"final_cap": cap, **failure},
     )
 
 
-def _letters_of(track: Track) -> tuple[tuple[int, int], ...]:
-    return tuple((e.position, e.sign) for e in track.events)
+def _midpoint_failure(
+    f: BivariatePolynomial,
+    loop: LoopPath,
+    rot: complex,
+    ts: np.ndarray,
+    fibers: np.ndarray,
+    orders: np.ndarray,
+) -> dict | None:
+    """Context of the first accepted step that its midpoint fiber contradicts.
+
+    ``ts`` are a pass's step ends from t = 0, ``fibers`` its tracked fibers
+    there and ``orders`` their strand orders.  Each step is split at its
+    parameter midpoint, whose fiber is solved in blocks of ``_CHUNK`` steps.
+    The step stands when its first half passes the pass's own acceptance
+    rule, its second half does too while keeping the strands' identity, and
+    the swaps of the two halves together are the step's own swap positions,
+    so a swap and its inverse inside one step, a split swap or a shifted one
+    all fail.  Returns None when every step stands.
+    """
+    n = fibers.shape[-1]
+    for start in range(0, len(ts) - 1, _CHUNK):
+        stop = min(start + _CHUNK, len(ts) - 1)
+        t_lo, t_hi = ts[start:stop], ts[start + 1 : stop + 1]
+        lo, hi = fibers[start:stop], fibers[start + 1 : stop + 1]
+        order_lo, order_hi = orders[start:stop], orders[start + 1 : stop + 1]
+        raw = solve(f, loop.sample_points(0.5 * (t_lo + t_hi)))
+        sel, move_in, bijective = match(lo, raw)
+        mid = np.take_along_axis(raw, sel, axis=-1)
+        sel_out, move_out, _ = match(mid, hi)
+        first = bijective & (move_in < min_gap(lo) / 3.0)
+        second = (sel_out == np.arange(n)).all(axis=-1) & (move_out < min_gap(raw) / 3.0)
+        swaps = np.ones(len(t_lo), dtype=bool)
+        order_mid = _orders(mid, rot)
+        moved = (order_lo != order_mid).any(axis=-1) | (order_mid != order_hi).any(axis=-1)
+        for i in np.flatnonzero(moved & first & second):
+            a, m, b = order_lo[i].tolist(), order_mid[i].tolist(), order_hi[i].tolist()
+            halves = (_adjacent_swaps(a, m), _adjacent_swaps(m, b))
+            whole = _adjacent_swaps(a, b)
+            swaps[i] = None not in halves and sorted(halves[0] + halves[1]) == sorted(whole)
+        bad = ~(first & second & swaps)
+        if bad.any():
+            i = int(np.argmax(bad))
+            rule = "first half" if not first[i] else "second half" if not second[i] else "swaps"
+            t = float(t_lo[i])
+            return {"t": t, "h": float(t_hi[i]) - t, "primitive": loop._locate(t)[0], "rule": rule}
+    return None
 
 
 def _track_once(
     f: BivariatePolynomial,
     branch: BranchData,
     loop: LoopPath,
+    rot: complex,
     step_cap_fraction: float,
-) -> Track:
-    rot = complex(math.cos(branch.rotation_theta), math.sin(branch.rotation_theta))
+) -> tuple[Track, np.ndarray, np.ndarray, np.ndarray]:
+    """One continuation pass at the given cap: the track, and the accepted
+    step ends from t = 0 with the tracked fibers and strand orders there."""
     n = f.w_degree
 
     roots0 = solve(f, np.array([loop.point_at(0.0)]))[0]
@@ -211,6 +266,7 @@ def _track_once(
     brackets: list[tuple[complex, complex, complex, complex, float, float, int]] = []
     t_cur, roots_cur, gap_cur, order_cur = 0.0, roots0, gap0, order0
     h, streak, accepted = step_cap_fraction, 0, 0
+    steps_t, steps_fibers, steps_orders = [np.zeros(1)], [roots0[None]], [order0[None]]
 
     while t_cur < 1.0 - 1e-15:
         steps_left = int(math.ceil((1.0 - t_cur) / h - 1e-12))
@@ -247,6 +303,9 @@ def _track_once(
 
         accepted += k
         streak += k
+        steps_t.append(ts[:k])
+        steps_fibers.append(tracked[:k])
+        steps_orders.append(orders[:k])
         if k:
             t_cur = float(ts[k - 1])
             roots_cur, gap_cur, order_cur = tracked[k - 1], gaps[k - 1], orders[k - 1]
@@ -311,7 +370,7 @@ def _track_once(
         images[pos0[sel] - 1] = pos0
         permutation = tuple(images.tolist())
 
-    return Track(
+    track = Track(
         events=tuple(events),
         start_roots=tuple(complex(v) for v in roots0),
         end_roots=tuple(complex(v) for v in roots_cur),
@@ -319,6 +378,7 @@ def _track_once(
         theta=branch.rotation_theta,
         accepted_steps=accepted,
     )
+    return track, *map(np.concatenate, (steps_t, steps_fibers, steps_orders))
 
 
 def braid_along(

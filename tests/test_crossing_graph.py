@@ -211,6 +211,17 @@ class TestReadingLoops:
         path = circle(turns=turns, **loop)
         assert crossings_of(graph, path) == braid_along(f, data, path)
 
+    def test_repeated_and_round_tripped_reads_agree(self):
+        f, data = QUARTIC
+        graph = sample_crossing_graph(f, data, (-2, -2, 2, 2), 96)
+        loops = (circle(radius=1.8, start_angle=1.0), circle(center=1 + 1j, radius=0.8))
+        first = [crossings_of(graph, loop) for loop in loops]
+        assert [crossings_of(graph, loop) for loop in loops] == first
+        copy = graph_from_json(graph_to_json(graph))
+        assert [crossings_of(copy, loop) for loop in loops] == first
+        assert copy == graph
+        assert first[0].letters
+
     def test_open_loops_are_rejected(self):
         f, data = SQRT
         graph = sample_crossing_graph(f, data, (-2, -2, 2, 2), 32)

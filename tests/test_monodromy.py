@@ -7,6 +7,7 @@ else is checked against that anchor plus group-theoretic consistency.
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,17 @@ def realize_case():
     return plan.f, plan.branch, loop
 
 
+def hidden_pair_case():
+    """The circle of w^2 - z (theta = 0) that dips across the crossing locus,
+    the negative real axis, on a chord of length 0.005 centred inside one
+    cap-sized step of 2*pi*0.3/256: a swap and its inverse in one step."""
+    f, data = SQRT
+    step = 2 * math.pi / 256
+    start = -math.pi / 2 + step / 2 - 40 * step
+    arc = Arc(-0.5 + 1j * math.sqrt(0.09 - 0.0025**2), 0.3, start, start + 2 * math.pi)
+    return f, replace(data, rotation_theta=0.0), LoopPath((arc,), closed=True)
+
+
 def frozen_cases():
     """(name, f, branch data, loop) of every track in track_events.json."""
     f, data = QUARTIC
@@ -325,6 +337,44 @@ class TestFrozenTracks:
         assert frozen_records() == frozen
 
 
+class TestHiddenPair:
+    def test_one_pass_misses_the_pair(self):
+        track = track_roots(*hidden_pair_case(), stabilize=False)
+        assert track.accepted_steps == 256
+        assert track.events == ()
+
+    def test_the_midpoint_check_reads_the_pair_at_half_the_cap(self):
+        track = track_roots(*hidden_pair_case())
+        assert track.accepted_steps == 512
+        assert [(e.position, e.sign) for e in track.events] == [(1, 1), (1, -1)]
+        assert [round(e.t, 3) for e in track.events] == [0.153, 0.156]
+
+    @staticmethod
+    def midpoint_failure_after(edit):
+        """The midpoint check's verdict on the clean half-cap pass of the
+        hidden-pair loop after ``edit(fibers)`` corrupts its tracked fibers."""
+        f, data, loop = hidden_pair_case()
+        rot = complex(math.cos(data.rotation_theta), math.sin(data.rotation_theta))
+        _, ts, fibers, orders = monodromy._track_once(f, data, loop, rot, 1 / 512)
+        edit(fibers)
+        return ts, monodromy._midpoint_failure(f, loop, rot, ts, fibers, orders)
+
+    def test_a_relabelled_strand_breaks_the_second_half(self):
+        def relabel(fibers):
+            fibers[10] = fibers[10][::-1]
+
+        ts, failure = self.midpoint_failure_after(relabel)
+        assert failure["rule"] == "second half"
+        assert failure["t"] == ts[9] and failure["h"] == ts[10] - ts[9]
+
+    def test_a_displaced_fiber_breaks_the_first_half(self):
+        def displace(fibers):
+            fibers[0] += monodromy.min_gap(fibers[0])
+
+        _, failure = self.midpoint_failure_after(displace)
+        assert failure["rule"] == "first half" and failure["t"] == 0.0
+
+
 class TestChunking:
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_chunk_size_does_not_change_the_track(self, monkeypatch, chunk):
@@ -332,9 +382,10 @@ class TestChunking:
         # depend on where chunks end; a chunk of one is the step-by-step loop.
         f, data = QUARTIC
         loops = (figure_loop(), circle(radius=1.5, turns=2, start_angle=0.4), three_target_lollipop())
-        reference = [track_roots(f, data, loop) for loop in loops]
+        cases = [(f, data, loop) for loop in loops] + [hidden_pair_case()]
+        reference = [track_roots(*case) for case in cases]
         monkeypatch.setattr(monodromy, "_CHUNK", chunk)
-        assert [track_roots(f, data, loop) for loop in loops] == reference
+        assert [track_roots(*case) for case in cases] == reference
 
 
 class TestFailureContext:
@@ -350,6 +401,17 @@ class TestFailureContext:
         assert diagnostics["h"] < 2 * 0.003
         assert diagnostics["max_move"] >= diagnostics["gap"] / 3.0
         assert diagnostics["primitive"] == 0
+
+    def test_unstable_crossings_report_the_cap_step_primitive_and_rule(self, monkeypatch):
+        monkeypatch.setattr(monodromy, "_REFINEMENTS", 0)
+        with pytest.raises(NumericalFailure, match="did not stabilize") as info:
+            track_roots(*hidden_pair_case())
+        diagnostics = info.value.diagnostics
+        assert diagnostics["final_cap"] == 1 / 256
+        assert diagnostics["h"] == pytest.approx(1 / 256)
+        assert diagnostics["t"] < 0.153 and 0.156 < diagnostics["t"] + diagnostics["h"]
+        assert diagnostics["primitive"] == 0
+        assert diagnostics["rule"] == "swaps"
 
 
 if __name__ == "__main__":

@@ -49,6 +49,7 @@ __all__ = [
 
 SEPARATION_FLOOR_FACTOR = 1e-4
 ROTATION_SAMPLES = 720
+PERTURB_TRIALS = 24
 GENERICITY_RTOL = 1e-6
 # Accepted coefficient residual of a branch fiber rebuilt from its roots; a
 # fiber over a branch point carries a near-double root.
@@ -148,11 +149,7 @@ def _merge_double_roots(vals: np.ndarray) -> np.ndarray:
     return np.concatenate([vals[keep].reshape(count, n - 2), mid[:, None]], axis=1)
 
 
-def check_genericity(
-    f: BivariatePolynomial,
-    data: BranchData,
-    rtol: float = GENERICITY_RTOL,
-) -> GenericityReport:
+def check_genericity(f: BivariatePolynomial, data: BranchData) -> GenericityReport:
     """Certify that every branch fiber has one simple double root.
 
     Checks, per branch point: the fiber has exactly n-1 distinct values with a
@@ -185,7 +182,7 @@ def check_genericity(
             tangents[k] = (z_t, w_t)
     fibers_t = _certified_fibers(f, [z_t for z_t, _ in tangents.values()])
     for (k, (z_t, w_t)), vals in zip(tangents.items(), fibers_t):
-        reason = _tangent_issue(f, z_t, w_t, vals, rtol)
+        reason = _tangent_issue(f, z_t, w_t, vals)
         if reason is not None:
             issues[k] = reason
     return GenericityReport(
@@ -194,7 +191,7 @@ def check_genericity(
     )
 
 
-def _tangent_issue(f: BivariatePolynomial, z_t, w_t, tangent_vals, rtol: float) -> str | None:
+def _tangent_issue(f: BivariatePolynomial, z_t, w_t, tangent_vals) -> str | None:
     """Why the fiber over the tangent point (z_t, w_t) is not one simple
     double root at w_t plus n - 2 simple roots, or None."""
     n = f.w_degree
@@ -211,9 +208,9 @@ def _tangent_issue(f: BivariatePolynomial, z_t, w_t, tangent_vals, rtol: float) 
         return f"fiber does not split into one double and {n - 2} simple roots"
     (dz_val, dww_val), scales = f.jet(z_t, w_t, ((1, 0), (0, 2)))
     dz_scale, dww_scale = np.maximum(scales, 1e-300)
-    if abs(dz_val) <= rtol * dz_scale:
+    if abs(dz_val) <= GENERICITY_RTOL * dz_scale:
         return "z-derivative vanishes at the double root"
-    if abs(dww_val) <= rtol * dww_scale:
+    if abs(dww_val) <= GENERICITY_RTOL * dww_scale:
         return "second w-derivative vanishes at the double root"
     return None
 
@@ -256,7 +253,6 @@ def _separation_ok(values: tuple[complex, ...]) -> bool:
 def perturb_generic(
     f: BivariatePolynomial,
     budget: float = 1e-2,
-    max_trials: int = 24,
 ) -> tuple[BivariatePolynomial, BranchData]:
     """Replace f by f + epsilon*w with the smallest workable epsilon.
 
@@ -274,7 +270,7 @@ def perturb_generic(
         pass
 
     best: tuple[BivariatePolynomial, BranchData, complex] | None = None
-    for k in range(max_trials):
+    for k in range(PERTURB_TRIALS):
         eps = budget * 2.0 ** (-k)
         candidate = f.add_w_linear(eps)
         try:
@@ -291,17 +287,13 @@ def perturb_generic(
     if best is None:
         raise NumericalFailure(
             "no epsilon in the trial sequence produced a generic branch locus",
-            diagnostics={"budget": budget, "trials": max_trials},
+            diagnostics={"budget": budget, "trials": PERTURB_TRIALS},
         )
     candidate, data, eps = best
     return candidate, replace(data, generic=True, perturbation=eps)
 
 
-def select_rotation(
-    f: BivariatePolynomial,
-    data: BranchData,
-    samples: int = ROTATION_SAMPLES,
-) -> float:
+def select_rotation(f: BivariatePolynomial, data: BranchData) -> float:
     """Angle theta making the rotated real parts distinct over every branch fiber.
 
     The double root of each branch fiber counts once, at its pair midpoint.
@@ -321,11 +313,11 @@ def select_rotation(
     def gap(theta: float) -> float:
         return float(gaps(np.array([theta]))[0])
 
-    thetas = np.arange(samples) * (2.0 * math.pi / samples)
+    thetas = np.arange(ROTATION_SAMPLES) * (2.0 * math.pi / ROTATION_SAMPLES)
     best_idx = int(np.argmax(gaps(thetas)))
 
-    lo = thetas[best_idx] - 2.0 * math.pi / samples
-    hi = thetas[best_idx] + 2.0 * math.pi / samples
+    lo = thetas[best_idx] - 2.0 * math.pi / ROTATION_SAMPLES
+    hi = thetas[best_idx] + 2.0 * math.pi / ROTATION_SAMPLES
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
@@ -379,5 +371,5 @@ def branch_data_from_json(payload: dict) -> BranchData:
             rotation_theta=float(payload.get("theta", 0.0)),
             perturbation=None if eps is None else complex(eps[0], eps[1]),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InputError(f"malformed branch data JSON: {exc}") from exc

@@ -350,13 +350,15 @@ _SCHEMAS = (
 
 def _validate_payload(payload: dict) -> str:
     """Round-trip one payload through its schema; returns the kind name."""
+    if not isinstance(payload, dict):
+        raise InputError("JSON does not match any known schema")
     if {"polynomial", "loop", "verification"} <= set(payload):
         _validate_payload(payload["polynomial"])
         _validate_payload(payload["loop"])
         _validate_payload(payload["verification"])
         return "realization bundle"
     for kind, detect, load, dump in _SCHEMAS:
-        if not isinstance(payload, dict) or not detect(payload):
+        if not detect(payload):
             continue
         rebuilt = dump(load(payload))
         before = json.dumps(payload, sort_keys=True)

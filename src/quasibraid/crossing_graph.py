@@ -37,7 +37,7 @@ import numpy as np
 
 from .branch import BranchData
 from .errors import InputError, NumericalFailure
-from .fibers import bisect_crossings, match, min_gap, solve
+from .fibers import bisect_crossings, min_gap, orders, solve, step, swaps
 from .paths import LoopPath, bounding_box, segment_crossings
 from .poly import BivariatePolynomial
 from .words import BraidLetter, BraidWord
@@ -114,30 +114,11 @@ class CrossingGraph:
 
 def _sorted_fibers(f: BivariatePolynomial, rot: complex, zs: np.ndarray) -> np.ndarray:
     fibers = solve(f, zs)
-    rv = rot * fibers
-    order = np.lexsort((rv.imag, rv.real), axis=-1)
-    return np.take_along_axis(fibers, order, axis=-1)
+    return np.take_along_axis(fibers, orders(fibers, rot), axis=-1)
 
 
 def _row_adjacent_re_gap(vals: np.ndarray, rot: complex) -> np.ndarray:
     return np.diff((rot * vals).real, axis=-1).min(axis=-1)
-
-
-def _classify_perms(sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Position p of rows that are the single adjacent transposition (p, p+1),
-    else -1, and the mask of rows that are neither that nor the identity."""
-    n = sel.shape[1]
-    mism = sel != np.arange(n)
-    counts = mism.sum(axis=1)
-    p = mism.argmax(axis=1)
-    rows = np.arange(sel.shape[0])
-    single = (
-        (counts == 2)
-        & (p + 1 < n)
-        & (sel[rows, p] == p + 1)
-        & (sel[rows, np.minimum(p + 1, n - 1)] == p)
-    )
-    return np.where(single, p, -1), (counts > 0) & ~single
 
 
 def _edge_events(
@@ -157,16 +138,19 @@ def _edge_events(
     ``_EDGE_SPLIT_DEPTH`` times.  A rotated real-part tie at an endpoint
     leaves an edge unresolved.
     """
-    sel, move, bij = match(fa, fb)
     tie_floor = 1e-11 * scale
     untied = (_row_adjacent_re_gap(fa, rot) >= tie_floor) & (
         _row_adjacent_re_gap(fb, rot) >= tie_floor
     )
-    ok = bij & (move < min_gap(fa) / 3.0) & untied
-    swap_pos, other = _classify_perms(sel)
+    sel, _, ok = step(fa, fb, min_gap(fa))
+    # Both fibers are sorted, so sel maps each position of a to its strand's
+    # position in b; a set of disjoint swaps is its own inverse.
+    valid, pairs = swaps(np.arange(fa.shape[-1]), sel)
+    count = pairs.sum(axis=-1)
+    resolved = untied & ok & valid & (count <= 1)
     events: dict[int, list[tuple[complex, int, int]]] = {}
-    simple = np.flatnonzero(ok & (swap_pos >= 0))
-    p = swap_pos[simple]
+    simple = np.flatnonzero(resolved & (count == 1))
+    p = pairs[simple].argmax(axis=-1)
     a, b, rows = a_pts[simple], b_pts[simple], np.arange(len(p))
     ref, far = fa[simple], fb[simple]
     _, z_star, _, _, sign = bisect_crossings(
@@ -185,7 +169,7 @@ def _edge_events(
         events[int(e)] = [(complex(z), int(label), int(s))]
 
     unresolved = set(np.flatnonzero(~untied).tolist())
-    split = np.flatnonzero(untied & (~ok | other))
+    split = np.flatnonzero(untied & ~resolved)
     if depth >= _EDGE_SPLIT_DEPTH or split.size == 0:
         return events, unresolved | set(split.tolist())
     mid = 0.5 * (a_pts[split] + b_pts[split])

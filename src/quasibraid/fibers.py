@@ -2,13 +2,18 @@
 
 The fiber over z is the n roots in w of f(z, w), solved for a batch of z as
 the eigenvalues of stacked companion matrices.  Fibers are matched root to
-root by nearest distance, and :func:`bisect_crossings` closes every bracket
-of a batch on the crossing inside it with one solve per iteration over the
-open brackets: a safeguarded regula falsi (Illinois) step, or a midpoint
-step whenever two evaluations in a row have not halved the bracket.  A
-bracket closes at its tolerance (``t_tol``, or 2^-``max_halvings`` of its
-width, the width fixed halving reached) after at most 3 * ``max_halvings``
-evaluations, or earlier once its midpoint repeats the z of an end.
+root by nearest distance.  The kernel owns the rules every fiber walk shares,
+each applied to whole batches: :func:`step` accepts a step when the matching
+is a bijection and no root moves a third of the smallest root gap,
+:func:`orders` sorts strands by rotated real part, and :func:`swaps` reads
+the adjacent strand pairs that changed places.  :func:`bisect_crossings`
+closes every bracket of a batch on the crossing inside it with one solve per
+iteration over the open brackets: a safeguarded regula falsi (Illinois)
+step, or a midpoint step whenever two evaluations in a row have not halved
+the bracket.  A bracket closes at its tolerance (``t_tol``, or
+2^-``max_halvings`` of its width, the width fixed halving reached) after at
+most 3 * ``max_halvings`` evaluations, or earlier once its midpoint repeats
+the z of an end.
 """
 
 from __future__ import annotations
@@ -57,6 +62,34 @@ def match(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     move = d.min(axis=-1).max(axis=-1)
     bijective = (np.sort(sel, axis=-1) == np.arange(old.shape[-1])).all(axis=-1)
     return sel, move, bijective
+
+
+def step(
+    old: np.ndarray, new: np.ndarray, gap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`match` of ``old`` to ``new``, and whether the step is accepted:
+    the match is a bijection and no root moves a third of ``gap``, the
+    smallest root distance in ``old``, which makes the match provably right."""
+    sel, move, bijective = match(old, new)
+    return sel, move, bijective & (move < gap / 3.0)
+
+
+def orders(vals: np.ndarray, rot: complex) -> np.ndarray:
+    """Strand order of every fiber: root indices by increasing real part of
+    ``rot * w``, ties broken by the imaginary part."""
+    rv = rot * vals
+    return np.lexsort((rv.imag, rv.real), axis=-1)
+
+
+def swaps(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read each change of strand orders ``old`` -> ``new`` (permutations over
+    the last axis) as swaps: ``pairs`` masks the positions p whose strands p,
+    p+1 changed places, and ``valid`` says nothing else moved.  Between
+    permutations two such exchanges never overlap, and both of their
+    positions move, so ``valid`` holds when exchanges move every position
+    that moved."""
+    pairs = (old[..., :-1] == new[..., 1:]) & (old[..., 1:] == new[..., :-1])
+    return (old != new).sum(axis=-1) == 2 * pairs.sum(axis=-1), pairs
 
 
 # Rotated parts are written out rather than taken from ``rot * w``: numpy's
@@ -127,7 +160,7 @@ def bisect_crossings(
     # parameter spacing of representable z, below which it repeats the end.
     with np.errstate(divide="ignore", invalid="ignore"):
         spacing = np.spacing(np.abs([z_lo, z_hi]).max(axis=0)) * (hi - lo) / np.abs(z_hi - z_lo)
-    step = np.fmax(0.5 * tol, spacing)
+    margin = np.fmax(0.5 * tol, spacing)
     mark = hi - lo  # the width when it last halved
     stale = np.zeros(len(lo), dtype=int)  # evaluations since then
     last = np.zeros(len(lo), dtype=int)  # end the last step replaced: -1 lo, 1 hi
@@ -149,7 +182,7 @@ def bisect_crossings(
         # closes the bracket from the other side.
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = ga / (ga - gb)
-            x = np.clip(a + frac * (b - a), a + step[idx], b - step[idx])
+            x = np.clip(a + frac * (b - a), a + margin[idx], b - margin[idx])
         secant = (stale[idx] < 2) & (frac >= 0) & (frac <= 1) & (a < x) & (x < b)
         x = np.where(secant, x, mid)
         z = point(x, idx)

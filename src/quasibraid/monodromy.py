@@ -15,7 +15,8 @@ Continuation is solve-and-match on the shared kernel :mod:`quasibraid.fibers`:
 fibers are solved in chunks of steps and matched to the previous step by
 nearest distance, a step being accepted only when the largest root displacement
 stays below a third of the smallest pairwise root distance.  That bound makes
-nearest matching provably bijective.  A chunk is judged with array operations
+nearest matching provably bijective.  Each chunk is judged by the kernel's
+step rule and its strand-order changes decoded into swaps by one call each,
 up to its first rejected step.  Every swap is recorded as a bracket over its
 accepted step, and all brackets of a pass are closed in one batch at its end
 by :func:`quasibraid.fibers.bisect_crossings`, to a width of
@@ -44,7 +45,8 @@ import numpy as np
 
 from .branch import BranchData
 from .errors import InputError, NumericalFailure
-from .fibers import bisect_crossings, match, min_gap, solve
+from .fibers import bisect_crossings, min_gap, solve, step, swaps
+from .fibers import orders as strand_orders
 from .paths import (
     Arc,
     LoopPath,
@@ -88,6 +90,7 @@ STEP_UNDERFLOW = 1e-12
 CLEARANCE_FLOOR_FACTOR = 1e-3
 _CHUNK = 64
 _REFINEMENTS = 6
+RADIUS_RETRIES = 6
 
 
 @dataclass(frozen=True)
@@ -111,26 +114,6 @@ class Track:
     permutation: tuple[int, ...] | None
     theta: float
     accepted_steps: int
-
-
-def _orders(vals: np.ndarray, rot: complex) -> np.ndarray:
-    rv = rot * vals
-    return np.lexsort((rv.imag, rv.real), axis=-1)
-
-
-def _adjacent_swaps(old: list[int], new: list[int]) -> list[int] | None:
-    """Positions p where old and new differ by disjoint swaps of (p, p+1)."""
-    pairs: list[int] = []
-    i, n = 0, len(old)
-    while i < n:
-        if old[i] == new[i]:
-            i += 1
-        elif i + 1 < n and old[i] == new[i + 1] and old[i + 1] == new[i]:
-            pairs.append(i)
-            i += 2
-        else:
-            return None
-    return pairs
 
 
 def _clearance_check(branch: BranchData, loop: LoopPath) -> None:
@@ -214,20 +197,16 @@ def _midpoint_failure(
         lo, hi = fibers[start:stop], fibers[start + 1 : stop + 1]
         order_lo, order_hi = orders[start:stop], orders[start + 1 : stop + 1]
         raw = solve(f, loop.sample_points(0.5 * (t_lo + t_hi)))
-        sel, move_in, bijective = match(lo, raw)
+        sel, _, first = step(lo, raw, min_gap(lo))
         mid = np.take_along_axis(raw, sel, axis=-1)
-        sel_out, move_out, _ = match(mid, hi)
-        first = bijective & (move_in < min_gap(lo) / 3.0)
-        second = (sel_out == np.arange(n)).all(axis=-1) & (move_out < min_gap(raw) / 3.0)
-        swaps = np.ones(len(t_lo), dtype=bool)
-        order_mid = _orders(mid, rot)
-        moved = (order_lo != order_mid).any(axis=-1) | (order_mid != order_hi).any(axis=-1)
-        for i in np.flatnonzero(moved & first & second):
-            a, m, b = order_lo[i].tolist(), order_mid[i].tolist(), order_hi[i].tolist()
-            halves = (_adjacent_swaps(a, m), _adjacent_swaps(m, b))
-            whole = _adjacent_swaps(a, b)
-            swaps[i] = None not in halves and sorted(halves[0] + halves[1]) == sorted(whole)
-        bad = ~(first & second & swaps)
+        sel_out, _, second = step(mid, hi, min_gap(raw))
+        second &= (sel_out == np.arange(n)).all(axis=-1)
+        order_mid = strand_orders(mid, rot)
+        valid_in, pairs_in = swaps(order_lo, order_mid)
+        valid_out, pairs_out = swaps(order_mid, order_hi)
+        _, pairs_whole = swaps(order_lo, order_hi)
+        joined = (pairs_in.astype(int) + pairs_out == pairs_whole).all(axis=-1)
+        bad = ~(first & second & valid_in & valid_out & joined)
         if bad.any():
             i = int(np.argmax(bad))
             rule = "first half" if not first[i] else "second half" if not second[i] else "swaps"
@@ -251,7 +230,7 @@ def _track_once(
     gap0 = min_gap(roots0)
     if gap0 <= 0.0:
         raise InputError("the fiber at the loop start has coincident roots")
-    order0 = _orders(roots0, rot)
+    order0 = strand_orders(roots0, rot)
     ordered0 = (rot * roots0[order0]).real
     scale0 = max(1.0, float(np.abs(roots0).max()))
     if n > 1 and float(np.diff(ordered0).min()) < 1e-9 * scale0:
@@ -260,10 +239,10 @@ def _track_once(
             "move the basepoint or pick a different rotation"
         )
 
-    # One bracket per swap of an accepted step: the two roots at the step
-    # start (lower position first), the same two strands at its end, the
-    # step's ends and the letter position.
-    brackets: list[tuple[complex, complex, complex, complex, float, float, int]] = []
+    # One bracket per swap of an accepted step, in step order: the two
+    # strands at the step start (lower position first) and end, the step's
+    # ends and the letter position, one array each per chunk.
+    brackets: list[tuple[np.ndarray, ...]] = []
     t_cur, roots_cur, gap_cur, order_cur = 0.0, roots0, gap0, order0
     h, streak, accepted = step_cap_fraction, 0, 0
     steps_t, steps_fibers, steps_orders = [np.zeros(1)], [roots0[None]], [order0[None]]
@@ -279,27 +258,32 @@ def _track_once(
 
         # Matching is blind to the order of the old roots, so every step of
         # the chunk is judged against the raw fiber before it at once; the
-        # accepted prefix ends at the first step that fails.
-        sel, moves, bijective = match(np.concatenate([roots_cur[None], fibers[:-1]]), fibers)
-        ok = bijective & (moves < np.concatenate([[gap_cur], gaps[:-1]]) / 3.0)
+        # accepted prefix ends at the first step that fails, or whose strand
+        # orders differ by more than disjoint adjacent swaps.
+        sel, moves, ok = step(
+            np.concatenate([roots_cur[None], fibers[:-1]]),
+            fibers,
+            np.concatenate([[gap_cur], gaps[:-1]]),
+        )
         k = count if ok.all() else int(np.argmin(ok))
         perms = np.empty((k, n), dtype=int)
         perm = np.arange(n)
         for i in range(k):
             perm = perms[i] = sel[i][perm]
         tracked = np.take_along_axis(fibers[:k], perms, axis=-1)
-        orders = _orders(tracked, rot)
-        prev_orders = np.concatenate([order_cur[None], orders[:-1]])
-        for i in np.flatnonzero((orders != prev_orders).any(axis=-1)):
-            swaps = _adjacent_swaps(prev_orders[i].tolist(), orders[i].tolist())
-            if swaps is None:
-                k = int(i)
-                break
-            prev, t_lo = (tracked[i - 1], float(ts[i - 1])) if i else (roots_cur, t_cur)
-            t_hi = float(ts[i])
-            for p in swaps:
-                strands = prev_orders[i][[p, p + 1]]
-                brackets.append((*prev[strands], *tracked[i][strands], t_lo, t_hi, p + 1))
+        orders = strand_orders(tracked, rot)
+        # Row i + 1 of each walk is the end of step i, row 0 the chunk start.
+        walk = np.concatenate([roots_cur[None], tracked])
+        walk_orders = np.concatenate([order_cur[None], orders])
+        valid, pairs = swaps(walk_orders[:-1], orders)
+        if not valid.all():
+            k = int(np.argmin(valid))
+        rows, lower = np.nonzero(pairs[:k])
+        start = rows[:, None]
+        strands = walk_orders[start, lower[:, None] + [0, 1]]
+        at_start, at_end = walk[start, strands].T, walk[start + 1, strands].T
+        t_lo = np.concatenate([[t_cur], ts])[rows]
+        brackets.append((*at_start, *at_end, t_lo, ts[rows], lower + 1))
 
         accepted += k
         streak += k
@@ -330,8 +314,8 @@ def _track_once(
             streak = 0
 
     events: list[CrossingEvent] = []
-    if brackets:
-        ref_a, ref_b, far_a, far_b, t_lo, t_hi, positions = map(np.array, zip(*brackets))
+    ref_a, ref_b, far_a, far_b, t_lo, t_hi, positions = map(np.concatenate, zip(*brackets))
+    if positions.size:
         t, _, w_a, w_b, sign = bisect_crossings(
             f,
             rot,
@@ -352,14 +336,14 @@ def _track_once(
 
     permutation: tuple[int, ...] | None = None
     if loop.closed:
-        sel, max_move, bijective = match(roots_cur, roots0)
-        if not bijective or max_move >= gap0 / 3.0:
+        sel, max_move, closes = step(roots_cur, roots0, gap0)
+        if not closes:
             raise NumericalFailure(
                 "could not match the final fiber back to the starting fiber",
                 diagnostics={
                     "max_move": float(max_move),
                     "gap0": float(gap0),
-                    "bijective": bool(bijective),
+                    "bijective": bool(np.unique(sel).size == n),
                 },
             )
         # Occupant convention: entry q is the starting position of the strand
@@ -587,8 +571,6 @@ def qp_factorization(
     f: BivariatePolynomial,
     branch: BranchData,
     spec: LollipopSpec,
-    max_radius_retries: int = 6,
-    step_cap_fraction: float = STEP_CAP_FRACTION,
 ) -> QuasipositiveFactorization:
     """Read a quasipositive factorization off a lollipop loop.
 
@@ -603,7 +585,7 @@ def qp_factorization(
     lol: LollipopLoop | None = None
     track: Track | None = None
     per_target: list[tuple[list[CrossingEvent], list[CrossingEvent], list[CrossingEvent]]] = []
-    for _ in range(max_radius_retries + 1):
+    for _ in range(RADIUS_RETRIES + 1):
         try:
             lol = lollipop_loop(branch, current)
         except RadiusInfeasible as exc:
@@ -612,7 +594,7 @@ def qp_factorization(
                 circle_radius=min(current.circle_radius / 2.0, 0.9 * exc.max_feasible),
             )
             continue
-        track = track_roots(f, branch, lol.path, step_cap_fraction=step_cap_fraction)
+        track = track_roots(f, branch, lol.path)
         per_target = []
         ok = True
         for marks in lol.marks:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 import numpy as np
@@ -33,6 +34,9 @@ __all__ = [
     "loop_to_json",
     "loop_from_json",
 ]
+
+# Relative tolerance of the pairwise intersections behind :func:`is_embedded`.
+INTERSECTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -188,31 +192,33 @@ class LoopPath:
         idx, s = self._locate(t)
         return self.primitives[idx].direction(s)
 
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        """Per primitive: length (1 where it vanishes), origin (segment start
+        or arc centre), chord, radius, start angle, span, and whether an arc."""
+        lengths = np.diff(self._cumulative)
+        rows = [
+            (p.center, 0j, p.radius, p.angle_from, p.span, True)
+            if isinstance(p, Arc)
+            else (p.a, p.b - p.a, 0.0, 0.0, 0.0, False)
+            for p in self.primitives
+        ]
+        return (np.where(lengths == 0, 1.0, lengths), *map(np.array, zip(*rows)))
+
     def sample_points(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`point_at` over an array of parameters."""
         ts = np.asarray(ts, dtype=float)
-        total = self.length
-        targets = np.clip(ts, 0.0, 1.0) * total
+        targets = np.clip(ts, 0.0, 1.0) * self.length
         cum = self._cumulative
-        idxs = np.clip(
-            np.searchsorted(cum, targets, side="right") - 1,
-            0,
-            len(self.primitives) - 1,
+        # Inner ends only: t = 1 and absorbed zero-length ends pick the last primitive.
+        idxs = np.searchsorted(cum[1:-1], targets, side="right")
+        lengths, origin, chord, radius, angle_from, span, arc = (
+            table[idxs] for table in self._tables
         )
-        out = np.empty(ts.shape, dtype=complex)
-        for i in np.unique(idxs).tolist():
-            prim = self.primitives[i]
-            mask = idxs == i
-            seg_len = cum[i + 1] - cum[i]
-            s = (targets[mask] - cum[i]) / (seg_len if seg_len else 1.0)
-            if isinstance(prim, Segment):
-                out[mask] = prim.a + s * (prim.b - prim.a)
-            else:
-                ang = prim.angle_from + s * prim.span
-                out[mask] = prim.center + prim.radius * (
-                    np.cos(ang) + 1j * np.sin(ang)
-                )
-        return out
+        s = (targets - cum[idxs]) / lengths
+        ang = angle_from + s * span
+        on_arc = origin + radius * (np.cos(ang) + 1j * np.sin(ang))
+        return np.where(arc, on_arc, origin + s * chord)
 
 
 def _segment_distance(seg: Segment, p: complex) -> float:
@@ -433,10 +439,10 @@ def _arc_arc(a1: Arc, a2: Arc, tol: float) -> list[tuple[float, float]]:
     return out
 
 
-def primitive_intersections(
-    p1: Primitive, p2: Primitive, tol: float = 1e-9
-) -> list[tuple[float, float]]:
-    """Local-parameter pairs where two primitives meet."""
+def primitive_intersections(p1: Primitive, p2: Primitive) -> list[tuple[float, float]]:
+    """Local-parameter pairs where two primitives meet, to a relative
+    tolerance of ``INTERSECTION_TOL``."""
+    tol = INTERSECTION_TOL
     if isinstance(p1, Segment) and isinstance(p2, Segment):
         return _seg_seg(p1, p2, tol)
     if isinstance(p1, Arc) and isinstance(p2, Segment):
@@ -497,7 +503,7 @@ def segment_crossings(
     return hits
 
 
-def is_embedded(loop: LoopPath, tol: float = 1e-9) -> bool:
+def is_embedded(loop: LoopPath) -> bool:
     """Whether the loop has no self-intersections beyond consecutive joints."""
     prims = loop.primitives
     count = len(prims)
@@ -508,7 +514,7 @@ def is_embedded(loop: LoopPath, tol: float = 1e-9) -> bool:
             return False
     for i in range(count):
         for j in range(i + 1, count):
-            for s_i, s_j in primitive_intersections(prims[i], prims[j], tol):
+            for s_i, s_j in primitive_intersections(prims[i], prims[j]):
                 p = prims[i].point(s_i)
                 if j == i + 1 and abs(p - prims[i].end) <= join_tol:
                     continue

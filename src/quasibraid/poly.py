@@ -426,6 +426,9 @@ _SHIFTS = 1.37 * np.exp(2j * np.pi * (np.arange(9) + 0.31) / 9)
 # moves by about eps^(1/k); a perturbed infinite one lands on a different
 # far-away point for every shift.
 _AGREEMENT_RTOL = 1e-3
+# Reciprocal condition number at or below which the Sylvester matrix counts
+# as singular at a shift point.
+_SINGULAR_RTOL = 1e-10
 
 
 def _sylvester_pencil(f: BivariatePolynomial) -> tuple[np.ndarray, np.ndarray]:
@@ -457,9 +460,7 @@ def _sylvester_pencil(f: BivariatePolynomial) -> tuple[np.ndarray, np.ndarray]:
     return stack / scale[:, None], scale
 
 
-def _discriminant_roots(
-    f: BivariatePolynomial, zero_rtol: float = 1e-10
-) -> tuple[np.ndarray, complex]:
+def _discriminant_roots(f: BivariatePolynomial) -> tuple[np.ndarray, complex]:
     """Roots of the w-discriminant, unclustered, and its leading coefficient.
 
     The roots are the finite eigenvalues of the Sylvester pencil S(z).  For a
@@ -479,7 +480,7 @@ def _discriminant_roots(
         at = at * _SHIFTS[:, None, None] + coeff
     sing = np.linalg.svd(at, compute_uv=False)
     rcond = sing[:, -1] / np.maximum(sing[:, 0], 1e-300)
-    if rcond.max() <= zero_rtol:
+    if rcond.max() <= _SINGULAR_RTOL:
         raise InputError("f has a repeated factor (discriminant is identically zero)")
     best = np.argsort(-rcond, kind="stable")[:2]
     sigma = _SHIFTS[best]
@@ -505,7 +506,7 @@ def _discriminant_roots(
     return values, complex(det / np.prod(sigma[0] - values))
 
 
-def discriminant_w(f: BivariatePolynomial, zero_rtol: float = 1e-10) -> UnivariatePolynomial:
+def discriminant_w(f: BivariatePolynomial) -> UnivariatePolynomial:
     """Resultant of f and df/dw with respect to w, as a polynomial in z.
 
     Vanishes exactly at the z where the fiber has a repeated root.  Returned
@@ -514,7 +515,7 @@ def discriminant_w(f: BivariatePolynomial, zero_rtol: float = 1e-10) -> Univaria
     :class:`InputError` when the Sylvester matrix is numerically singular for
     every z, which means f has a repeated factor.
     """
-    values, lead = _discriminant_roots(f, zero_rtol)
+    values, lead = _discriminant_roots(f)
     return UnivariatePolynomial(tuple(lead * np.atleast_1d(np.poly(values))[::-1]))
 
 

@@ -52,7 +52,6 @@ __all__ = [
 
 DEFAULT_EPSILON = 0.05
 EPSILON_RETRIES = 6
-TEMPLATE_CAP = 16
 
 # Lane half-width around each batch center.  P's roots are consecutive
 # integers and every branch point sits within 2*sqrt(|eps|) <= 0.45 of its
@@ -235,16 +234,13 @@ def _pass_points(
     east = batch.points[1].real
     west = batch.points[0].real
     x_dive = 0.5 * (c + east) if dive_east else 0.5 * (west + c)
-    pts = [complex(c - _LANE, h)]
-    if dive_east:
-        pts.append(complex(x_dive, h))
-        pts.append(complex(x_dive, -h))
-    else:
-        pts.append(complex(x_dive, h))
-        pts.append(complex(x_dive, -h))
-    pts.append(complex(c + _LANE, -h))
-    pts.append(complex(c + _LANE, h))
-    return pts
+    return [
+        complex(c - _LANE, h),
+        complex(x_dive, h),
+        complex(x_dive, -h),
+        complex(c + _LANE, -h),
+        complex(c + _LANE, h),
+    ]
 
 
 def _target_approach(
@@ -324,13 +320,9 @@ def _verified_generator(
 ) -> tuple[LoopPath, BraidWord]:
     target = ((k, 1),)
     attempts: list[str] = []
-    count = 0
     for scale in (1.0, 0.5):
         for side in (1.0, -1.0):
             for dive_east in (True, False):
-                if count >= TEMPLATE_CAP:
-                    break
-                count += 1
                 try:
                     loop = _candidate_loop(
                         batches, basepoint, k, side, dive_east, scale

@@ -319,18 +319,19 @@ def word_to_json(word: BraidWord) -> dict:
     }
 
 
+def _pairs(entries) -> list[tuple[int, int]]:
+    return [(int(index), int(sign)) for index, sign in entries]
+
+
 def word_from_json(data: dict) -> BraidWord:
     try:
         strands = int(data["n"])
-        raw = data["letters"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"braid word JSON needs 'n' and 'letters': {exc}") from exc
-    letters = []
-    for entry in raw:
-        if len(entry) != 2:
-            raise InputError(f"letter entries are [index, sign] pairs, got {entry!r}")
-        letters.append(BraidLetter(int(entry[0]), int(entry[1])))
-    return BraidWord(strands, tuple(letters))
+        pairs = _pairs(data["letters"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(
+            f"braid word JSON needs 'n' and 'letters' of [index, sign] pairs: {exc}"
+        ) from exc
+    return BraidWord(strands, letters_from_pairs(pairs))
 
 
 def qpf_to_json(qpf: QuasipositiveFactorization) -> dict:
@@ -349,16 +350,15 @@ def qpf_to_json(qpf: QuasipositiveFactorization) -> dict:
 def qpf_from_json(data: dict) -> QuasipositiveFactorization:
     try:
         strands = int(data["n"])
-        raw = data["factors"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"factorization JSON needs 'n' and 'factors': {exc}") from exc
-    bands = []
-    for entry in raw:
-        conj = tuple(
-            BraidLetter(int(pair[0]), int(pair[1]))
-            for pair in entry.get("conjugator", [])
-        )
-        bands.append(Band(conj, int(entry["k"])))
+        factors = [
+            (_pairs(entry.get("conjugator", [])), int(entry["k"])) for entry in data["factors"]
+        ]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(
+            "factorization JSON needs 'n' and 'factors' of objects with 'k' and "
+            f"an optional 'conjugator' of [index, sign] pairs: {exc}"
+        ) from exc
+    bands = (Band(letters_from_pairs(conj), k) for conj, k in factors)
     return QuasipositiveFactorization(strands, tuple(bands))
 
 

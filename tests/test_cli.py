@@ -237,6 +237,27 @@ class TestTopLevel:
         assert rc == 2
         assert json.loads(captured.err.strip())["error"] == "input"
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": 3, "letters": [["a", 1]]},
+            {"n": 3, "letters": [5]},
+            {"n": 3, "factors": [{"k": "x"}]},
+            {"n": 3, "factors": [3]},
+            {"n": 3, "factors": [{"conjugator": []}]},
+            {"points": [{"z": [0.0, 0.0], "multiplicity": "two"}], "generic": True},
+            {"polynomial": 3, "loop": 4, "verification": 5},
+            5,
+        ],
+    )
+    def test_validate_rejects_malformed_payloads(self, capsys, tmp_path, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["--validate", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert json.loads(captured.err.strip())["error"] == "input"
+
     def test_validate_conflicts_with_subcommands(self, capsys, tmp_path):
         good = tmp_path / "loop.json"
         good.write_text(json.dumps({"segments": [], "closed": True}))

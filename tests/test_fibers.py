@@ -1,4 +1,5 @@
-"""Tests for the shared fiber kernel: solves, matching and bracket closing.
+"""Tests for the shared fiber kernel: solves, matching, the step rule, swap
+decoding and bracket closing.
 
 Closing a batch of brackets must give exactly what closing each bracket alone
 gives, whatever positions the brackets swap.  The crossings it finds agree
@@ -16,7 +17,16 @@ import numpy as np
 import pytest
 
 from quasibraid import fibers, graph_to_json, sample_crossing_graph
-from quasibraid.fibers import _rotated_re, _tracked, bisect_crossings, match, min_gap, solve
+from quasibraid.fibers import (
+    _rotated_re,
+    _tracked,
+    bisect_crossings,
+    match,
+    min_gap,
+    solve,
+    step,
+    swaps,
+)
 from tests.test_monodromy import prepared
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -173,6 +183,78 @@ class TestSolveAndMatch:
 
     def test_min_gap_is_the_closest_pair(self):
         assert min_gap(np.array([0j, 2 + 0j, 2.5 + 0j])) == pytest.approx(0.5)
+
+
+def adjacent_swaps(old, new):
+    """Positions p where the orders old and new differ by disjoint swaps of
+    (p, p+1), else None: a walk along the positions."""
+    pairs, i, n = [], 0, len(old)
+    while i < n:
+        if old[i] == new[i]:
+            i += 1
+        elif i + 1 < n and old[i] == new[i + 1] and old[i + 1] == new[i]:
+            pairs.append(i)
+            i += 2
+        else:
+            return None
+    return pairs
+
+
+def order_changes(rng, n):
+    """Pairs of strand orders on n strands: identity, one adjacent swap,
+    disjoint adjacent swaps, adjacent 3-cycles and far transpositions."""
+    for _ in range(40):
+        old = rng.permutation(n)
+        yield old, old.copy()
+        p = rng.integers(n - 1)
+        new = old.copy()
+        new[[p, p + 1]] = new[[p + 1, p]]
+        yield old, new
+        new = old.copy()
+        for p in range(rng.integers(2), n - 1, 2):
+            if rng.random() < 0.7:
+                new[[p, p + 1]] = new[[p + 1, p]]
+        yield old, new
+        if n >= 3:
+            p = rng.integers(n - 2)
+            new = old.copy()
+            new[p : p + 3] = np.roll(new[p : p + 3], rng.choice([-1, 1]))
+            yield old, new
+            p, q = sorted(rng.choice(n, 2, replace=False))
+            new = old.copy()
+            new[[p, q]] = new[[q, p]]
+            yield old, new
+
+
+class TestStepAndSwaps:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_swaps_agree_with_a_walk_along_the_positions(self, n):
+        rng = np.random.default_rng(n)
+        old, new = (np.array(side) for side in zip(*order_changes(rng, n)))
+        valid, pairs = swaps(old, new)
+        assert pairs.shape == (len(old), n - 1)
+        for a, b, ok, row in zip(old, new, valid, pairs):
+            expected = adjacent_swaps(a.tolist(), b.tolist())
+            assert ok == (expected is not None)
+            if expected is not None:
+                assert np.flatnonzero(row).tolist() == expected
+        assert (~valid).any() == (n >= 3)
+        assert (pairs.sum(axis=-1)[valid] > 1).any() == (n >= 4)
+
+    def test_step_rejects_a_move_of_a_third_of_the_gap(self):
+        old = np.array([[0j, 3 + 0j, 6 + 0j]] * 2)
+        new = old + np.array([[1.0], [0.999]])
+        gap = min_gap(old)
+        sel, move, ok = step(old, new, gap)
+        assert gap.tolist() == [3.0, 3.0] and move[0] == 1.0
+        assert ok.tolist() == [False, True]
+        assert (sel == np.arange(3)).all()
+
+    def test_step_rejects_a_match_that_is_not_a_bijection(self):
+        old = np.array([0j, 1 + 0j])
+        sel, move, ok = step(old, np.array([0.4 + 0j, 5 + 0j]), 100.0)
+        assert sel.tolist() == [0, 0] and move < 100.0 / 3.0
+        assert not ok
 
 
 class TestBatchedBisection:

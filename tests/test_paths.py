@@ -116,6 +116,29 @@ class TestLoopConstruction:
         sampled = loop.sample_points(ts)
         individual = [loop.point_at(float(t)) for t in ts]
         assert np.allclose(sampled, individual)
+        # Segments and arcs of both orientations, a multi-turn arc, and a last
+        # segment so short that the cumulative length absorbs it, at
+        # parameters inside and outside [0, 1].
+        arc = Arc(2 + 1j, 1.0, math.pi, -math.pi / 2)
+        turns = Arc(arc.end + 0.5j, 0.5, -math.pi / 2, 3.5 * math.pi)
+        mixed = LoopPath(
+            (
+                Segment(0j, 1 + 1j),
+                Arc(1.5 + 1j, 0.5, math.pi, 0.0),
+                Segment(2 + 1j, arc.start),
+                arc,
+                turns,
+                Segment(turns.end, 100 + 0j),
+                Segment(100 + 0j, 100 + 1e-15j),
+            ),
+            closed=False,
+        )
+        assert mixed.primitive_spans()[-1] == (1.0, 1.0)
+        ts = np.concatenate([np.linspace(-0.5, 1.5, 1001), [0.0, 1.0, -1e300, 1e300]])
+        sampled = mixed.sample_points(ts)
+        individual = [mixed.point_at(float(t)) for t in ts]
+        assert np.allclose(sampled, individual, rtol=0, atol=1e-12)
+        assert sampled[-3] == mixed.point_at(1.0) == 100 + 0j
 
     def test_primitive_spans_cover_the_unit_interval(self):
         loop = square()

@@ -10,16 +10,16 @@ into whole labeled curves.  This module extracts that picture on a grid and
 turns it back into words, which gives a second, independent route to the
 braid word of a loop.
 
-Extraction is by continuation on grid edges.  Each lattice fiber is solved
-and sorted by rotated real part; a grid edge whose endpoint orders differ by
-one adjacent transposition carries a crossing, and all such edges are closed
-on it together by :func:`quasibraid.fibers.bisect_crossings`, to 2^-48 of the
-edge (or until the z of the midpoint repeats an end) in at most 3 * 48
-evaluations, with the lattice fibers at both ends reused.  Within each cell
-the crossing points of equal label are joined by straight segments; cells
-that cannot be resolved that way are subdivided a bounded number of times and
-then flagged.  Cells containing a branch point are excluded, so curve ends
-near branch points stop at the cell boundary.
+Extraction is by continuation on grid edges.  Lattice fibers come from
+:func:`quasibraid.fibers.sweep`, sorted by rotated real part; a grid edge
+whose endpoint orders differ by one adjacent transposition carries a crossing,
+and all such edges are closed on it together by
+:func:`quasibraid.fibers.bisect_crossings`, to 2^-48 of the edge (or until the
+z of the midpoint repeats an end) in at most 3 * 48 evaluations, from fibers
+solved afresh at both ends.  Within each cell the crossing points of equal
+label are joined by straight segments; cells that cannot be resolved that way
+are subdivided a bounded number of times and then flagged.  Cells containing a
+branch point are excluded, so curve ends near them stop at the cell boundary.
 
 The grid is jittered by a fixed sub-cell offset so that lattice nodes and
 grid lines do not land exactly on symmetric loci such as the real axis.
@@ -28,6 +28,7 @@ grid lines do not land exactly on symmetric loci such as the real axis.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ import numpy as np
 
 from .branch import BranchData
 from .errors import InputError, NumericalFailure
-from .fibers import bisect_crossings, min_gap, orders, solve, step, swaps
+from .fibers import bisect_crossings, min_gap, orders, solve, step, swaps, sweep
 from .paths import LoopPath, bounding_box, segment_crossings
 from .poly import BivariatePolynomial
 from .words import BraidLetter, BraidWord
@@ -112,8 +113,7 @@ class CrossingGraph:
         return starts, ends
 
 
-def _sorted_fibers(f: BivariatePolynomial, rot: complex, zs: np.ndarray) -> np.ndarray:
-    fibers = solve(f, zs)
+def _sorted(fibers: np.ndarray, rot: complex) -> np.ndarray:
     return np.take_along_axis(fibers, orders(fibers, rot), axis=-1)
 
 
@@ -152,7 +152,10 @@ def _edge_events(
     simple = np.flatnonzero(resolved & (count == 1))
     p = pairs[simple].argmax(axis=-1)
     a, b, rows = a_pts[simple], b_pts[simple], np.arange(len(p))
-    ref, far = fa[simple], fb[simple]
+    # A solve gives the same bits whatever its batch, so brackets that start
+    # from solved ends find crossings that do not depend on how fa, fb were found.
+    ends = _sorted(solve(f, np.concatenate([a, b])), rot)
+    ref, far = ends[: len(p)], ends[len(p) :]
     _, z_star, _, _, sign = bisect_crossings(
         f,
         rot,
@@ -173,7 +176,7 @@ def _edge_events(
     if depth >= _EDGE_SPLIT_DEPTH or split.size == 0:
         return events, unresolved | set(split.tolist())
     mid = 0.5 * (a_pts[split] + b_pts[split])
-    fm = _sorted_fibers(f, rot, mid)
+    fm = _sorted(solve(f, mid), rot)
     halves, halves_bad = _edge_events(
         f,
         rot,
@@ -227,7 +230,7 @@ def _extract(
 ) -> None:
     nx, ny = len(xs), len(ys)
     grid = xs[None, :] + 1j * ys[:, None]
-    fibers = _sorted_fibers(f, rot, grid.ravel()).reshape(ny, nx, -1)
+    fibers = _sorted(sweep(f, grid), rot)
     scale = max(1.0, float(np.abs(fibers).max()))
 
     # Horizontal edges (j, i) -> (j, i+1) are numbered j*(nx-1) + i, vertical
@@ -278,12 +281,11 @@ def _extract(
         )
         bad = any(idx in bad_edges for idx, _ in edge_ids)
         found: dict[int, list[tuple[complex, complex, int]]] = {}
+        built: list[LabeledSegment] = []
         if not bad:
             for idx, axis in edge_ids:
                 for z_star, label, sign in events.get(idx, ()):
                     found.setdefault(label, []).append((z_star, axis, sign))
-        built: list[LabeledSegment] = []
-        if not bad:
             for label, items in found.items():
                 if len(items) != 2:
                     bad = True
@@ -374,15 +376,16 @@ def sample_crossing_graph(
 ) -> CrossingGraph:
     """Extract the labeled crossing locus over a rectangle.
 
-    ``region`` is (x0, y0, x1, y1) and ``resolution`` the number of cells per
-    side.  Branch points outside the region only earn a warning: the sampled
-    picture is then partial.
+    ``region`` is four finite numbers (x0, y0, x1, y1) and ``resolution`` the
+    integer number of cells per side.  Branch points outside the region only
+    earn a warning: the sampled picture is then partial.
     """
     x0, y0, x1, y1 = (float(v) for v in region)
-    if not (x1 > x0 and y1 > y0):
-        raise InputError("region must satisfy x1 > x0 and y1 > y0")
-    if resolution < 4:
-        raise InputError("resolution must be at least 4")
+    if not (x1 > x0 and y1 > y0 and all(map(math.isfinite, (x0, y0, x1, y1)))):
+        raise InputError("region must be finite numbers with x1 > x0 and y1 > y0")
+    if not isinstance(resolution, numbers.Integral) or resolution < 4:
+        raise InputError("resolution must be an integer of at least 4")
+    resolution = int(resolution)
     values = branch.values()
     for z in values:
         if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):

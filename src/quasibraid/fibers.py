@@ -1,7 +1,8 @@
 """The fiber kernel shared by continuation and the crossing graph.
 
 The fiber over z is the n roots in w of f(z, w), solved for a batch of z as
-the eigenvalues of stacked companion matrices.  Fibers are matched root to
+the eigenvalues of stacked companion matrices, or over a lattice by
+:func:`sweep` with certified Weierstrass steps.  Fibers are matched root to
 root by nearest distance.  The kernel owns the rules every fiber walk shares,
 each applied to whole batches: :func:`step` accepts a step when the matching
 is a bijection and no root moves a third of the smallest root gap,
@@ -22,7 +23,10 @@ from typing import Callable
 
 import numpy as np
 
-from .poly import BivariatePolynomial, _companion_roots
+from .poly import DEFAULT_ROOT_TOL, BivariatePolynomial, _companion_roots
+
+_SWEEP_STEPS = 6
+_ROUNDING = 2 * np.finfo(float).eps
 
 
 def coefficients(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
@@ -41,6 +45,59 @@ def coefficients(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
 def solve(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
     """Roots of every fiber f(z, .) for an array of z, shape (len(zs), n)."""
     return _companion_roots(coefficients(f, zs))
+
+
+def sweep(f: BivariatePolynomial, grid: np.ndarray) -> np.ndarray:
+    """Roots of the fiber over every vertex of a lattice ``grid`` of z, shape
+    (ny, nx, n).  Row 0 is solved; each later row starts from the line through
+    the two rows before it (row 1 from row 0) and takes up to ``_SWEEP_STEPS``
+    Weierstrass steps W, until every W is within its rounding bound.  The roots
+    lie in the discs of radius n|W_i| about the last iterate, a component of k
+    discs holding k (Carstensen, Numer. Math. 59, 1991).  A vertex is kept if
+    its discs, widened by the last step and the rounding bound, are disjoint
+    and of radius at most ``DEFAULT_ROOT_TOL * max(1, |w|)``; any other is
+    solved, in the predictor's order if :func:`match` is one to one.
+    """
+    grid = np.asarray(grid, dtype=complex)
+    n = f.w_degree
+    fibers = np.empty(grid.shape + (n,), dtype=complex)
+    fibers[0] = solve(f, grid[0])
+    for j in range(1, len(grid)):
+        guess = fibers[j - 1] if j == 1 else 2 * fibers[j - 1] - fibers[j - 2]
+        coeffs = coefficients(f, grid[j])
+        # Rows are transposed to (n, nx), so every operation spans a row.
+        c, w = (coeffs / coeffs[:, -1:]).T, guess.T.copy()
+        size_c = np.abs(c)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(_SWEEP_STEPS):
+                # p(w_i) by Horner, with rounding error below _ROUNDING * n * size.
+                size_w = np.abs(w)
+                value, size = w + c[n - 1], size_w + size_c[n - 1]
+                for k in range(n - 2, -1, -1):
+                    value = value * w + c[k]
+                    size = size * size_w + size_c[k]
+                product = np.ones_like(w)
+                for i in range(n):
+                    diff = w - w[i]
+                    diff[i] = 1.0
+                    product *= diff
+                w -= value / product
+                if (np.abs(value) <= _ROUNDING * n * size).all():
+                    break
+            radius = (n + 1) * (np.abs(value) + _ROUNDING * n * size) / np.abs(product)
+            certified = radius <= DEFAULT_ROOT_TOL * np.maximum(1.0, np.abs(w))
+            for i in range(n):
+                apart = np.abs(w - w[i]) > radius + radius[i]
+                apart[i] = True
+                certified &= apart
+        fibers[j] = w.T
+        bad = np.flatnonzero(~certified.all(axis=0))
+        if bad.size:
+            solved = _companion_roots(coeffs[bad])
+            sel, _, bijective = match(guess[bad], solved)
+            relabelled = np.take_along_axis(solved, sel, axis=-1)
+            fibers[j, bad] = np.where(bijective[:, None], relabelled, solved)
+    return fibers
 
 
 def min_gap(vals: np.ndarray) -> np.ndarray:

@@ -173,6 +173,12 @@ class TestBplus:
         assert rc == 2
         assert json.loads(captured.err.strip())["error"] == "input"
 
+    def test_non_finite_region_is_an_input_error(self, capsys):
+        rc = main(["bplus", "--poly", "w^2 - z", "--region", "0,0,inf,1", "--res", "8"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert json.loads(captured.err.strip())["error"] == "input"
+
 
 class TestRealize:
     def test_round_trip_bundle(self, capsys, tmp_path):

@@ -24,6 +24,7 @@ from quasibraid import (
     bounding_box,
     braid_along,
     branch_points,
+    crossing_graph,
     crossings_of,
     free_reduce,
     graph_from_json,
@@ -33,6 +34,7 @@ from quasibraid import (
     select_rotation,
     word_to_text,
 )
+from quasibraid.fibers import solve
 from tests.test_monodromy import circle, prepared
 
 SQRT = prepared("w^2 - z")
@@ -173,6 +175,22 @@ class TestEdges:
                 and abs(b - seg.end) <= join_tol
             ]
             assert len(matches) == 1
+
+
+class TestSweptLattice:
+    @pytest.mark.parametrize("resolution", [32, 64])
+    @pytest.mark.parametrize("fixture, region", FIXTURES, ids=FIXTURE_IDS)
+    def test_graph_equals_the_one_from_a_solve_per_vertex(
+        self, monkeypatch, fixture, region, resolution
+    ):
+        f, data = fixture
+        swept = graph_to_json(sample_crossing_graph(f, data, region, resolution))
+
+        def solved(f, grid):
+            return solve(f, grid.ravel()).reshape(grid.shape + (f.w_degree,))
+
+        monkeypatch.setattr(crossing_graph, "sweep", solved)
+        assert swept == graph_to_json(sample_crossing_graph(f, data, region, resolution))
 
 
 class TestReadingLoops:
@@ -332,6 +350,24 @@ class TestValidationAndSerialization:
         f, data = SQRT
         with pytest.raises(InputError):
             sample_crossing_graph(f, data, (2, -2, -2, 2), 32)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_region_must_be_finite(self, bad):
+        f, data = SQRT
+        with pytest.raises(InputError, match="finite"):
+            sample_crossing_graph(f, data, (0, 0, bad, 1), 8)
+
+    @pytest.mark.parametrize("resolution", [8.5, 8.0, "8"])
+    def test_resolution_must_be_an_integer(self, resolution):
+        f, data = SQRT
+        with pytest.raises(InputError, match="integer"):
+            sample_crossing_graph(f, data, (-2, -2, 2, 2), resolution)
+
+    def test_numpy_integer_resolution_round_trips(self):
+        f, data = SQRT
+        graph = sample_crossing_graph(f, data, (-2, -2, 2, 2), np.int64(8))
+        assert type(graph.resolution) is int
+        assert graph_from_json(graph_to_json(graph)) == graph
 
     def test_resolution_floor(self):
         f, data = SQRT

@@ -1,5 +1,8 @@
-"""Tests for the shared fiber kernel: solves, matching, the step rule, swap
-decoding and bracket closing.
+"""Tests for the shared fiber kernel: solves, lattice sweeps, matching, the
+step rule, swap decoding and bracket closing.
+
+A sweep must give every lattice fiber as the same set of roots that a solve
+gives, and fall back to the solve where its discs cannot certify a vertex.
 
 Closing a batch of brackets must give exactly what closing each bracket alone
 gives, whatever positions the brackets swap.  The crossings it finds agree
@@ -15,8 +18,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quasibraid import fibers, graph_to_json, sample_crossing_graph
+from quasibraid import (
+    BivariatePolynomial,
+    UnivariatePolynomial,
+    fibers,
+    graph_to_json,
+    parse_bivariate_text,
+    sample_crossing_graph,
+)
 from quasibraid.fibers import (
     _rotated_re,
     _tracked,
@@ -26,6 +38,7 @@ from quasibraid.fibers import (
     solve,
     step,
     swaps,
+    sweep,
 )
 from tests.test_monodromy import prepared
 
@@ -183,6 +196,60 @@ class TestSolveAndMatch:
 
     def test_min_gap_is_the_closest_pair(self):
         assert min_gap(np.array([0j, 2 + 0j, 2.5 + 0j])) == pytest.approx(0.5)
+
+
+class TestSweep:
+    """The curves are drawn as the crossing-graph property draws them, and
+    need not be generic: wherever the discs fail, the sweep solves."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        w_degree=st.integers(2, 3),
+        z_degree=st.integers(1, 2),
+        corner=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+        step_size=st.tuples(st.floats(0.01, 0.5), st.floats(0.01, 0.5)),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 20)),
+        data=st.data(),
+    )
+    def test_sweep_gives_the_roots_a_solve_gives(
+        self, w_degree, z_degree, corner, step_size, shape, data
+    ):
+        entries = st.integers(-3, 3)
+        coeffs = [
+            UnivariatePolynomial(tuple(data.draw(entries) for _ in range(z_degree + 1)))
+            for _ in range(w_degree)
+        ]
+        f = BivariatePolynomial(tuple(coeffs) + (UnivariatePolynomial((1,)),))
+        xs = corner[0] + step_size[0] * np.arange(shape[1])
+        ys = corner[1] + step_size[1] * np.arange(shape[0])
+        grid = xs[None, :] + 1j * ys[:, None]
+        swept = sweep(f, grid)
+        solved = solve(f, grid.ravel()).reshape(swept.shape)
+        _, move, bijective = match(swept, solved)
+        scale = np.maximum(1.0, np.abs(solved).max(axis=-1))
+        # Equal roots never match one to one; a vertex with them is solved.
+        same = (np.sort_complex(swept) == np.sort_complex(solved)).all(axis=-1)
+        assert np.all(same | (bijective & (move <= 1e-12 * scale)))
+
+    def test_a_vertex_on_a_branch_point_falls_back_to_the_solve(self, monkeypatch):
+        f = parse_bivariate_text("w^2 - z")
+        axis = np.linspace(-1.0, 1.0, 5)
+        grid = axis[None, :] + 1j * axis[:, None]
+        assert grid[2, 2] == 0
+        solved_z = []
+
+        def companion_roots(coeffs):
+            solved_z.extend(-coeffs[:, 0])
+            return companion(coeffs)
+
+        companion = fibers._companion_roots
+        monkeypatch.setattr(fibers, "_companion_roots", companion_roots)
+        swept = sweep(f, grid)
+        assert solved_z[:5] == grid[0].tolist()
+        assert 0 in solved_z[5:]
+        # No match of the double root to the predictor is a bijection, so it
+        # keeps the solve's order and bits.
+        assert np.array_equal(swept[2, 2], solve(f, np.array([0j]))[0])
 
 
 def adjacent_swaps(old, new):

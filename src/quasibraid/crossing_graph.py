@@ -20,6 +20,10 @@ solved afresh at both ends.  Within each cell the crossing points of equal
 label are joined by straight segments; cells that cannot be resolved that way
 are subdivided a bounded number of times and then flagged.  Cells containing a
 branch point are excluded, so curve ends near them stop at the cell boundary.
+A curve of the locus ends only there or at the lattice's sides; a chain that
+stops anywhere else shows cells that disagree about what crosses their shared
+side (an edge crossed twice shows no swap at its ends), so the lattice cells
+around that end are flagged too and their segments dropped.
 
 The grid is jittered by a fixed sub-cell offset so that lattice nodes and
 grid lines do not land exactly on symmetric loci such as the real axis.
@@ -227,6 +231,7 @@ def _extract(
     depth: int,
     segments: list[LabeledSegment],
     flagged: list[tuple[float, float, float, float]],
+    excluded: list[tuple[float, float, float, float]],
 ) -> None:
     nx, ny = len(xs), len(ys)
     grid = xs[None, :] + 1j * ys[:, None]
@@ -272,6 +277,7 @@ def _extract(
             rect[0] <= z.real <= rect[2] and rect[1] <= z.imag <= rect[3]
             for z in branch_values
         ):
+            excluded.append(rect)
             continue
         edge_ids = (
             (j * (nx - 1) + i, 1.0 + 0.0j),
@@ -306,7 +312,48 @@ def _extract(
             continue
         sub_x = np.linspace(xs[i], xs[i + 1], 3)
         sub_y = np.linspace(ys[j], ys[j + 1], 3)
-        _extract(f, rot, branch_values, sub_x, sub_y, depth + 1, segments, flagged)
+        _extract(f, rot, branch_values, sub_x, sub_y, depth + 1, segments, flagged, excluded)
+
+
+def _centre(rect: tuple[float, float, float, float]) -> complex:
+    return complex((rect[0] + rect[2]) / 2.0, (rect[1] + rect[3]) / 2.0)
+
+
+def _inside(z: complex, rect: tuple[float, float, float, float], tol: float = 0.0) -> bool:
+    x0, y0, x1, y1 = rect
+    return x0 - tol <= z.real <= x1 + tol and y0 - tol <= z.imag <= y1 + tol
+
+
+def _torn_cells(
+    edges: tuple[GraphEdge, ...],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    stops: list[tuple[float, float, float, float]],
+    tol: float,
+) -> list[tuple[float, float, float, float]]:
+    """Lattice cells touching a chain end that lies on no lattice side and on
+    no side of a branch or flagged cell in ``stops``, in row-major order."""
+    nx, ny = len(xs), len(ys)
+    outer = (float(xs[0]), float(ys[0]), float(xs[-1]), float(ys[-1]))
+    torn: set[tuple[int, int]] = set()
+    for edge in edges:
+        first, last = edge.points[0], edge.points[-1]
+        if _quantize(first, tol) == _quantize(last, tol):
+            continue
+        for z in (first, last):
+            if not _inside(z, outer, -tol) or any(_inside(z, r, tol) for r in stops):
+                continue
+            i_lo = max(int(np.searchsorted(xs, z.real - tol)) - 1, 0)
+            i_hi = min(int(np.searchsorted(xs, z.real + tol, side="right")) - 1, nx - 2)
+            j_lo = max(int(np.searchsorted(ys, z.imag - tol)) - 1, 0)
+            j_hi = min(int(np.searchsorted(ys, z.imag + tol, side="right")) - 1, ny - 2)
+            torn.update(
+                (j, i) for j in range(j_lo, j_hi + 1) for i in range(i_lo, i_hi + 1)
+            )
+    return [
+        (float(xs[i]), float(ys[j]), float(xs[i + 1]), float(ys[j + 1]))
+        for j, i in sorted(torn)
+    ]
 
 
 def _quantize(z: complex, unit: float) -> tuple[int, int]:
@@ -402,12 +449,20 @@ def sample_crossing_graph(
 
     segments: list[LabeledSegment] = []
     flagged: list[tuple[float, float, float, float]] = []
-    _extract(f, rot, values, xs, ys, 0, segments, flagged)
+    excluded: list[tuple[float, float, float, float]] = []
+    _extract(f, rot, values, xs, ys, 0, segments, flagged, excluded)
 
-    edges = _chain_segments(tuple(sorted(segments, key=_segment_key)), 1e-7 * min(dx, dy))
-    vertices = tuple(values) + tuple(
-        complex((r[0] + r[2]) / 2.0, (r[1] + r[3]) / 2.0) for r in flagged
-    )
+    join_tol = 1e-7 * min(dx, dy)
+    edges = _chain_segments(tuple(sorted(segments, key=_segment_key)), join_tol)
+    torn = _torn_cells(edges, xs, ys, flagged + excluded, join_tol)
+    if torn:
+        # A torn cell replaces the segments and the flagged cells inside it.
+        segments = [
+            s for s in segments if not any(_inside(0.5 * (s.start + s.end), t) for t in torn)
+        ]
+        flagged = [r for r in flagged if not any(_inside(_centre(r), t) for t in torn)] + torn
+        edges = _chain_segments(tuple(sorted(segments, key=_segment_key)), join_tol)
+    vertices = tuple(values) + tuple(_centre(r) for r in flagged)
     return CrossingGraph(
         segments=_edge_segments(edges),
         edges=edges,

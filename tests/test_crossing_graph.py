@@ -41,6 +41,7 @@ SQRT = prepared("w^2 - z")
 CUBIC = prepared("w^3 - 3*w + 2*z")
 QUARTIC = prepared("w^3 - 3*w + 2*z^4")
 FOUR = prepared("w^4 - z*w^3 - w^2 + z*w + 0.05")
+JUNCTION = prepared("w^2 + z^2*w + 1")
 SQUARE = (-2, -2, 2, 2)
 FIXTURES = [(SQRT, SQUARE), (QUARTIC, SQUARE), (FOUR, (-3, -3, 3, 3))]
 FIXTURE_IDS = ["sqrt", "quartic", "four-strand"]
@@ -285,6 +286,18 @@ class TestReadingLoops:
             crossings_of(poisoned, inside)
         assert caught.value.diagnostics["cell"] == list(cells[0])
         assert word_to_text(crossings_of(poisoned, circle(center=0.5j, radius=0.2))) == ""
+
+    def test_loop_past_a_junction_finer_than_a_cell_is_rejected(self):
+        # w1 - w2 = sqrt(z^4 - 4) has zero real part on the axes and the
+        # diagonals, so eight locus rays meet at z = 0.  The cells there see
+        # fewer of them and leave chains ending in the open; those cells are
+        # flagged, so a circle passing the junction within a cell is refused
+        # instead of read as the empty word.
+        f, data = JUNCTION
+        graph = sample_crossing_graph(f, data, (-2.5, -2.5, 2.5, 2.5), 64)
+        assert any(x0 <= 0 <= x1 and y0 <= 0 <= y1 for x0, y0, x1, y1 in graph.flagged)
+        with pytest.raises(NumericalFailure, match="flagged"):
+            crossings_of(graph, circle(-1.0146 + 0.3996j, 1.0936, 1, 0.0))
 
 
 class TestReadingAgreesWithContinuation:

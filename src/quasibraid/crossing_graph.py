@@ -515,13 +515,13 @@ def crossings_of(graph: CrossingGraph, loop: LoopPath) -> BraidWord:
     if entered is not None:
         raise NumericalFailure(
             "loop enters a flagged cell where the sampled locus is unreliable",
-            diagnostics={"cell": list(graph.flagged[entered])},
+            diagnostics={"cell": list(graph.flagged[entered]), "cell_index": entered},
         )
 
     segments = graph.segments
     starts, ends = graph._segment_ends
     hits: list[tuple[float, int, int]] = []
-    for prim, (t_lo, t_hi) in zip(loop.primitives, loop.primitive_spans()):
+    for i, (prim, (t_lo, t_hi)) in enumerate(zip(loop.primitives, loop.primitive_spans())):
         for s_prim, j in segment_crossings(prim, starts, ends):
             seg = segments[j]
             t = t_lo + (t_hi - t_lo) * s_prim
@@ -530,7 +530,7 @@ def crossings_of(graph: CrossingGraph, loop: LoopPath) -> BraidWord:
                 raise NumericalFailure(
                     "loop is tangent to a locus segment; the reading is "
                     "not transversal",
-                    diagnostics={"t": t, "label": seg.label},
+                    diagnostics={"t": t, "label": seg.label, "segment": j, "primitive": i},
                 )
             hits.append((t, seg.label, 1 if dot > 0 else -1))
 

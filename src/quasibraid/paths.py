@@ -4,13 +4,14 @@ Loops are parametrized by normalized arc length, t in [0, 1], so a uniform
 step in t is a uniform step along the curve.  Arcs may span more than one full
 turn (used for repeated windings); orientation is counterclockwise when the
 end angle exceeds the start angle.  The module also supplies distances,
-winding numbers, tolerance-based pairwise intersections for an embeddedness
-test, and :func:`segment_crossings`, a sign predicate that decides once per
-vertex where a batch of segments crosses a primitive.
+exact winding numbers, an embeddedness test, and :func:`segment_crossings`,
+a sign predicate that decides once per vertex where a batch of segments
+crosses a primitive.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,7 +19,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import InputError, NumericalFailure
+from .errors import InputError
 
 __all__ = [
     "Segment",
@@ -35,10 +36,6 @@ __all__ = [
     "loop_from_json",
 ]
 
-# Relative tolerance of the pairwise intersections behind :func:`is_embedded`.
-INTERSECTION_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class Segment:
     a: complex
@@ -47,6 +44,8 @@ class Segment:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
+        if not all(map(cmath.isfinite, (self.a, self.b))):
+            raise InputError(f"segment endpoints must be finite: {self.a}, {self.b}")
         if self.a == self.b:
             raise InputError("segment endpoints must differ")
 
@@ -88,6 +87,9 @@ class Arc:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", complex(self.center))
+        values = (self.center, self.radius, self.angle_from, self.angle_to)
+        if not all(map(cmath.isfinite, values)):
+            raise InputError(f"arc center, radius and angles must be finite: {values}")
         if self.radius <= 0:
             raise InputError("arc radius must be positive")
         if self.angle_from == self.angle_to:
@@ -221,11 +223,10 @@ class LoopPath:
         return np.where(arc, on_arc, origin + s * chord)
 
 
-def _segment_distance(seg: Segment, p: complex) -> float:
+def _foot(seg: Segment, p: complex) -> float:
+    """Parameter of the point of ``seg`` nearest to p."""
     d = seg.b - seg.a
-    t = ((p - seg.a).real * d.real + (p - seg.a).imag * d.imag) / (abs(d) ** 2)
-    t = min(max(t, 0.0), 1.0)
-    return abs(seg.a + t * d - p)
+    return min(max(((p - seg.a) * d.conjugate()).real / abs(d) ** 2, 0.0), 1.0)
 
 
 def _angle_params(arc: Arc, psi: float, tol: float = 1e-12) -> list[float]:
@@ -258,54 +259,39 @@ def _arc_distance(arc: Arc, p: complex) -> float:
 
 
 def min_distance(loop: LoopPath, p: complex) -> float:
-    dist = math.inf
-    for prim in loop.primitives:
-        if isinstance(prim, Segment):
-            dist = min(dist, _segment_distance(prim, p))
-        else:
-            dist = min(dist, _arc_distance(prim, p))
-    return dist
+    return min(
+        _arc_distance(prim, p) if isinstance(prim, Arc) else abs(prim.point(_foot(prim, p)) - p)
+        for prim in loop.primitives
+    )
 
 
-def _winding_of_polyline(points: np.ndarray, p: complex) -> float:
-    rel = points - p
-    ratios = rel[1:] / rel[:-1]
-    return float(np.sum(np.angle(ratios)))
+def _arg_change(prim: Primitive, p: complex) -> float:
+    """Exact change of arg(z - p) as z runs along one primitive."""
+    if isinstance(prim, Segment):
+        # arg((b - p) / (a - p)), read off (b - p) * conj(a - p).
+        w = (prim.b - p) * (prim.a - p).conjugate()
+        if w.imag == 0 and w.real <= 0:
+            raise InputError("winding number undefined for a point on the loop")
+        return cmath.phase(w)
+    if p in (prim.start, prim.end) or _arc_distance(prim, p) == 0:
+        raise InputError("winding number undefined for a point on the loop")
+    # z - p = r e^{ia}(1 + q e^{-ia}) inside the circle, (c - p)(1 + q e^{ia}) outside:
+    # |q| <= 1 keeps the bracket off the open left half-plane (|q| = 1 only off the arc).
+    rel = prim.center - p
+    inside = abs(rel) < prim.radius
+    q, sign = (rel / prim.radius, -1.0) if inside else (prim.radius / rel, 1.0)
+    arg = [cmath.phase(1.0 + q * _cis(sign * a)) for a in (prim.angle_from, prim.angle_to)]
+    return (prim.span if inside else 0.0) + arg[1] - arg[0]
 
 
 def winding_number(loop: LoopPath, p: complex) -> int:
-    """Signed number of turns of a closed loop around p.
-
-    Exact chord summation: segments contribute a single principal argument,
-    arcs are subdivided finely enough (relative to the distance from p) that
-    no chord subtends a half turn.
-    """
+    """Signed number of turns of a closed loop around p, summed from the
+    exact argument change along each primitive.  A point on the loop is an
+    :class:`InputError`."""
     if not loop.closed:
         raise InputError("winding numbers need a closed loop")
-    total = 0.0
-    for prim in loop.primitives:
-        if isinstance(prim, Segment):
-            total += math.atan2(
-                ((prim.b - p) / (prim.a - p)).imag, ((prim.b - p) / (prim.a - p)).real
-            )
-        else:
-            dist = _arc_distance(prim, p)
-            if dist == 0:
-                raise InputError("winding number undefined for a point on the loop")
-            pieces = max(8, int(math.ceil(prim.length / dist)))
-            pieces = min(pieces, 2_000_000)
-            s = np.linspace(0.0, 1.0, pieces + 1)
-            ang = prim.angle_from + s * prim.span
-            pts = prim.center + prim.radius * (np.cos(ang) + 1j * np.sin(ang))
-            total += _winding_of_polyline(pts, p)
-    turns = total / (2.0 * math.pi)
-    nearest = round(turns)
-    if abs(turns - nearest) > 1e-6:
-        raise NumericalFailure(
-            "winding number did not converge to an integer",
-            diagnostics={"value": turns, "point": repr(p)},
-        )
-    return int(nearest)
+    total = sum(_arg_change(prim, complex(p)) for prim in loop.primitives)
+    return round(total / (2.0 * math.pi))
 
 
 def bounding_box(items: Iterable[complex | Primitive]) -> tuple[float, float, float, float]:
@@ -344,112 +330,55 @@ def reverse_loop(loop: LoopPath) -> LoopPath:
 
 
 def concat_loops(*loops: LoopPath) -> LoopPath:
-    prims: list[Primitive] = []
-    for loop in loops:
-        prims.extend(loop.primitives)
-    return LoopPath(tuple(prims), closed=True)
+    return LoopPath(tuple(p for loop in loops for p in loop.primitives), closed=True)
 
 
-def _cross(a: complex, b: complex) -> float:
-    return a.real * b.imag - a.imag * b.real
-
-
-def _seg_seg(s1: Segment, s2: Segment, tol: float) -> list[tuple[float, float]]:
-    d1, d2 = s1.b - s1.a, s2.b - s2.a
-    denom = _cross(d1, d2)
-    rel = s2.a - s1.a
-    scale = max(abs(d1), abs(d2), 1.0)
-    if abs(denom) <= tol * scale * scale:
-        # Parallel; report a midpoint hit when collinear with true overlap.
-        if abs(_cross(rel, d1)) > tol * scale * scale:
-            return []
-        u = d1 / abs(d1)
-        p1 = 0.0
-        p2 = abs(d1)
-        q1 = ((s2.a - s1.a) / u).real
-        q2 = ((s2.b - s1.a) / u).real
-        lo, hi = max(p1, min(q1, q2)), min(p2, max(q1, q2))
-        if hi - lo > tol * scale:
-            mid = (lo + hi) / 2.0
-            t1 = mid / abs(d1)
-            t2 = (mid - q1) / (q2 - q1)
-            return [(t1, t2)]
-        return []
-    t1 = _cross(rel, d2) / denom
-    t2 = _cross(rel, d1) / denom
-    eps = tol
-    if -eps <= t1 <= 1.0 + eps and -eps <= t2 <= 1.0 + eps:
-        return [(min(max(t1, 0.0), 1.0), min(max(t2, 0.0), 1.0))]
+def _overlap_middle(a1: Arc, a2: Arc) -> list[complex]:
+    """The middle of the common part of two arcs of one circle, if it has length."""
+    for x, y in ((a1, a2), (a2, a1)):
+        lo = min(y.angle_from, y.angle_to)
+        delta = (lo - min(x.angle_from, x.angle_to)) % (2.0 * math.pi)
+        if delta < abs(x.span):
+            return [x.center + x.radius * _cis(lo + min(abs(x.span) - delta, abs(y.span)) / 2)]
     return []
 
 
-def _arc_seg(arc: Arc, seg: Segment, tol: float) -> list[tuple[float, float]]:
-    d = seg.b - seg.a
-    rel = seg.a - arc.center
-    aa = abs(d) ** 2
-    bb = 2.0 * (rel.real * d.real + rel.imag * d.imag)
-    cc = abs(rel) ** 2 - arc.radius**2
-    disc = bb * bb - 4.0 * aa * cc
-    if disc < 0:
-        return []
-    out: list[tuple[float, float]] = []
-    for root in ((-bb - math.sqrt(disc)) / (2 * aa), (-bb + math.sqrt(disc)) / (2 * aa)):
-        if not -tol <= root <= 1.0 + tol:
-            continue
-        u = min(max(root, 0.0), 1.0)
-        # A tangent line can produce two nearly equal roots; keep one.
-        if out and abs(out[-1][1] - u) < 1e-9:
-            continue
-        p = seg.a + root * d
-        psi = math.atan2((p - arc.center).imag, (p - arc.center).real)
-        out.extend((min(max(s, 0.0), 1.0), u) for s in _angle_params(arc, psi))
-    return out
-
-
-def _arc_arc(a1: Arc, a2: Arc, tol: float) -> list[tuple[float, float]]:
-    d = abs(a2.center - a1.center)
-    scale = max(a1.radius, a2.radius, 1.0)
-    if d <= tol * scale and abs(a1.radius - a2.radius) <= tol * scale:
-        # Same circle: report an overlap midpoint if angular ranges meet.
-        samples = np.linspace(0.05, 0.95, 7)
-        for s in samples:
-            psi = a1.angle_from + s * a1.span
-            s2 = _angle_params(a2, psi % (2 * math.pi))
-            if s2:
-                return [(float(s), float(s2[0]))]
-        return []
-    if d > a1.radius + a2.radius + tol * scale:
-        return []
-    if d < abs(a1.radius - a2.radius) - tol * scale:
-        return []
-    u = (a2.center - a1.center) / d
-    along = (a1.radius**2 - a2.radius**2 + d * d) / (2 * d)
-    h_sq = a1.radius**2 - along**2
-    h = math.sqrt(max(h_sq, 0.0))
-    out = []
-    candidates = [a1.center + u * complex(along, h)]
-    if h > tol * scale:
-        candidates.append(a1.center + u * complex(along, -h))
-    for p in candidates:
-        psi1 = math.atan2((p - a1.center).imag, (p - a1.center).real)
-        psi2 = math.atan2((p - a2.center).imag, (p - a2.center).real)
-        out.extend(
-            (s1, s2) for s1 in _angle_params(a1, psi1) for s2 in _angle_params(a2, psi2)
-        )
-    return out
-
-
 def primitive_intersections(p1: Primitive, p2: Primitive) -> list[tuple[float, float]]:
-    """Local-parameter pairs where two primitives meet, to a relative
-    tolerance of ``INTERSECTION_TOL``."""
-    tol = INTERSECTION_TOL
-    if isinstance(p1, Segment) and isinstance(p2, Segment):
-        return _seg_seg(p1, p2, tol)
-    if isinstance(p1, Arc) and isinstance(p2, Segment):
-        return _arc_seg(p1, p2, tol)
-    if isinstance(p1, Segment) and isinstance(p2, Arc):
-        return [(s, a) for a, s in _arc_seg(p2, p1, tol)]
-    return _arc_arc(p1, p2, tol)
+    """Local-parameter pairs where two primitives meet.
+
+    A segment's crossings are those of :func:`segment_crossings`, so a touch
+    counts by the sides of its vertices; its own parameter is read by
+    projection.  Exactly collinear segments and arcs of one circle meet in
+    the middle of their overlap.  Two circles meet where the circle-circle
+    equations say, tangency included.
+    """
+    if isinstance(p2, Segment):
+        crossed = [s for s, _ in segment_crossings(p1, [p2.a], [p2.b])]
+        if isinstance(p1, Segment):
+            d = p1.b - p1.a
+            ua, ub = (((q - p1.a) * d.conjugate()) / abs(d) ** 2 for q in (p2.a, p2.b))
+            lo, hi = max(min(ua.real, ub.real), 0.0), min(max(ua.real, ub.real), 1.0)
+            if ua.imag == ub.imag == 0 and lo < hi:
+                crossed.append((lo + hi) / 2.0)
+        return [(s, _foot(p2, p1.point(s))) for s in crossed]
+    if isinstance(p1, Segment):
+        return [(s, u) for u, s in primitive_intersections(p2, p1)]
+    gap, r1, r2 = p2.center - p1.center, p1.radius, p2.radius
+    d = abs(gap)
+    if d == 0 and r1 == r2:
+        points = _overlap_middle(p1, p2)
+    elif abs(r1 - r2) <= d <= r1 + r2:
+        along = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+        h = math.sqrt(max(r1 * r1 - along * along, 0.0))
+        points = [p1.center + gap / d * complex(along, y) for y in ((h, -h) if h else (h,))]
+    else:
+        return []
+    return [
+        (s1, s2)
+        for z in points
+        for s1 in _angle_params(p1, cmath.phase(z - p1.center))
+        for s2 in _angle_params(p2, cmath.phase(z - p2.center))
+    ]
 
 
 def segment_crossings(

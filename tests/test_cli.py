@@ -139,6 +139,22 @@ class TestBraid:
         assert rc == 2
         assert json.loads(captured.err.strip())["error"] == "input"
 
+    @pytest.mark.parametrize(
+        "segment",
+        [
+            {"kind": "seg", "a": [math.nan, 0.0], "b": [1.0, 0.0]},
+            {"kind": "arc", "center": [0.0, 0.0], "radius": math.inf, "from": 0.0, "to": 6.0},
+        ],
+        ids=["nan-point", "infinite-radius"],
+    )
+    def test_non_finite_loop_geometry_is_an_input_error(self, capsys, tmp_path, segment):
+        loop_file = tmp_path / "loop.json"
+        loop_file.write_text(json.dumps({"segments": [segment], "closed": True}))
+        rc = main(["braid", "--poly", "w^2 - z", "--loop", str(loop_file)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert json.loads(captured.err.strip())["error"] == "input"
+
     def test_missing_loop_is_an_input_error(self, capsys):
         rc = main(["braid", "--poly", "w^2 - z"])
         captured = capsys.readouterr()

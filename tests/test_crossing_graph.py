@@ -20,6 +20,7 @@ from quasibraid import (
     InputError,
     NumericalFailure,
     LoopPath,
+    Segment,
     UnivariatePolynomial,
     bounding_box,
     braid_along,
@@ -286,6 +287,34 @@ class TestReadingLoops:
             crossings_of(poisoned, inside)
         assert caught.value.diagnostics["cell"] == list(cells[0])
         assert word_to_text(crossings_of(poisoned, circle(center=0.5j, radius=0.2))) == ""
+
+    def test_failures_name_the_flagged_cell_and_the_tangent_pair(self):
+        f, data = SQRT
+        graph = sample_crossing_graph(f, data, (-2, -2, 2, 2), 32)
+        cells = ((-1.9, -1.9, -1.7, -1.7), (-0.1, -0.1, 0.1, 0.1), (0.9, -0.1, 1.1, 0.1))
+        with pytest.raises(NumericalFailure) as caught:
+            crossings_of(dataclasses.replace(graph, flagged=cells), circle())
+        assert caught.value.diagnostics["cell_index"] == 2
+        # One locus edge of two segments; the loop's second side crosses the
+        # second segment at a slope of 1e-10.
+        line = graph_from_json(
+            {
+                "strands": 2,
+                "theta": 0.0,
+                "region": [-2, -2, 2, 2],
+                "resolution": 8,
+                "vertices": [],
+                "edges": [{"label": 1, "points": [[-1.5, 0.5], [-1.2, 0.0], [1.5, 0.0]]}],
+                "flagged": [],
+            }
+        )
+        low, high = -1 - 1e-10j, 1 + 1e-10j
+        loop = LoopPath((Segment(1j, low), Segment(low, high), Segment(high, 1j)))
+        with pytest.raises(NumericalFailure, match="tangent") as caught:
+            crossings_of(line, loop)
+        assert caught.value.diagnostics["segment"] == 1
+        assert caught.value.diagnostics["primitive"] == 1
+        assert caught.value.diagnostics["t"] > loop.primitive_spans()[1][0]
 
     def test_loop_past_a_junction_finer_than_a_cell_is_rejected(self):
         # w1 - w2 = sqrt(z^4 - 4) has zero real part on the axes and the

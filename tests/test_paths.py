@@ -51,6 +51,25 @@ def square(half=1.0, center=0j):
 FAR_CHORDS = [Segment(-5e-6 + 2j, 5e-6 + 2j), Segment(-5e-7 + 1.01j, 5e-7 + 1.01j)]
 
 
+def lollipop(basepoint, joint, center):
+    """Stick from the basepoint to ``joint``, one turn about ``center``
+    starting there, and the stick back."""
+    phi = cmath.phase(joint - center)
+    arc = Arc(center, abs(joint - center), phi, phi + 2 * math.pi)
+    return LoopPath((Segment(basepoint, joint), arc, Segment(arc.end, basepoint)))
+
+
+def dense_winding(loop, p, samples=20001):
+    """Argument sum over a dense sample of the loop, as a float."""
+    rel = loop.sample_points(np.linspace(0.0, 1.0, samples)) - p
+    return float(np.sum(np.angle(rel[1:] / rel[:-1]))) / (2 * math.pi)
+
+
+def near(z, eps, count=8):
+    """Points at distance eps around z, off the axis directions."""
+    return [z + cmath.rect(eps, 0.1 + k * 2 * math.pi / count) for k in range(count)]
+
+
 class TestPrimitives:
     def test_degenerate_segment_is_rejected(self):
         with pytest.raises(InputError):
@@ -78,6 +97,19 @@ class TestPrimitives:
         cw = Arc(0j, 1.0, math.pi, 0.0)
         assert abs(ccw.direction(0.0) - 1j) < 1e-15
         assert abs(cw.direction(1.0) - (-1j)) < 1e-15
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_geometry_is_rejected(self, bad):
+        for make in (
+            lambda: Segment(complex(bad, 0.0), 1),
+            lambda: Segment(0j, complex(0.0, bad)),
+            lambda: Arc(complex(0.0, bad), 1.0, 0.0, 1.0),
+            lambda: Arc(0j, bad, 0.0, 1.0),
+            lambda: Arc(0j, 1.0, bad, 1.0),
+            lambda: Arc(0j, 1.0, 0.0, bad),
+        ):
+            with pytest.raises(InputError):
+                make()
 
     def test_reversal_swaps_endpoints(self):
         seg = Segment(0j, 1j)
@@ -184,6 +216,66 @@ class TestWinding:
         loop = square(half=1.5)
         assert winding_number(reverse_loop(loop), 0j) == -1
 
+    def test_a_point_on_the_loop_is_an_input_error(self):
+        half_disk = LoopPath((Segment(-1, 1), Arc(0j, 1.0, 0.0, math.pi)))
+        for loop, p in (
+            (square(), 1 + 1j),  # a corner
+            (square(), -1j),  # inside the edge from -1-1j to 1-1j
+            (circle(), 1j),
+            (circle(turns=3), -1 + 0j),
+            (half_disk, 1j),  # inside the arc
+            (half_disk, 1 + 0j),  # a joint
+            (half_disk, 0.25 + 0j),  # inside the chord
+        ):
+            with pytest.raises(InputError):
+                winding_number(loop, p)
+        assert winding_number(square(), -1j + 1e-12j) == 1
+        assert winding_number(square(), -1j - 1e-12j) == 0
+        assert winding_number(half_disk, 0.25 + 1e-12j) == 1
+        assert winding_number(half_disk, 0.25 - 1e-12j) == 0
+        assert winding_number(half_disk, -1.5 + 0j) == 0
+
+    @pytest.mark.parametrize("turns", [1, 2, 3, -2])
+    def test_grid_near_a_multi_turn_circle(self, turns):
+        center, radius = 0.3 + 0.1j, 0.8
+        loop = circle(center, radius, turns, start_angle=0.4)
+        for k in range(24):
+            direction = cmath.rect(1.0, 0.4 + k * math.pi / 12)
+            for rel in (1e-2, 1e-6, 1e-9):
+                assert winding_number(loop, center + radius * (1 - rel) * direction) == turns
+                assert winding_number(loop, center + radius * (1 + rel) * direction) == 0
+        assert winding_number(loop, center) == turns
+
+    def test_grid_near_loop_joints(self):
+        z0 = -1.2845985029336733
+        loops = [
+            (square(), lambda p: abs(p.real) < 1 and abs(p.imag) < 1),
+            (
+                lollipop(-3 + 0.75j, z0 - 0.3 + 0.1j, z0),
+                lambda p: abs(p - z0) < abs(0.3 - 0.1j),
+            ),
+        ]
+        for loop, inside in loops:
+            for prim in loop.primitives:
+                for eps in (1e-3, 1e-7):
+                    for p in near(prim.start, eps) + near(prim.point(0.5), eps):
+                        assert winding_number(loop, p) == int(inside(p)), p
+
+    def test_a_ray_through_an_arc_segment_joint(self):
+        # A lollipop about the branch point near -1.2846 of
+        # w^4 - z*w^3 - w^2 + z*w + 0.05.  The horizontal ray from p runs
+        # exactly through the joint of its sticks and its circle, where a
+        # ray count taking each primitive's end by its own rule miscounts.
+        z0 = -1.2845985029336733
+        p = -1.5136677710682944 + 0.02436865357465915j
+        joint = complex(z0 - math.sqrt(0.2**2 - p.imag**2), p.imag)
+        loop = lollipop(-3 + 0.75j, joint, z0)
+        assert joint.real > p.real and abs(p - z0) > loop.primitives[1].radius
+        assert winding_number(loop, p) == 0
+        assert abs(dense_winding(loop, p)) < 1e-6
+        assert winding_number(loop, z0) == 1
+        assert abs(dense_winding(loop, z0) - 1) < 1e-6
+
 
 class TestDistanceAndBoxes:
     def test_distance_to_circle_is_radial(self):
@@ -274,6 +366,36 @@ class TestIntersections:
 
     def test_multi_turn_loops_are_never_embedded(self):
         assert not is_embedded(circle(turns=2))
+
+    def test_collinear_segments_meet_where_they_overlap(self):
+        assert primitive_intersections(Segment(0j, 2), Segment(1, 3)) == [(0.75, 0.25)]
+        assert primitive_intersections(Segment(0j, 1), Segment(1, 2)) == []
+
+    def test_a_backtracking_segment_loop_is_not_embedded(self):
+        loop = LoopPath((Segment(0j, 2), Segment(2, 1), Segment(1, 1 + 1j), Segment(1 + 1j, 0j)))
+        assert not is_embedded(loop)
+
+    def test_overlapping_arcs_of_one_circle_are_not_embedded(self):
+        first = Arc(0j, 1.0, 0.0, math.pi)
+        back = Arc(0j, 1.0, math.pi, math.pi / 2)
+        assert not is_embedded(LoopPath((first, back, Segment(back.end, first.start))))
+        (s, t), = primitive_intersections(first, back)
+        assert abs(first.point(s) - back.point(t)) < 1e-12
+        assert 0.5 < s < 1.0
+        # Two halves of one circle share only their joints.
+        halves = LoopPath((first, Arc(0j, 1.0, math.pi, 2 * math.pi)))
+        assert is_embedded(halves)
+
+    @pytest.mark.parametrize(
+        "second, point",
+        [(Arc(2 + 0j, 1.0, 0.0, 2 * math.pi), 1), (Arc(0.5 + 0j, 0.5, 0.0, 2 * math.pi), 1)],
+        ids=["outside", "inside"],
+    )
+    def test_tangent_circles_meet_once(self, second, point):
+        first = Arc(0j, 1.0, 0.0, 2 * math.pi)
+        (s, t), = primitive_intersections(first, second)
+        assert abs(first.point(s) - point) < 1e-12
+        assert abs(second.point(t) - point) < 1e-12
 
 
 def crossings(prim, polyline):

@@ -31,6 +31,7 @@ from .poly import (
     _companion_roots,
     _cluster_values,
     _discriminant_roots,
+    _inclusion_radii,
     _rebuilt_residual,
 )
 
@@ -93,20 +94,21 @@ class GenericityReport:
     issues: tuple[GenericityIssue, ...]
 
 
-def branch_points(f: BivariatePolynomial, tol: float = 1e-12) -> BranchData:
-    """Roots of the w-discriminant, clustered, in canonical order.
+def branch_points(f: BivariatePolynomial) -> BranchData:
+    """Roots of the w-discriminant, grouped by multiplicity, in canonical order.
 
     The roots are the finite eigenvalues of the Sylvester pencil of f and
-    df/dw, clustered at ``sqrt(tol)`` of their scale into multiplicities.
-    Points are sorted by real part, with real parts within 1e-9 of the scale
-    counted as equal, then by imaginary part.
+    df/dw.  Each gets the Weierstrass inclusion disc of the discriminant's
+    value there, and every connected component of k discs is one branch
+    point of multiplicity k at the mean of its eigenvalues.  Points are
+    sorted by real part, with real parts within 1e-9 of the scale counted as
+    equal, then by imaginary part.
     """
-    values, _ = _discriminant_roots(f)
+    values, _, residuals = _discriminant_roots(f)
     if len(values) == 0:
         return BranchData(points=())
-    scale = 1.0 + float(np.max(np.abs(values)))
-    centers, mults = _cluster_values(values, math.sqrt(tol) * scale)
-    tie = 1e-9 * scale
+    centers, mults = _cluster_values(values, _inclusion_radii(values, residuals))
+    tie = 1e-9 * (1.0 + float(np.max(np.abs(values))))
     pts = sorted((BranchPoint(z, m) for z, m in zip(centers, mults)), key=lambda p: p.z.real)
     runs: list[list[BranchPoint]] = []
     for p in pts:

@@ -82,12 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the w-rotation angle instead of selecting one",
     )
     parser.add_argument(
-        "--tol",
-        type=float,
-        default=1e-12,
-        help="root-finding tolerance",
-    )
-    parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     parser.add_argument(
@@ -181,10 +175,8 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.6f} {sign} {abs(z.imag):.6f}i"
 
 
-def _prepared_branch(
-    f: BivariatePolynomial, theta: float | None, tol: float
-) -> BranchData:
-    data = branch_points(f, tol=tol)
+def _prepared_branch(f: BivariatePolynomial, theta: float | None) -> BranchData:
+    data = branch_points(f)
     generic = check_genericity(f, data).ok
     angle = select_rotation(f, data) if theta is None else float(theta)
     return replace(data, generic=generic, rotation_theta=angle)
@@ -239,7 +231,7 @@ def _cmd_braid(args: argparse.Namespace) -> int:
     if not args.qp and args.loop is None:
         raise InputError("braid needs --loop, or --qp with a lollipop spec")
     f = _load_poly(args.poly)
-    data = _prepared_branch(f, args.theta, args.tol)
+    data = _prepared_branch(f, args.theta)
     if args.qp:
         spec = _parse_lollipop(args)
         qpf = qp_factorization(f, data, spec)
@@ -267,7 +259,7 @@ def _cmd_braid(args: argparse.Namespace) -> int:
 
 def _cmd_bplus(args: argparse.Namespace) -> int:
     f = _load_poly(args.poly)
-    data = _prepared_branch(f, args.theta, args.tol)
+    data = _prepared_branch(f, args.theta)
     try:
         region = tuple(float(part) for part in args.region.split(","))
     except ValueError as exc:
@@ -301,7 +293,7 @@ def _cmd_realize(args: argparse.Namespace) -> int:
         args.json_out,
     )
     if args.svg:
-        data = _prepared_branch(f, args.theta, args.tol)
+        data = _prepared_branch(f, args.theta)
         box = bounding_box(
             tuple(data.values()) + tuple(loop.primitives)
         )
@@ -315,7 +307,7 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     f = _load_poly(args.poly)
-    data = _prepared_branch(f, args.theta, args.tol)
+    data = _prepared_branch(f, args.theta)
     loop = loop_from_json(_load_json_file(args.loop))
     coarse = braid_along(f, data, loop)
     fine = braid_along(f, data, loop, step_cap_fraction=1.0 / 512.0)

@@ -23,10 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .poly import DEFAULT_ROOT_TOL, BivariatePolynomial, _companion_roots
+from .poly import DEFAULT_ROOT_TOL, BivariatePolynomial, _companion_roots, _monic_horner
 
 _SWEEP_STEPS = 6
-_ROUNDING = 2 * np.finfo(float).eps
 
 
 def coefficients(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
@@ -67,24 +66,18 @@ def sweep(f: BivariatePolynomial, grid: np.ndarray) -> np.ndarray:
         coeffs = coefficients(f, grid[j])
         # Rows are transposed to (n, nx), so every operation spans a row.
         c, w = (coeffs / coeffs[:, -1:]).T, guess.T.copy()
-        size_c = np.abs(c)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for _ in range(_SWEEP_STEPS):
-                # p(w_i) by Horner, with rounding error below _ROUNDING * n * size.
-                size_w = np.abs(w)
-                value, size = w + c[n - 1], size_w + size_c[n - 1]
-                for k in range(n - 2, -1, -1):
-                    value = value * w + c[k]
-                    size = size * size_w + size_c[k]
+                value, bound = _monic_horner(c, w)
                 product = np.ones_like(w)
                 for i in range(n):
                     diff = w - w[i]
                     diff[i] = 1.0
                     product *= diff
                 w -= value / product
-                if (np.abs(value) <= _ROUNDING * n * size).all():
+                if (np.abs(value) <= bound).all():
                     break
-            radius = (n + 1) * (np.abs(value) + _ROUNDING * n * size) / np.abs(product)
+            radius = (n + 1) * (np.abs(value) + bound) / np.abs(product)
             certified = radius <= DEFAULT_ROOT_TOL * np.maximum(1.0, np.abs(w))
             for i in range(n):
                 apart = np.abs(w - w[i]) > radius + radius[i]

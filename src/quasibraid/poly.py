@@ -7,9 +7,10 @@ to infinity.  Roots are the eigenvalues of companion matrices, a
 backward-stable root finder solved for a whole batch of polynomials in one
 call; the same solve serves single polynomials and every fiber of the fiber
 kernel.  The monic polynomial rebuilt from the roots must match the input
-coefficients, or root finding raises.  Nearby roots are merged into
-multiplicity clusters at radius ``sqrt(tol)`` times the Cauchy bound, which
-matches how accurately a double root can be located in floating point.
+coefficients, or root finding raises.  Multiplicities come from Weierstrass
+inclusion discs: approximate roots whose discs overlap form one root, of
+multiplicity the number of discs, for the roots of a fiber and of the
+discriminant alike.
 Values and partial derivatives of ``f`` are all read off one coefficient
 table by :meth:`BivariatePolynomial.jet`.
 
@@ -24,7 +25,6 @@ eigenvalue call.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 DEFAULT_ROOT_TOL = 1e-12
+# Horner's rounding error is below _ROUNDING * degree * (sum of absolute terms).
+_ROUNDING = 2 * np.finfo(float).eps
 
 
 def _as_complex_tuple(values: Iterable[complex]) -> tuple[complex, ...]:
@@ -125,8 +127,9 @@ class UnivariatePolynomial:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Clustered roots: distinct values, multiplicities, and the coefficient
-    residual of the monic polynomial rebuilt from the unclustered roots."""
+    """Roots grouped by multiplicity: one value per connected component of
+    inclusion discs, the number of discs in it, and the coefficient residual
+    of the monic polynomial rebuilt from the ungrouped roots."""
 
     values: tuple[complex, ...]
     multiplicities: tuple[int, ...]
@@ -141,100 +144,57 @@ class RootSet:
         return sum(self.multiplicities)
 
 
+def _monic_horner(c: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The monic polynomial with ascending coefficients ``c`` over the first
+    axis at every ``w``, by Horner, and a bound on its rounding error:
+    ``_ROUNDING`` times the degree times the Horner sum of absolute terms."""
+    n = len(c) - 1
+    size_w = np.abs(w)
+    value, size = w + c[n - 1], size_w + np.abs(c[n - 1])
+    for k in range(n - 2, -1, -1):
+        value = value * w + c[k]
+        size = size * size_w + np.abs(c[k])
+    return value, _ROUNDING * n * size
+
+
+def _inclusion_radii(values: np.ndarray, residuals: np.ndarray) -> np.ndarray:
+    """Radii of the Weierstrass inclusion discs about ``values``, approximate
+    roots of a monic polynomial of degree ``d = len(values)`` that is at most
+    ``residuals`` there in absolute value.
+
+    The disc of v_i has radius (d + 1)|W_i| with W_i = residual_i divided by
+    the product of v_i - v_j over the other values.  Values within
+    8 sqrt(eps) max|v| of each other count as one m-fold value: they leave
+    each other out of the product, and their |W_i| takes the m-th root.
+    """
+    diff = values[:, None] - values[None, :]
+    near = np.abs(diff) <= 8 * math.sqrt(np.finfo(float).eps) * np.abs(values).max()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = residuals / np.abs(np.where(near, 1.0, diff).prod(axis=1))
+        return (len(values) + 1) * w ** (1.0 / near.sum(axis=1))
+
+
 def _cluster_values(
-    values: np.ndarray, radius: float
+    values: np.ndarray, radii: np.ndarray
 ) -> tuple[tuple[complex, ...], tuple[int, ...]]:
-    m = len(values)
-    parent = list(range(m))
+    """The connected components of the discs of ``radii`` about ``values``,
+    each as its mean and its number of discs, by real then imaginary part.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(values[i] - values[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[complex]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(complex(values[i]))
-    reps = [
-        (sum(g) / len(g), len(g))
-        for g in groups.values()
-    ]
+    A component of k inclusion discs holds exactly k roots (Braess and
+    Hadeler, Numer. Math. 21, 1973; Carstensen, Numer. Math. 59, 1991).
+    """
+    reach = np.abs(values[:, None] - values[None, :]) <= radii[:, None] + radii[None, :]
+    reach |= np.eye(len(values), dtype=bool)
+    # Squaring doubles the length of the chains of overlapping discs covered.
+    for _ in range(len(values).bit_length()):
+        reach = reach @ reach
+    label = reach.argmax(axis=1)
+    reps = []
+    for k in np.unique(label):
+        group = [complex(v) for v in values[label == k]]
+        reps.append((sum(group) / len(group), len(group)))
     reps.sort(key=lambda pair: (pair[0].real, pair[0].imag))
     return tuple(r for r, _ in reps), tuple(c for _, c in reps)
-
-
-def _grow_multiple_clusters(
-    p: UnivariatePolynomial,
-    values: tuple[complex, ...],
-    mults: tuple[int, ...],
-    tol: float,
-    cauchy: float,
-) -> tuple[tuple[complex, ...], tuple[int, ...]]:
-    """Merge clusters that jointly certify as one root of higher multiplicity.
-
-    The eigensolve splits a root of multiplicity m into values about
-    eps^(1/m) apart, so clusters of a multiple root can land outside the base
-    pairing radius.  A merge of total size m is accepted only when p and its
-    first m-1 derivatives all vanish at the merged mean to the accuracy a
-    genuine m-fold root would give, which keeps nearby simple roots apart.
-    """
-    derivs = [p]
-    for _ in range(len(p.coefficients) - 1):
-        derivs.append(derivs[-1].derivative())
-
-    def certifies(center: complex, m: int) -> bool:
-        for k in range(m):
-            scale = max(derivs[k].magnitude_at(center), 1e-300)
-            if abs(derivs[k](center)) / scale > tol ** ((m - k) / m):
-                return False
-        return True
-
-    degree = len(p.coefficients) - 1
-    radius = tol ** (1.0 / degree) * cauchy
-    clusters = list(zip(values, mults))
-    groups: list[list[tuple[complex, int]]] = []
-    for cluster in sorted(clusters, key=lambda cm: (cm[0].real, cm[0].imag)):
-        for group in groups:
-            if any(abs(cluster[0] - other) <= radius for other, _ in group):
-                group.append(cluster)
-                break
-        else:
-            groups.append([cluster])
-
-    merged: list[tuple[complex, int]] = []
-    for group in groups:
-        pending = group
-        while len(pending) > 1:
-            # Largest certifying sub-collection wins; everything else is
-            # retried on its own.  Groups are tiny, so this stays cheap.
-            committed = False
-            for size in range(len(pending), 1, -1):
-                if committed or len(pending) > 8:
-                    break
-                for subset in itertools.combinations(range(len(pending)), size):
-                    m = sum(pending[i][1] for i in subset)
-                    center = sum(pending[i][0] * pending[i][1] for i in subset) / m
-                    if certifies(center, m):
-                        merged.append((center, m))
-                        pending = [
-                            pending[i]
-                            for i in range(len(pending))
-                            if i not in subset
-                        ]
-                        committed = True
-                        break
-            if not committed:
-                break
-        merged.extend(pending)
-    merged.sort(key=lambda cm: (cm[0].real, cm[0].imag))
-    return tuple(c for c, _ in merged), tuple(m for _, m in merged)
 
 
 def _rebuilt_residual(monic: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -304,21 +264,20 @@ def raw_roots(p: UnivariatePolynomial, tol: float = DEFAULT_ROOT_TOL) -> tuple[c
 
 
 def roots(p: UnivariatePolynomial, tol: float = DEFAULT_ROOT_TOL) -> RootSet:
-    """All complex roots of ``p`` with multiplicity clustering.
+    """All complex roots of ``p``, grouped by multiplicity.
 
     Raises :class:`NumericalFailure` with the roots attached when the monic
     polynomial rebuilt from them misses the input coefficients by more than
     ``8 * degree * sqrt(tol)``, the certificate of :func:`raw_roots` at the
-    accuracy to which a double root can be located.  Roots within
-    ``sqrt(tol)`` of the Cauchy bound are clustered, and clusters that jointly
-    certify as one multiple root are merged.
+    accuracy to which a double root can be located.  Each root gets the
+    Weierstrass inclusion disc of its Horner value plus that value's rounding
+    bound, and every connected component of k discs is one root of
+    multiplicity k at the mean of its values.
     """
     monic, found = _monic_roots(p)
     err = _certify(monic, found, 8 * p.degree * math.sqrt(tol))
-    cauchy = 1.0 + float(np.max(np.abs(monic[:-1])))
-    values, mults = _cluster_values(found, np.sqrt(tol) * cauchy)
-    if len(values) > 1:
-        values, mults = _grow_multiple_clusters(p, values, mults, tol, cauchy)
+    value, bound = _monic_horner(monic, found)
+    values, mults = _cluster_values(found, _inclusion_radii(found, np.abs(value) + bound))
     return RootSet(values, mults, err)
 
 
@@ -460,8 +419,17 @@ def _sylvester_pencil(f: BivariatePolynomial) -> tuple[np.ndarray, np.ndarray]:
     return stack / scale[:, None], scale
 
 
-def _discriminant_roots(f: BivariatePolynomial) -> tuple[np.ndarray, complex]:
-    """Roots of the w-discriminant, unclustered, and its leading coefficient.
+def _pencil_at(stack: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The matrix polynomial with coefficients ``stack`` at every point, by Horner."""
+    at = np.zeros((len(points),) + stack.shape[1:], dtype=complex) + stack[-1]
+    for coeff in stack[-2::-1]:
+        at = at * points[:, None, None] + coeff
+    return at
+
+
+def _discriminant_roots(f: BivariatePolynomial) -> tuple[np.ndarray, complex, np.ndarray]:
+    """Roots of the w-discriminant, ungrouped, its leading coefficient, and
+    the absolute value of the monic discriminant at every root.
 
     The roots are the finite eigenvalues of the Sylvester pencil S(z).  For a
     shift point sigma with S(sigma) regular, the reversal mu^d S(sigma + 1/mu)
@@ -475,9 +443,7 @@ def _discriminant_roots(f: BivariatePolynomial) -> tuple[np.ndarray, complex]:
     stack, scale = _sylvester_pencil(f)
     d = len(stack) - 1
     size = stack.shape[1]
-    at = np.zeros((len(_SHIFTS), size, size), dtype=complex) + stack[-1]
-    for coeff in stack[-2::-1]:
-        at = at * _SHIFTS[:, None, None] + coeff
+    at = _pencil_at(stack, _SHIFTS)
     sing = np.linalg.svd(at, compute_uv=False)
     rcond = sing[:, -1] / np.maximum(sing[:, 0], 1e-300)
     if rcond.max() <= _SINGULAR_RTOL:
@@ -502,8 +468,11 @@ def _discriminant_roots(f: BivariatePolynomial) -> tuple[np.ndarray, complex]:
             z = sigma[:, None] + 1.0 / mu
             apart = np.abs(z[0][:, None] - z[1][None, :]).min(axis=1)
             values = z[0][apart <= _AGREEMENT_RTOL * (1.0 + np.abs(z[0]))]
-    det = np.linalg.det(at[best[0]]) * np.prod(scale)
-    return values, complex(det / np.prod(sigma[0] - values))
+    # The determinant of S, times the row scales, is the discriminant.
+    det = np.linalg.det(np.concatenate([at[best[:1]], _pencil_at(stack, values)]))
+    det *= np.prod(scale)
+    lead = det[0] / np.prod(sigma[0] - values)
+    return values, complex(lead), np.abs(det[1:] / lead)
 
 
 def discriminant_w(f: BivariatePolynomial) -> UnivariatePolynomial:
@@ -515,14 +484,14 @@ def discriminant_w(f: BivariatePolynomial) -> UnivariatePolynomial:
     :class:`InputError` when the Sylvester matrix is numerically singular for
     every z, which means f has a repeated factor.
     """
-    values, lead = _discriminant_roots(f)
+    values, lead, _ = _discriminant_roots(f)
     return UnivariatePolynomial(tuple(lead * np.atleast_1d(np.poly(values))[::-1]))
 
 
 def fiber_roots(
     f: BivariatePolynomial, z: complex, tol: float = DEFAULT_ROOT_TOL
 ) -> RootSet:
-    """Roots in w of f(z, .), clustered by multiplicity."""
+    """Roots in w of f(z, .), grouped by multiplicity as by :func:`roots`."""
     return roots(f.fiber(z), tol=tol)
 
 

@@ -177,6 +177,86 @@ class TestBranchPoints:
             assert gaps.min() <= (1e-5 if p.multiplicity == 1 else 1e-3) * scale
 
 
+def relative_fiber_gap(f, z):
+    """Closest root pair of the fiber over z, relative to max(1, root scale)."""
+    vals = np.roots(f.fiber(z).coefficients[::-1])
+    gaps = np.abs(vals[:, None] - vals[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return gaps.min() / max(1.0, float(np.abs(vals).max()))
+
+
+# The w^5 curve of z-degree 3 on which a fixed clustering radius merged two
+# simple branch points near z = 1.72516, 2.1e-6 apart.
+FIVE_STRAND = BivariatePolynomial(
+    tuple(
+        UnivariatePolynomial(c)
+        for c in (
+            (-1, -1, 3), (3, -3, 1, -3), (3, -2, -1, -1), (2, -2, -2, 3), (-3, -2, -1, 3), (1,)
+        )
+    )
+)
+ELEVEN_POINTS = "w^4 - 2*z^2*w^3 + w^2 + 2*z*w^2 + z^2*w^2 + 2*w + 3*z*w + 2 + 3*z"
+EIGHTEEN_POINTS = (
+    "w^4 - 2*z^3*w^3 - z^2*w^3 + 3*z*w^3 + 2*w^3 + 2*z^3*w^2 + 2*z^2*w^2 + 2*z*w^2"
+    " - w^2 - z^3*w - 2*z^2*w - 2*z*w + 2*w - z^2 - 2*z + 1"
+)
+FOUR_STRAND = "w^4 - z*w^3 - w^2 + z*w + 0.05"
+
+
+class TestMultiplicities:
+    """Multiplicities read off closed-form discriminants, which are given up
+    to a constant factor.  A branch point's multiplicity is the number of
+    discriminant roots in its component of inclusion discs."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("w^2 - z^3", {0: 3}),  # 4 z^3
+            ("w^2 - z^4", {0: 4}),  # 4 z^4
+            ("w^3 - z^4", {0: 8}),  # -27 z^8
+            ("w^3 - z^5", {0: 10}),  # -27 z^10
+            # (3z + 1)^2 (3z + 2)^2: two nodes.
+            ("w^3 + 3*w^2 + 3*z*w^2 + 2*w + 3*z*w", {-2 / 3: 2, -1 / 3: 2}),
+            # 9 (z + 1)^2.  Two eigenvalues -1 +- e have |W| = e / 2, so
+            # discs of radius d|W| would only touch; (d + 1)|W| overlap.
+            ("w^2 + w + 3*z*w - 2 - 3*z", {-1: 2}),
+        ],
+    )
+    def test_multiple_points_are_one_point_each(self, text, expected):
+        points = branch_points(parse_bivariate_text(text)).points
+        assert [p.multiplicity for p in points] == list(expected.values())
+        assert_same_point_set([p.z for p in points], list(expected), tol=1e-6)
+
+    @pytest.mark.parametrize(
+        "f, count",
+        [
+            # Square-free discriminants of degree 24 and 11; the second is
+            # (3z + 2) times a factor with a root 9e-5 from -2/3.
+            (FIVE_STRAND, 24),
+            (parse_bivariate_text(ELEVEN_POINTS), 11),
+        ],
+    )
+    def test_close_simple_points_stay_apart(self, f, count):
+        points = branch_points(f).points
+        assert len(points) == count
+        assert all(p.multiplicity == 1 for p in points)
+        for p in points:
+            assert relative_fiber_gap(f, p.z) <= 1e-5
+
+    def test_a_close_conjugate_pair_stays_apart(self):
+        # A square-free discriminant of degree 18 with roots 0.70151 +- 3.9e-7i.
+        points = branch_points(parse_bivariate_text(EIGHTEEN_POINTS)).points
+        assert len(points) == 18
+        assert all(p.multiplicity == 1 for p in points)
+
+    def test_points_scale_with_z(self):
+        # f(1e6 z, w) branches at 1e-6 times the points of f.
+        unscaled = branch_points(parse_bivariate_text(FOUR_STRAND)).values()
+        scaled = branch_points(parse_bivariate_text(FOUR_STRAND.replace("z*", "1000000*z*")))
+        assert all(p.multiplicity == 1 for p in scaled.points)
+        assert_same_point_set([1e6 * z for z in scaled.values()], unscaled, tol=1e-7)
+
+
 class TestGenericity:
     def test_square_root_surface_is_generic(self):
         f = parse_bivariate_text("w^2 - z")

@@ -128,6 +128,17 @@ class TestRootFinding:
         assert sorted(round(v.real * 4) for v in values) == list(range(1, 9))
         assert info.value.diagnostics["residual"] > 8 * 8 * 1e-20
 
+    def test_five_fold_root_beside_a_simple_one(self):
+        found = roots(poly_from_roots([2j] * 5 + [1]))
+        assert found.multiplicities == (5, 1)
+        assert abs(found.values[0] - 2j) < 1e-2
+
+    def test_three_double_roots(self):
+        found = roots(poly_from_roots([1, 1, 2, 2, 3, 3]))
+        assert found.multiplicities == (2, 2, 2)
+        for v, expect in zip(found.values, (1, 2, 3)):
+            assert abs(v - expect) < 1e-6
+
     def test_double_root_at_the_origin_certifies(self):
         # Every term of w^3 + 2 w^2 vanishes at the double root 0, where the
         # per-root relative residual is 1 however close the iterates get.

@@ -231,7 +231,7 @@ class TestMultiplicities:
         "f, count",
         [
             # Square-free discriminants of degree 24 and 11; the second is
-            # (3z + 2) times a factor with a root 9e-5 from -2/3.
+            # (3z + 2) times a factor with a root 9.8e-5 from -2/3.
             (FIVE_STRAND, 24),
             (parse_bivariate_text(ELEVEN_POINTS), 11),
         ],

@@ -1,9 +1,9 @@
 """The fiber kernel shared by continuation and the crossing graph.
 
-The fiber over z is the n roots in w of f(z, w), solved for a batch of z as
-the eigenvalues of stacked companion matrices, or over a lattice by
-:func:`sweep` with certified Weierstrass steps.  Fibers are matched root to
-root by nearest distance.  The kernel owns the rules every fiber walk shares,
+The fiber over z is the n roots in w of f(z, w).  Predicted fibers are
+corrected and certified by :func:`correct`, with :func:`solve` (stacked
+companion eigenvalues) as the fallback, and matched root to root by nearest
+distance.  The kernel owns the rules every fiber walk shares,
 each applied to whole batches: :func:`step` accepts a step when the matching
 is a bijection and no root moves a third of the smallest root gap,
 :func:`orders` sorts strands by rotated real part, and :func:`swaps` reads
@@ -46,50 +46,53 @@ def solve(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
     return _companion_roots(coefficients(f, zs))
 
 
+def correct(coeffs: np.ndarray, guess: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of every row of ascending coefficients, corrected from ``guess``
+    (rows, n), and the radii of their inclusion discs.  After up to
+    ``_SWEEP_STEPS`` Weierstrass steps W, k discs of radius n|W_i| that meet
+    hold k roots (Carstensen, Numer. Math. 59, 1991); they are widened by the
+    last step and the rounding bound.  A row is kept when every radius is at
+    most ``rtol`` of the distance to the nearest other root, a rule that holds
+    under w -> mu w and for ``rtol`` < 1/2 keeps the discs apart.  Any other
+    row is solved, in the guess's order if :func:`match` is one to one, and
+    gets infinite radii."""
+    n = coeffs.shape[-1] - 1
+    # Rows are transposed to (n, rows); entry [j, i] of a difference is w_i - w_j.
+    c, w = (coeffs / coeffs[:, -1:]).T, guess.T.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_SWEEP_STEPS):
+            value, bound = _monic_horner(c, w)
+            diff = w[None] - w[:, None]
+            diff[np.diag_indices(n)] = 1.0
+            product = diff.prod(axis=0)
+            w -= value / product
+            if (np.abs(value) <= bound).all():
+                break
+        radius = (n + 1) * (np.abs(value) + bound) / np.abs(product)
+        apart = np.abs(w[None] - w[:, None])
+        apart[np.diag_indices(n)] = np.inf
+        certified = (radius <= rtol * apart.min(axis=0)).all(axis=0)
+    roots, radius = w.T, radius.T
+    bad = np.flatnonzero(~certified)
+    if bad.size:
+        solved = _companion_roots(coeffs[bad])
+        sel, _, bijective = match(guess[bad], solved)
+        roots[bad] = np.where(bijective[:, None], np.take_along_axis(solved, sel, -1), solved)
+        radius[bad] = np.inf
+    return roots, radius
+
+
 def sweep(f: BivariatePolynomial, grid: np.ndarray) -> np.ndarray:
     """Roots of the fiber over every vertex of a lattice ``grid`` of z, shape
-    (ny, nx, n).  Row 0 is solved; each later row starts from the line through
-    the two rows before it (row 1 from row 0) and takes up to ``_SWEEP_STEPS``
-    Weierstrass steps W, until every W is within its rounding bound.  The roots
-    lie in the discs of radius n|W_i| about the last iterate, a component of k
-    discs holding k (Carstensen, Numer. Math. 59, 1991).  A vertex is kept if
-    its discs, widened by the last step and the rounding bound, are disjoint
-    and of radius at most ``DEFAULT_ROOT_TOL * max(1, |w|)``; any other is
-    solved, in the predictor's order if :func:`match` is one to one.
-    """
+    (ny, nx, n).  Row 0 is solved; each later row is predicted on the line
+    through the two rows before it (row 1 from row 0), then corrected and
+    certified by :func:`correct` at discs of ``DEFAULT_ROOT_TOL`` of the gap."""
     grid = np.asarray(grid, dtype=complex)
-    n = f.w_degree
-    fibers = np.empty(grid.shape + (n,), dtype=complex)
+    fibers = np.empty(grid.shape + (f.w_degree,), dtype=complex)
     fibers[0] = solve(f, grid[0])
     for j in range(1, len(grid)):
         guess = fibers[j - 1] if j == 1 else 2 * fibers[j - 1] - fibers[j - 2]
-        coeffs = coefficients(f, grid[j])
-        # Rows are transposed to (n, nx), so every operation spans a row.
-        c, w = (coeffs / coeffs[:, -1:]).T, guess.T.copy()
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for _ in range(_SWEEP_STEPS):
-                value, bound = _monic_horner(c, w)
-                product = np.ones_like(w)
-                for i in range(n):
-                    diff = w - w[i]
-                    diff[i] = 1.0
-                    product *= diff
-                w -= value / product
-                if (np.abs(value) <= bound).all():
-                    break
-            radius = (n + 1) * (np.abs(value) + bound) / np.abs(product)
-            certified = radius <= DEFAULT_ROOT_TOL * np.maximum(1.0, np.abs(w))
-            for i in range(n):
-                apart = np.abs(w - w[i]) > radius + radius[i]
-                apart[i] = True
-                certified &= apart
-        fibers[j] = w.T
-        bad = np.flatnonzero(~certified.all(axis=0))
-        if bad.size:
-            solved = _companion_roots(coeffs[bad])
-            sel, _, bijective = match(guess[bad], solved)
-            relabelled = np.take_along_axis(solved, sel, axis=-1)
-            fibers[j, bad] = np.where(bijective[:, None], relabelled, solved)
+        fibers[j] = correct(coefficients(f, grid[j]), guess, DEFAULT_ROOT_TOL)[0]
     return fibers
 
 

@@ -11,16 +11,18 @@ and the letter sign is the sign of ``Im(e^(i*theta) * (w_2 - w_1))``.  With
 theta = 0 this reads the counterclockwise unit circle of ``w^2 - z`` as the
 single positive letter s1, which pins the convention.
 
-Continuation is solve-and-match on the shared kernel :mod:`quasibraid.fibers`:
-fibers are solved in chunks of steps and matched to the previous step by
-nearest distance, a step being accepted only when the largest root displacement
-stays below a third of the smallest pairwise root distance.  That bound makes
-nearest matching provably bijective.  Each chunk is judged by the kernel's
-step rule and its strand-order changes decoded into swaps by one call each,
-up to its first rejected step.  Every swap is recorded as a bracket over its
-accepted step, and all brackets of a pass are closed in one batch at its end
-by :func:`quasibraid.fibers.bisect_crossings`, to a width of
-``BISECTION_T_TOL`` in at most three times the evaluations halving took.
+Continuation is predict, correct and certify on the shared kernel
+:mod:`quasibraid.fibers`.  A pass solves its first chunk of steps; each later
+chunk is predicted on the line in z through the last two accepted fibers and
+corrected in one batch, the solve being the fallback.  A step is accepted only
+when nearest matching moves no root a third of the smallest root distance,
+which makes the matching provably bijective.  Each chunk is judged and its
+strand-order changes decoded into swaps by one kernel call each, up to its
+first rejected step.  Every swap brackets its accepted step, and a pass's
+brackets are closed in one batch at its end by
+:func:`quasibraid.fibers.bisect_crossings`, to ``BISECTION_T_TOL`` in at most
+three times the evaluations halving took, from the solve's roots at the
+step's ends, which a solve rounds the same in any batch.
 
 Steps are judged at their ends only, so a swap and its inverse can hide
 inside one step.  Stabilization checks every accepted step of a pass once
@@ -45,7 +47,7 @@ import numpy as np
 
 from .branch import BranchData
 from .errors import InputError, NumericalFailure
-from .fibers import bisect_crossings, min_gap, solve, step, swaps
+from .fibers import _tracked, bisect_crossings, coefficients, correct, min_gap, solve, step, swaps
 from .fibers import orders as strand_orders
 from .paths import (
     Arc,
@@ -91,6 +93,7 @@ CLEARANCE_FLOOR_FACTOR = 1e-3
 _CHUNK = 64
 _REFINEMENTS = 6
 RADIUS_RETRIES = 6
+_CORRECT_RTOL = 1e-6  # of the root gap: far inside the step rule's third
 
 
 @dataclass(frozen=True)
@@ -183,21 +186,22 @@ def _midpoint_failure(
 
     ``ts`` are a pass's step ends from t = 0, ``fibers`` its tracked fibers
     there and ``orders`` their strand orders.  Each step is split at its
-    parameter midpoint, whose fiber is solved in blocks of ``_CHUNK`` steps.
-    The step stands when its first half passes the pass's own acceptance
-    rule, its second half does too while keeping the strands' identity, and
-    the swaps of the two halves together are the step's own swap positions,
-    so a swap and its inverse inside one step, a split swap or a shifted one
-    all fail.  Returns None when every step stands.
-    """
+    parameter midpoint, whose fiber is corrected from the mean of the step's
+    ends in blocks of ``_CHUNK`` steps.  The step stands when its first half
+    passes the pass's own acceptance rule, its second half does too while
+    keeping the strands' identity, and the swaps of the two halves together
+    are the step's own swap positions, so a swap and its inverse inside one
+    step, a split swap or a shifted one all fail.  Returns None when every
+    step stands."""
     n = fibers.shape[-1]
     for start in range(0, len(ts) - 1, _CHUNK):
         stop = min(start + _CHUNK, len(ts) - 1)
         t_lo, t_hi = ts[start:stop], ts[start + 1 : stop + 1]
         lo, hi = fibers[start:stop], fibers[start + 1 : stop + 1]
         order_lo, order_hi = orders[start:stop], orders[start + 1 : stop + 1]
-        raw = solve(f, loop.sample_points(0.5 * (t_lo + t_hi)))
-        sel, _, first = step(lo, raw, min_gap(lo))
+        z, gap = loop.sample_points(0.5 * (t_lo + t_hi)), min_gap(lo)
+        raw = correct(coefficients(f, z), 0.5 * (lo + hi), _CORRECT_RTOL)[0]
+        sel, _, first = step(lo, raw, gap)
         mid = np.take_along_axis(raw, sel, axis=-1)
         sel_out, _, second = step(mid, hi, min_gap(raw))
         second &= (sel_out == np.arange(n)).all(axis=-1)
@@ -210,8 +214,8 @@ def _midpoint_failure(
         if bad.any():
             i = int(np.argmax(bad))
             rule = "first half" if not first[i] else "second half" if not second[i] else "swaps"
-            t = float(t_lo[i])
-            return {"t": t, "h": float(t_hi[i]) - t, "primitive": loop._locate(t)[0], "rule": rule}
+            t, h, gap_t = float(t_lo[i]), float(t_hi[i] - t_lo[i]), float(gap[i])
+            return {"t": t, "h": h, "gap": gap_t, "primitive": loop._locate(t)[0], "rule": rule}
     return None
 
 
@@ -226,7 +230,8 @@ def _track_once(
     step ends from t = 0 with the tracked fibers and strand orders there."""
     n = f.w_degree
 
-    roots0 = solve(f, np.array([loop.point_at(0.0)]))[0]
+    z0 = loop.point_at(0.0)
+    roots0 = solve(f, np.array([z0]))[0]
     gap0 = min_gap(roots0)
     if gap0 <= 0.0:
         raise InputError("the fiber at the loop start has coincident roots")
@@ -240,11 +245,11 @@ def _track_once(
         )
 
     # One bracket per swap of an accepted step, in step order: the two
-    # strands at the step start (lower position first) and end, the step's
-    # ends and the letter position, one array each per chunk.
+    # strands (lower position first), z and t at the step's start and end, and
+    # the letter position, one array each per chunk.
     brackets: list[tuple[np.ndarray, ...]] = []
-    t_cur, roots_cur, gap_cur, order_cur = 0.0, roots0, gap0, order0
-    h, streak, accepted = step_cap_fraction, 0, 0
+    t_cur, z_cur, roots_cur, gap_cur, order_cur = 0.0, z0, roots0, gap0, order0
+    h, streak, accepted, velocity = step_cap_fraction, 0, 0, 0.0
     steps_t, steps_fibers, steps_orders = [np.zeros(1)], [roots0[None]], [order0[None]]
 
     while t_cur < 1.0 - 1e-15:
@@ -253,7 +258,10 @@ def _track_once(
         ts = t_cur + h * np.arange(1, count + 1)
         if count == steps_left:
             ts[-1] = 1.0
-        fibers = solve(f, loop.sample_points(ts))
+        zs = loop.sample_points(ts)
+        # Predicted on dw/dz of the last accepted step: w is analytic in z, even at corners.
+        guess = roots_cur + velocity * (zs - z_cur)[:, None]
+        fibers = correct(coefficients(f, zs), guess, _CORRECT_RTOL)[0] if accepted else solve(f, zs)
         gaps = min_gap(fibers)
 
         # Matching is blind to the order of the old roots, so every step of
@@ -275,15 +283,15 @@ def _track_once(
         # Row i + 1 of each walk is the end of step i, row 0 the chunk start.
         walk = np.concatenate([roots_cur[None], tracked])
         walk_orders = np.concatenate([order_cur[None], orders])
+        walk_t, walk_z = np.concatenate([[t_cur], ts]), np.concatenate([[z_cur], zs])
         valid, pairs = swaps(walk_orders[:-1], orders)
         if not valid.all():
             k = int(np.argmin(valid))
         rows, lower = np.nonzero(pairs[:k])
-        start = rows[:, None]
-        strands = walk_orders[start, lower[:, None] + [0, 1]]
-        at_start, at_end = walk[start, strands].T, walk[start + 1, strands].T
-        t_lo = np.concatenate([[t_cur], ts])[rows]
-        brackets.append((*at_start, *at_end, t_lo, ts[rows], lower + 1))
+        ends = rows[:, None] + [0, 1]
+        strands = walk_orders[rows[:, None], lower[:, None] + [0, 1]]
+        roots = walk[ends[..., None], strands[:, None]]
+        brackets.append((roots, walk_z[ends], walk_t[ends], lower + 1))
 
         accepted += k
         streak += k
@@ -291,7 +299,8 @@ def _track_once(
         steps_fibers.append(tracked[:k])
         steps_orders.append(orders[:k])
         if k:
-            t_cur = float(ts[k - 1])
+            velocity = (walk[k] - walk[k - 1]) / (walk_z[k] - walk_z[k - 1])
+            t_cur, z_cur = float(ts[k - 1]), zs[k - 1]
             roots_cur, gap_cur, order_cur = tracked[k - 1], gaps[k - 1], orders[k - 1]
         if k < count:
             if 0.5 * h < STEP_UNDERFLOW:
@@ -314,18 +323,16 @@ def _track_once(
             streak = 0
 
     events: list[CrossingEvent] = []
-    ref_a, ref_b, far_a, far_b, t_lo, t_hi, positions = map(np.concatenate, zip(*brackets))
+    roots, z_ends, t_ends, positions = map(np.concatenate, zip(*brackets))
     if positions.size:
+        # ref_a, ref_b, far_a, far_b from a solve, which rounds the same in any batch.
+        ends = _tracked(f, roots.reshape(-1, 2), z_ends.ravel()).reshape(-1, 2, 2)
         t, _, w_a, w_b, sign = bisect_crossings(
             f,
             rot,
             lambda ts, _: loop.sample_points(ts),
-            ref_a,
-            ref_b,
-            far_a,
-            far_b,
-            t_lo,
-            t_hi,
+            *ends.transpose(1, 2, 0).reshape(4, -1),
+            *t_ends.T,
             BISECTION_MAX_HALVINGS,
             BISECTION_T_TOL,
         )
@@ -357,7 +364,7 @@ def _track_once(
     track = Track(
         events=tuple(events),
         start_roots=tuple(complex(v) for v in roots0),
-        end_roots=tuple(complex(v) for v in roots_cur),
+        end_roots=tuple(complex(v) for v in _tracked(f, roots_cur[None], np.array([z_cur]))[0]),
         permutation=permutation,
         theta=branch.rotation_theta,
         accepted_steps=accepted,

@@ -1,8 +1,10 @@
 """Tests for the shared fiber kernel: solves, lattice sweeps, matching, the
 step rule, swap decoding and bracket closing.
 
-A sweep must give every lattice fiber as the same set of roots that a solve
-gives, and fall back to the solve where its discs cannot certify a vertex.
+A corrected fiber must be the same set of roots that a solve gives, within
+the radii of its discs, whatever its guess; a fiber whose discs cannot
+certify it falls back to the solve, and which fibers certify does not change
+when w is scaled.  A sweep must give every lattice fiber as a solve does.
 
 Closing a batch of brackets must give exactly what closing each bracket alone
 gives, whatever positions the brackets swap.  The crossings it finds agree
@@ -26,6 +28,7 @@ from quasibraid import (
     UnivariatePolynomial,
     fibers,
     graph_to_json,
+    monodromy,
     parse_bivariate_text,
     sample_crossing_graph,
 )
@@ -33,6 +36,7 @@ from quasibraid.fibers import (
     _rotated_re,
     _tracked,
     bisect_crossings,
+    correct,
     match,
     min_gap,
     solve,
@@ -40,6 +44,8 @@ from quasibraid.fibers import (
     swaps,
     sweep,
 )
+from quasibraid.poly import DEFAULT_ROOT_TOL
+from quasibraid.realization import build_plan
 from tests.test_monodromy import prepared
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -198,6 +204,106 @@ class TestSolveAndMatch:
         assert min_gap(np.array([0j, 2 + 0j, 2.5 + 0j])) == pytest.approx(0.5)
 
 
+def monic_curve(data, w_degree, z_degree):
+    """A monic curve with integer z-coefficients in [-3, 3], as the
+    crossing-graph property draws them."""
+    entries = st.integers(-3, 3)
+    coeffs = [
+        UnivariatePolynomial(tuple(data.draw(entries) for _ in range(z_degree + 1)))
+        for _ in range(w_degree)
+    ]
+    return BivariatePolynomial(tuple(coeffs) + (UnivariatePolynomial((1,)),))
+
+
+class TestCorrect:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w_degree=st.integers(2, 4),
+        z_degree=st.integers(1, 2),
+        points=st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=1, max_size=12),
+        rtol=st.sampled_from([DEFAULT_ROOT_TOL, 1e-6]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_corrected_fibers_are_the_solved_fibers(
+        self, w_degree, z_degree, points, rtol, seed, data
+    ):
+        f = monic_curve(data, w_degree, z_degree)
+        zs = np.array([complex(x, y) for x, y in points])
+        solved = solve(f, zs)
+        scale = np.maximum(1.0, np.abs(solved).max(axis=-1))
+        # Per row a guess from the solved roots, permuted, with noise of
+        # 1e-14 to 1e-1 of their size; all of them collapsed onto one point;
+        # or permuted and moved far off.
+        rng = np.random.default_rng(seed)
+        kinds = rng.integers(3, size=len(zs))
+        noise = 10.0 ** rng.uniform(-14, -1, size=(len(zs), 1)) * scale[:, None]
+        shuffled = rng.permuted(solved, axis=-1)
+        wobble = rng.normal(size=solved.shape) + 1j * rng.normal(size=solved.shape)
+        guess = np.select(
+            [kinds[:, None] == 0, kinds[:, None] == 1],
+            [shuffled + noise * wobble, np.broadcast_to(solved[:, :1], solved.shape)],
+            100.0 * (shuffled + 10.0 * scale[:, None]),
+        )
+        roots, radius = correct(fibers.coefficients(f, zs), guess, rtol)
+        certified = np.isfinite(radius).all(axis=-1)
+        # Certified roots lie within their radius of the true roots, and the
+        # solved roots within 1e-12 of the root size, as in the sweep.
+        sel, _, bijective = match(roots, solved)
+        apart = np.abs(roots - np.take_along_axis(solved, sel, axis=-1))
+        within = apart <= radius + 1e-12 * scale[:, None]
+        same = (np.sort_complex(roots) == np.sort_complex(solved)).all(axis=-1)
+        assert np.all(np.where(certified, bijective & within.all(axis=-1), same))
+        collapsed = kinds == 1
+        assert not certified[collapsed].any()
+        assert np.array_equal(roots[collapsed], solved[collapsed])
+
+    @pytest.mark.parametrize("mu", [1e-3, 1e3])
+    def test_certified_fibers_do_not_change_when_w_is_scaled(self, mu):
+        # Quartic fibers of roots about 1 apart; in half of them two roots are
+        # moved 1e-4 apart, far too close for discs of 1e-12 of the gap and
+        # far enough for discs of 1e-12 of the root size, once w shrinks.
+        rng = np.random.default_rng(7)
+        rows, n = 40, 4
+        roots = np.exp(2j * np.pi * (np.arange(n) + rng.uniform(-0.1, 0.1, (rows, n))) / n)
+        roots *= rng.uniform(0.8, 1.25, (rows, 1))
+        close = np.arange(rows) % 2 == 1
+        roots[close, 1] = roots[close, 0] + 1e-4 * np.exp(2j * np.pi * rng.random(close.sum()))
+        coeffs = np.array([np.poly(row)[::-1] for row in roots])
+        guess = roots + 1e-9 * (rng.normal(size=roots.shape) + 1j * rng.normal(size=roots.shape))
+        powers = mu ** (n - np.arange(n + 1))
+        got, radius = correct(coeffs, guess, DEFAULT_ROOT_TOL)
+        scaled, scaled_radius = correct(coeffs * powers, mu * guess, DEFAULT_ROOT_TOL)
+        certified = np.isfinite(radius).all(axis=-1)
+        assert certified.any() and not certified.all()
+        assert np.array_equal(np.isfinite(scaled_radius).all(axis=-1), certified)
+        apart = np.abs(scaled[certified] / mu - got[certified])
+        assert np.all(apart <= radius[certified] + scaled_radius[certified] / mu)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_continuation_solves_fewer_fibers_than_it_accepts_steps(self, monkeypatch, n):
+        # Every solved row counts: the first chunk of each pass, the rows that
+        # fall back, bracket ends and crossing evaluations.
+        plan = build_plan(n)
+        solved, accepted = [0], [0]
+
+        def companion_roots(coeffs):
+            solved[0] += len(coeffs)
+            return companion(coeffs)
+
+        def track_roots(*args, **kwargs):
+            result = tracker(*args, **kwargs)
+            accepted[0] += result.accepted_steps
+            return result
+
+        companion, tracker = fibers._companion_roots, monodromy.track_roots
+        monkeypatch.setattr(fibers, "_companion_roots", companion_roots)
+        monkeypatch.setattr(monodromy, "track_roots", track_roots)
+        for loop in plan.generator_loops:
+            monodromy.braid_along(plan.f, plan.branch, loop)
+        assert 0 < solved[0] < accepted[0]
+
+
 class TestSweep:
     """The curves are drawn as the crossing-graph property draws them, and
     need not be generic: wherever the discs fail, the sweep solves."""
@@ -214,12 +320,7 @@ class TestSweep:
     def test_sweep_gives_the_roots_a_solve_gives(
         self, w_degree, z_degree, corner, step_size, shape, data
     ):
-        entries = st.integers(-3, 3)
-        coeffs = [
-            UnivariatePolynomial(tuple(data.draw(entries) for _ in range(z_degree + 1)))
-            for _ in range(w_degree)
-        ]
-        f = BivariatePolynomial(tuple(coeffs) + (UnivariatePolynomial((1,)),))
+        f = monic_curve(data, w_degree, z_degree)
         xs = corner[0] + step_size[0] * np.arange(shape[1])
         ys = corner[1] + step_size[1] * np.arange(shape[0])
         grid = xs[None, :] + 1j * ys[:, None]

@@ -412,6 +412,10 @@ class TestFailureContext:
         assert diagnostics["t"] < 0.153 and 0.156 < diagnostics["t"] + diagnostics["h"]
         assert diagnostics["primitive"] == 0
         assert diagnostics["rule"] == "swaps"
+        # The roots of w^2 - z are two square roots of z apart.
+        _, _, loop = hidden_pair_case()
+        gap = 2 * math.sqrt(abs(loop.point_at(diagnostics["t"])))
+        assert diagnostics["gap"] == pytest.approx(gap, rel=1e-12)
 
 
 if __name__ == "__main__":

@@ -264,6 +264,8 @@ def perturb_generic(
     passes when the branch locus is generic and pairwise branch separation
     stays above the floor.
     """
+    if not math.isfinite(budget):
+        raise InputError(f"the perturbation budget must be finite, not {budget!r}")
     try:
         data = branch_points(f)
         if check_genericity(f, data).ok and _separation_ok(data.values()):

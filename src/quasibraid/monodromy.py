@@ -11,26 +11,19 @@ and the letter sign is the sign of ``Im(e^(i*theta) * (w_2 - w_1))``.  With
 theta = 0 this reads the counterclockwise unit circle of ``w^2 - z`` as the
 single positive letter s1, which pins the convention.
 
-Continuation is predict, correct and certify on the shared kernel
-:mod:`quasibraid.fibers`.  A pass solves its first chunk of steps; each later
-chunk is predicted on the line in z through the last two accepted fibers and
-corrected in one batch, the solve being the fallback.  A step is accepted only
+Continuation is one pass of predict, correct and certify on the shared
+kernel :mod:`quasibraid.fibers`.  Each chunk of steps is predicted along
+dw/dz at the last accepted fiber (-f_z/f_w at the start), corrected in one
+batch with the last chunk's step midpoints, and judged by a few kernel calls
+up to its first rejected step, which is then halved in place.  A step stands
 when nearest matching moves no root a third of the smallest root distance,
-which makes the matching provably bijective.  Each chunk is judged and its
-strand-order changes decoded into swaps by one kernel call each, up to its
-first rejected step.  Every swap brackets its accepted step, and a pass's
-brackets are closed in one batch at its end by
-:func:`quasibraid.fibers.bisect_crossings`, to ``BISECTION_T_TOL`` in at most
-three times the evaluations halving took, from the solve's roots at the
-step's ends, which a solve rounds the same in any batch.
-
-Steps are judged at their ends only, so a swap and its inverse can hide
-inside one step.  Stabilization checks every accepted step of a pass once
-more at its parameter midpoint: both halves must pass the acceptance rule,
-the second keeping the strands' identity, and the swaps of the two halves
-together must be the step's own.  A failing step sends the whole pass back
-at half the cap; the letters of a step that passes still come from the one
-bracket of its swap.
+which makes the matching provably bijective, its strand orders differ by
+disjoint adjacent swaps, and its midpoint agrees with it, so a swap and its
+inverse cannot hide inside one step.  The step regrows after ``_REGROW``
+accepted steps wherever chunks end, so answers do not depend on the batch
+size ``_CHUNK``.  :func:`quasibraid.fibers.bisect_crossings` closes the
+bracket of every swap's step in one batch at the end, from the solve's roots
+at the step's ends, which a solve rounds the same in any batch.
 
 The module also builds lollipop loops (per-target stick, counterclockwise
 circle, stick back) whose crossing events split into conjugator and band
@@ -91,7 +84,7 @@ BISECTION_MAX_HALVINGS = 64
 STEP_UNDERFLOW = 1e-12
 CLEARANCE_FLOOR_FACTOR = 1e-3
 _CHUNK = 64
-_REFINEMENTS = 6
+_REGROW = 64
 RADIUS_RETRIES = 6
 _CORRECT_RTOL = 1e-6  # of the root gap: far inside the step rule's third
 
@@ -134,6 +127,16 @@ def _clearance_check(branch: BranchData, loop: LoopPath) -> None:
             )
 
 
+def _chunk_ends(t: float, h: float, streak: int) -> np.ndarray:
+    """Ends of the next chunk's steps of length h from t: at most ``_CHUNK``,
+    up to where ``streak`` reaches ``_REGROW``, the last one ending at t = 1."""
+    steps_left = max(1, int(math.ceil((1.0 - t) / h - 1e-12))) if t < 1.0 - 1e-15 else 0
+    ts = t + h * np.arange(1, min(_CHUNK, steps_left, _REGROW - streak) + 1)
+    if len(ts) == steps_left:
+        ts[-1:] = 1.0
+    return ts
+
+
 def track_roots(
     f: BivariatePolynomial,
     branch: BranchData,
@@ -143,91 +146,21 @@ def track_roots(
 ) -> Track:
     """Continue the fiber roots along the loop and collect crossing events.
 
-    The initial step is ``step_cap_fraction`` of the loop length (the cap);
-    steps halve on rejection and recover back up to the cap after a run of
-    accepted steps.  Step underflow below 1e-12 of the loop length raises,
-    which is the symptom of a loop hugging the branch locus or meeting the
-    crossing locus non-transversally; its diagnostics give t, the rejected
-    step h, the gap, that step's largest move and the primitive index at t.
-    Each swap is bracketed by its accepted step, and all brackets of a pass
-    are closed on their crossings in one batch after it.
-
-    With ``stabilize`` on (the default) every accepted step of the pass is
-    checked at its parameter midpoint (see :func:`_midpoint_failure`), so a
-    pair of crossings hiding inside a single step cannot go unnoticed.  When
-    a step fails, the pass is repeated at half the cap, up to six times; the
-    first pass whose steps all survive is returned.  Otherwise the raised
-    ``NumericalFailure`` gives the last cap and the last failing step's t,
-    h, primitive index and the rule it broke.
+    The first step is ``step_cap_fraction`` of the loop length (the cap, in
+    (0, 1]).  A rejected step is halved, and the step doubles back toward the
+    cap after each ``_REGROW`` accepted steps.  With ``stabilize`` on (the
+    default) a step must also agree with its parameter midpoint (see
+    :func:`_midpoint_check`), so crossings hiding in pairs get split.  Step
+    underflow below 1e-12 of the loop length raises: the loop hugs the branch
+    locus or meets the crossing locus non-transversally.  Its diagnostics give
+    t, the rejected step h, the gap, its largest move, the primitive index at
+    t and the ``rule`` that rejected it: ``move`` or ``order`` at the step's
+    end, or the midpoint's ``first half``, ``second half`` or ``swaps``.
     """
+    if not 0.0 < step_cap_fraction <= 1.0:
+        raise InputError(f"the step cap must lie in (0, 1], not {step_cap_fraction!r}")
     _clearance_check(branch, loop)
     rot = _cis(branch.rotation_theta)
-    for halvings in range(_REFINEMENTS + 1):
-        cap = step_cap_fraction * 0.5**halvings
-        track, *steps = _track_once(f, branch, loop, rot, cap)
-        failure = _midpoint_failure(f, loop, rot, *steps) if stabilize else None
-        if failure is None:
-            return track
-    raise NumericalFailure(
-        "crossing sequence did not stabilize under step refinement",
-        diagnostics={"final_cap": cap, **failure},
-    )
-
-
-def _midpoint_failure(
-    f: BivariatePolynomial,
-    loop: LoopPath,
-    rot: complex,
-    ts: np.ndarray,
-    fibers: np.ndarray,
-    orders: np.ndarray,
-) -> dict | None:
-    """Context of the first accepted step that its midpoint fiber contradicts.
-
-    ``ts`` are a pass's step ends from t = 0, ``fibers`` its tracked fibers
-    there and ``orders`` their strand orders.  Each step is split at its
-    parameter midpoint, whose fiber is corrected from the mean of the step's
-    ends in blocks of ``_CHUNK`` steps.  The step stands when its first half
-    passes the pass's own acceptance rule, its second half does too while
-    keeping the strands' identity, and the swaps of the two halves together
-    are the step's own swap positions, so a swap and its inverse inside one
-    step, a split swap or a shifted one all fail.  Returns None when every
-    step stands."""
-    n = fibers.shape[-1]
-    for start in range(0, len(ts) - 1, _CHUNK):
-        stop = min(start + _CHUNK, len(ts) - 1)
-        t_lo, t_hi = ts[start:stop], ts[start + 1 : stop + 1]
-        lo, hi = fibers[start:stop], fibers[start + 1 : stop + 1]
-        order_lo, order_hi = orders[start:stop], orders[start + 1 : stop + 1]
-        z, gap = loop.sample_points(0.5 * (t_lo + t_hi)), min_gap(lo)
-        raw = correct(coefficients(f, z), 0.5 * (lo + hi), _CORRECT_RTOL)[0]
-        sel, _, first = step(lo, raw, gap)
-        mid = np.take_along_axis(raw, sel, axis=-1)
-        sel_out, _, second = step(mid, hi, min_gap(raw))
-        second &= (sel_out == np.arange(n)).all(axis=-1)
-        order_mid = strand_orders(mid, rot)
-        valid_in, pairs_in = swaps(order_lo, order_mid)
-        valid_out, pairs_out = swaps(order_mid, order_hi)
-        _, pairs_whole = swaps(order_lo, order_hi)
-        joined = (pairs_in.astype(int) + pairs_out == pairs_whole).all(axis=-1)
-        bad = ~(first & second & valid_in & valid_out & joined)
-        if bad.any():
-            i = int(np.argmax(bad))
-            rule = "first half" if not first[i] else "second half" if not second[i] else "swaps"
-            t, h, gap_t = float(t_lo[i]), float(t_hi[i] - t_lo[i]), float(gap[i])
-            return {"t": t, "h": h, "gap": gap_t, "primitive": loop._locate(t)[0], "rule": rule}
-    return None
-
-
-def _track_once(
-    f: BivariatePolynomial,
-    branch: BranchData,
-    loop: LoopPath,
-    rot: complex,
-    step_cap_fraction: float,
-) -> tuple[Track, np.ndarray, np.ndarray, np.ndarray]:
-    """One continuation pass at the given cap: the track, and the accepted
-    step ends from t = 0 with the tracked fibers and strand orders there."""
     n = f.w_degree
 
     z0 = loop.point_at(0.0)
@@ -249,31 +182,27 @@ def _track_once(
     # the letter position, one array each per chunk.
     brackets: list[tuple[np.ndarray, ...]] = []
     t_cur, z_cur, roots_cur, gap_cur, order_cur = 0.0, z0, roots0, gap0, order0
-    h, streak, accepted, velocity = step_cap_fraction, 0, 0, 0.0
-    steps_t, steps_fibers, steps_orders = [np.zeros(1)], [roots0[None]], [order0[None]]
+    (f_z, f_w), _ = f.jet(z0, roots0, ((1, 0), (0, 1)))
+    h, streak, accepted, velocity = step_cap_fraction, 0, 0, -f_z / f_w
+    ahead = None  # the next chunk's ends, points and fibers, corrected with the midpoints
 
     while t_cur < 1.0 - 1e-15:
-        steps_left = int(math.ceil((1.0 - t_cur) / h - 1e-12))
-        count = max(1, min(_CHUNK, steps_left))
-        ts = t_cur + h * np.arange(1, count + 1)
-        if count == steps_left:
-            ts[-1] = 1.0
-        zs = loop.sample_points(ts)
-        # Predicted on dw/dz of the last accepted step: w is analytic in z, even at corners.
-        guess = roots_cur + velocity * (zs - z_cur)[:, None]
-        fibers = correct(coefficients(f, zs), guess, _CORRECT_RTOL)[0] if accepted else solve(f, zs)
-        gaps = min_gap(fibers)
+        if ahead is None:
+            ts = _chunk_ends(t_cur, h, streak)
+            zs = loop.sample_points(ts)
+            # Predicted on dw/dz at the last accepted fiber: w is analytic in z, even at corners.
+            guess = roots_cur + velocity * (zs - z_cur)[:, None]
+            fibers = correct(coefficients(f, zs), guess, _CORRECT_RTOL)[0]
+        else:
+            (ts, zs, fibers), ahead = ahead, None
+        count, gaps = len(ts), min_gap(fibers)
 
         # Matching is blind to the order of the old roots, so every step of
         # the chunk is judged against the raw fiber before it at once; the
-        # accepted prefix ends at the first step that fails, or whose strand
-        # orders differ by more than disjoint adjacent swaps.
-        sel, moves, ok = step(
-            np.concatenate([roots_cur[None], fibers[:-1]]),
-            fibers,
-            np.concatenate([[gap_cur], gaps[:-1]]),
-        )
-        k = count if ok.all() else int(np.argmin(ok))
+        # accepted prefix ends at the first step to fail a rule.
+        before = np.concatenate([roots_cur[None], fibers[:-1]])
+        sel, moves, ok = step(before, fibers, np.concatenate([[gap_cur], gaps[:-1]]))
+        k, rule = (count, "") if ok.all() else (int(np.argmin(ok)), "move")
         perms = np.empty((k, n), dtype=int)
         perm = np.arange(n)
         for i in range(k):
@@ -286,7 +215,24 @@ def _track_once(
         walk_t, walk_z = np.concatenate([[t_cur], ts]), np.concatenate([[z_cur], zs])
         valid, pairs = swaps(walk_orders[:-1], orders)
         if not valid.all():
-            k = int(np.argmin(valid))
+            k, rule = int(np.argmin(valid)), "order"
+        h_next, streak_next = (0.5 * h, 0) if k < count else (h, streak + k)
+        if streak_next == _REGROW:
+            h_next, streak_next = min(step_cap_fraction, 2.0 * h), 0
+        if stabilize and k:
+            # The midpoint fibers are corrected in one batch with the next
+            # chunk, which is planned as if every step stands.
+            t_ahead = _chunk_ends(ts[k - 1], h_next, streak_next)
+            z = loop.sample_points(np.concatenate([0.5 * (walk_t[:k] + ts[:k]), t_ahead]))
+            dw = (walk[k] - walk[k - 1]) / (walk_z[k] - walk_z[k - 1])
+            ahead_guess = walk[k] + dw * (z[k:] - walk_z[k])[:, None]
+            guess = np.concatenate([0.5 * (walk[:k] + tracked[:k]), ahead_guess])
+            raw = correct(coefficients(f, z), guess, _CORRECT_RTOL)[0]
+            stands, broken = _midpoint_check(rot, walk[: k + 1], raw[:k], walk_orders[: k + 1])
+            if stands == k:
+                ahead = t_ahead, z[k:], raw[k:]
+            else:
+                k, rule, h_next, streak_next = stands, broken, 0.5 * h, 0
         rows, lower = np.nonzero(pairs[:k])
         ends = rows[:, None] + [0, 1]
         strands = walk_orders[rows[:, None], lower[:, None] + [0, 1]]
@@ -294,33 +240,24 @@ def _track_once(
         brackets.append((roots, walk_z[ends], walk_t[ends], lower + 1))
 
         accepted += k
-        streak += k
-        steps_t.append(ts[:k])
-        steps_fibers.append(tracked[:k])
-        steps_orders.append(orders[:k])
         if k:
             velocity = (walk[k] - walk[k - 1]) / (walk_z[k] - walk_z[k - 1])
             t_cur, z_cur = float(ts[k - 1]), zs[k - 1]
             roots_cur, gap_cur, order_cur = tracked[k - 1], gaps[k - 1], orders[k - 1]
-        if k < count:
-            if 0.5 * h < STEP_UNDERFLOW:
-                raise NumericalFailure(
-                    "continuation step underflow: the path runs too close "
-                    "to the branch locus or meets the crossing locus "
-                    "non-transversally",
-                    diagnostics={
-                        "t": t_cur,
-                        "h": h,
-                        "gap": float(gap_cur),
-                        "max_move": float(moves[k]),
-                        "primitive": loop._locate(t_cur)[0],
-                    },
-                )
-            h *= 0.5
-            streak = 0
-        elif streak >= 8 and h < step_cap_fraction:
-            h = min(step_cap_fraction, 2.0 * h)
-            streak = 0
+        if k < count and 0.5 * h < STEP_UNDERFLOW:
+            raise NumericalFailure(
+                "continuation step underflow: the path runs too close to the branch "
+                "locus or meets the crossing locus non-transversally",
+                diagnostics={
+                    "t": t_cur,
+                    "h": h,
+                    "gap": float(gap_cur),
+                    "max_move": float(moves[k]),
+                    "primitive": loop._locate(t_cur)[0],
+                    "rule": rule,
+                },
+            )
+        h, streak = h_next, streak_next
 
     events: list[CrossingEvent] = []
     roots, z_ends, t_ends, positions = map(np.concatenate, zip(*brackets))
@@ -361,7 +298,7 @@ def _track_once(
         images[pos0[sel] - 1] = pos0
         permutation = tuple(images.tolist())
 
-    track = Track(
+    return Track(
         events=tuple(events),
         start_roots=tuple(complex(v) for v in roots0),
         end_roots=tuple(complex(v) for v in _tracked(f, roots_cur[None], np.array([z_cur]))[0]),
@@ -369,7 +306,35 @@ def _track_once(
         theta=branch.rotation_theta,
         accepted_steps=accepted,
     )
-    return track, *map(np.concatenate, (steps_t, steps_fibers, steps_orders))
+
+
+def _midpoint_check(
+    rot: complex, fibers: np.ndarray, raw: np.ndarray, orders: np.ndarray
+) -> tuple[int, str]:
+    """How many steps of a walk stand before the first that its midpoint
+    contradicts, and the rule that step breaks ("" if all stand).
+
+    ``fibers`` and ``orders`` are the walk's tracked fibers and strand orders
+    at its step ends, ``raw`` the fibers at the steps' parameter midpoints.
+    A step stands when its first half passes the move rule of :func:`step`,
+    its second half does too keeping the strands' identity, and the halves'
+    swaps add up to the step's own, so a swap and its inverse, a split swap
+    or a shifted one break ``swaps``."""
+    lo, hi = fibers[:-1], fibers[1:]
+    sel, _, first = step(lo, raw, min_gap(lo))
+    mid = np.take_along_axis(raw, sel, axis=-1)
+    sel_out, _, second = step(mid, hi, min_gap(raw))
+    second &= (sel_out == np.arange(fibers.shape[-1])).all(axis=-1)
+    order_mid = strand_orders(mid, rot)
+    valid_in, pairs_in = swaps(orders[:-1], order_mid)
+    valid_out, pairs_out = swaps(order_mid, orders[1:])
+    _, pairs_whole = swaps(orders[:-1], orders[1:])
+    joined = valid_in & valid_out & (pairs_in.astype(int) + pairs_out == pairs_whole).all(axis=-1)
+    broken = ~np.stack([first, second, joined])
+    bad = np.flatnonzero(broken.any(axis=0))
+    if not bad.size:
+        return len(lo), ""
+    return int(bad[0]), ("first half", "second half", "swaps")[int(np.argmax(broken[:, bad[0]]))]
 
 
 def braid_along(

@@ -300,6 +300,8 @@ class BivariatePolynomial:
             raise InputError(
                 "the coefficient of the top w-power must be a nonzero constant"
             )
+        if not np.isfinite(self.coefficient_table).all():
+            raise InputError("polynomial coefficients must be finite")
 
     @property
     def w_degree(self) -> int:

@@ -322,6 +322,11 @@ class TestPerturbation:
         g, data = perturb_generic(f, budget=0.0)
         assert g == f
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_budget_is_rejected(self, budget):
+        with pytest.raises(InputError, match="budget"):
+            perturb_generic(parse_bivariate_text("w^3 - z^2*w"), budget=budget)
+
 
 class TestRotation:
     def test_well_separated_fibers_keep_theta_zero(self):

@@ -44,6 +44,20 @@ class TestAnalyze:
         assert "perturbation" in out
         assert "generic: yes" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--poly", "w^2 - 1e400*z"],
+            ["--poly", "w^3 - z^2*w", "--budget", "nan"],
+            ["--poly", "w^3 - z^2*w", "--budget", "inf"],
+        ],
+    )
+    def test_non_finite_numbers_are_input_errors(self, capsys, argv):
+        rc = main(["analyze", *argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert json.loads(captured.err.strip())["error"] == "input"
+
     def test_fractional_exponent_is_an_input_error(self, capsys):
         rc = main(["analyze", "--poly", "w^2 - z^1.9"])
         captured = capsys.readouterr()
@@ -56,6 +70,7 @@ class TestAnalyze:
             {"n": "two", "coeffs_w_desc": [[[1, 0]], [[0, 0]], [[-1, 0]]]},
             {"n": 2, "coeffs_w_desc": [[[1, 0]], [[1]], [[-1, 0]]]},
             {"n": 2, "coeffs_w_desc": [[[1, 0]], [["a", 0]], [[-1, 0]]]},
+            {"n": 2, "coeffs_w_desc": [[[1, 0]], [[0, 0]], [[0, 0], [math.nan, 0]]]},
         ],
     )
     def test_malformed_polynomial_json_is_an_input_error(self, capsys, tmp_path, payload):

@@ -45,6 +45,7 @@ from quasibraid import (
     word_to_text,
 )
 from quasibraid import monodromy
+from quasibraid.fibers import match, solve
 from quasibraid.monodromy import events_to_jsonl
 from quasibraid.realization import build_plan
 
@@ -202,6 +203,12 @@ class TestGuards:
         with pytest.raises(InputError):
             braid_along(f, data, loop)
 
+    @pytest.mark.parametrize("cap", [0.0, -0.01, math.nan, 1e300, math.inf])
+    def test_a_step_cap_outside_zero_to_one_is_rejected(self, cap):
+        f, data = SQRT
+        with pytest.raises(InputError, match="step cap"):
+            braid_along(f, data, circle(), step_cap_fraction=cap)
+
 
 class TestLollipops:
     def test_spec_validation(self):
@@ -343,47 +350,56 @@ class TestHiddenPair:
         assert track.accepted_steps == 256
         assert track.events == ()
 
-    def test_the_midpoint_check_reads_the_pair_at_half_the_cap(self):
+    def test_the_pair_is_read_by_halving_the_failing_step(self):
         track = track_roots(*hidden_pair_case())
-        assert track.accepted_steps == 512
+        assert track.accepted_steps < 512
         assert [(e.position, e.sign) for e in track.events] == [(1, 1), (1, -1)]
         assert [round(e.t, 3) for e in track.events] == [0.153, 0.156]
 
     @staticmethod
-    def midpoint_failure_after(edit):
-        """The midpoint check's verdict on the clean half-cap pass of the
-        hidden-pair loop after ``edit(fibers)`` corrupts its tracked fibers."""
+    def midpoint_check_after(edit):
+        """The midpoint check's verdict on a short clean walk of the
+        hidden-pair loop at steps of 1/512, tracked here by solving every
+        fiber and matching it to the one before, after ``edit(fibers)``
+        corrupts its tracked fibers."""
         f, data, loop = hidden_pair_case()
         rot = complex(math.cos(data.rotation_theta), math.sin(data.rotation_theta))
-        _, ts, fibers, orders = monodromy._track_once(f, data, loop, rot, 1 / 512)
+        ts = np.arange(16) / 512
+        fibers = solve(f, loop.sample_points(ts))
+        for i in range(1, len(ts)):
+            fibers[i] = fibers[i][match(fibers[i - 1], fibers[i])[0]]
+        mids = solve(f, loop.sample_points(0.5 * (ts[:-1] + ts[1:])))
+        orders = monodromy.strand_orders(fibers, rot)
         edit(fibers)
-        return ts, monodromy._midpoint_failure(f, loop, rot, ts, fibers, orders)
+        return monodromy._midpoint_check(rot, fibers, mids, orders)
+
+    def test_the_clean_walk_stands(self):
+        assert self.midpoint_check_after(lambda fibers: None) == (15, "")
 
     def test_a_relabelled_strand_breaks_the_second_half(self):
         def relabel(fibers):
             fibers[10] = fibers[10][::-1]
 
-        ts, failure = self.midpoint_failure_after(relabel)
-        assert failure["rule"] == "second half"
-        assert failure["t"] == ts[9] and failure["h"] == ts[10] - ts[9]
+        assert self.midpoint_check_after(relabel) == (9, "second half")
 
     def test_a_displaced_fiber_breaks_the_first_half(self):
         def displace(fibers):
             fibers[0] += monodromy.min_gap(fibers[0])
 
-        _, failure = self.midpoint_failure_after(displace)
-        assert failure["rule"] == "first half" and failure["t"] == 0.0
+        assert self.midpoint_check_after(displace) == (0, "first half")
 
 
 class TestChunking:
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_chunk_size_does_not_change_the_track(self, monkeypatch, chunk):
-        # These loops never reject a step, so the step sequence does not
-        # depend on where chunks end; a chunk of one is the step-by-step loop.
+        # A chunk of one is the step-by-step loop.  The n = 4 realize loop
+        # and the hidden pair reject steps, so they also pin a step schedule
+        # that regrows wherever chunks end.
         f, data = QUARTIC
         loops = (figure_loop(), circle(radius=1.5, turns=2, start_angle=0.4), three_target_lollipop())
-        cases = [(f, data, loop) for loop in loops] + [hidden_pair_case()]
+        cases = [(f, data, loop) for loop in loops] + [realize_case(), hidden_pair_case()]
         reference = [track_roots(*case) for case in cases]
+        assert reference[3].accepted_steps == 679
         monkeypatch.setattr(monodromy, "_CHUNK", chunk)
         assert [track_roots(*case) for case in cases] == reference
 
@@ -396,19 +412,21 @@ class TestFailureContext:
         with pytest.raises(NumericalFailure, match="underflow") as info:
             track_roots(f, data, loop)
         diagnostics = info.value.diagnostics
-        assert {"t", "h", "gap", "max_move", "primitive"} <= set(diagnostics)
+        assert {"t", "h", "gap", "max_move", "primitive", "rule"} <= set(diagnostics)
         assert 0.0 < diagnostics["t"] < 1.0
         assert diagnostics["h"] < 2 * 0.003
         assert diagnostics["max_move"] >= diagnostics["gap"] / 3.0
         assert diagnostics["primitive"] == 0
+        assert diagnostics["rule"] == "move"
 
-    def test_unstable_crossings_report_the_cap_step_primitive_and_rule(self, monkeypatch):
-        monkeypatch.setattr(monodromy, "_REFINEMENTS", 0)
-        with pytest.raises(NumericalFailure, match="did not stabilize") as info:
+    def test_a_hidden_pair_underflow_reports_the_step_and_rule(self, monkeypatch):
+        # The cap-sized step across the pair fails its midpoint, and halving
+        # it would underflow.
+        monkeypatch.setattr(monodromy, "STEP_UNDERFLOW", 1 / 256)
+        with pytest.raises(NumericalFailure, match="underflow") as info:
             track_roots(*hidden_pair_case())
         diagnostics = info.value.diagnostics
-        assert diagnostics["final_cap"] == 1 / 256
-        assert diagnostics["h"] == pytest.approx(1 / 256)
+        assert diagnostics["h"] == 1 / 256
         assert diagnostics["t"] < 0.153 and 0.156 < diagnostics["t"] + diagnostics["h"]
         assert diagnostics["primitive"] == 0
         assert diagnostics["rule"] == "swaps"

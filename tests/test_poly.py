@@ -262,6 +262,11 @@ class TestBivariate:
         with pytest.raises(InputError):
             parse_bivariate_text("w^2 - x")
 
+    @pytest.mark.parametrize("text", ["w^2 - 1e400*z", "w^2 - 1e400*z + 1e400"])
+    def test_non_finite_coefficients_are_rejected(self, text):
+        with pytest.raises(InputError, match="finite"):
+            parse_bivariate_text(text)
+
     def test_parse_handles_signs_and_fractional_coefficients(self):
         f = parse_bivariate_text("-w^2 + 0.5*z^2 - 2")
         assert f.w_degree == 2
@@ -287,6 +292,7 @@ class TestBivariate:
             {"n": "two", "coeffs_w_desc": [[[1, 0]], [[0, 0]], [[-1, 0]]]},
             {"n": 2, "coeffs_w_desc": [[[1, 0]], [[1]], [[-1, 0]]]},
             {"n": 2, "coeffs_w_desc": [[[1, 0]], [["a", 0]], [[-1, 0]]]},
+            {"n": 2, "coeffs_w_desc": [[[1, 0]], [[0, 0]], [[0, 0], [float("nan"), 0]]]},
             {"n": 2, "coeffs_w_desc": 5},
             [2, [[1, 0]]],
         ],

@@ -10,16 +10,17 @@ into whole labeled curves.  This module extracts that picture on a grid and
 turns it back into words, which gives a second, independent route to the
 braid word of a loop.
 
-Extraction is by continuation on grid edges.  Lattice fibers come from
-:func:`quasibraid.fibers.sweep`, sorted by rotated real part; a grid edge
-whose endpoint orders differ by one adjacent transposition carries a crossing,
-and all such edges are closed on it together by
-:func:`quasibraid.fibers.bisect_crossings`, to 2^-48 of the edge (or until the
-z of the midpoint repeats an end) in at most 3 * 48 evaluations, from fibers
-solved afresh at both ends.  Within each cell the crossing points of equal
-label are joined by straight segments; cells that cannot be resolved that way
-are subdivided a bounded number of times and then flagged.  Cells containing a
-branch point are excluded, so curve ends near them stop at the cell boundary.
+Extraction is by continuation on grid edges, one subdivision level at a time.
+Lattice fibers come from :func:`quasibraid.fibers.sweep`, sorted by rotated
+real part; an edge whose end orders differ by one adjacent transposition
+carries a crossing, other edges are halved until their pieces do, and all the
+crossings on a level's edges of one direction are closed together by
+:func:`quasibraid.fibers.bisect_crossings`, to 2^-48 of the piece (or until
+the z of the midpoint repeats an end) in at most 3 * 48 evaluations, from
+fibers solved afresh at both ends.  Equal-label crossings on a cell's sides
+are joined by straight segments; cells that cannot be resolved that way form
+the next level, up to a bounded depth, and are then flagged.  Cells containing
+a branch point are excluded, so curve ends near them stop at the cell boundary.
 A curve of the locus ends only there or at the lattice's sides; a chain that
 stops anywhere else shows cells that disagree about what crosses their shared
 side (an edge crossed twice shows no swap at its ends), so the lattice cells
@@ -31,6 +32,7 @@ grid lines do not land exactly on symmetric loci such as the real axis.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import warnings
@@ -121,10 +123,6 @@ def _sorted(fibers: np.ndarray, rot: complex) -> np.ndarray:
     return np.take_along_axis(fibers, orders(fibers, rot), axis=-1)
 
 
-def _row_adjacent_re_gap(vals: np.ndarray, rot: complex) -> np.ndarray:
-    return np.diff((rot * vals).real, axis=-1).min(axis=-1)
-
-
 def _edge_events(
     f: BivariatePolynomial,
     rot: complex,
@@ -132,30 +130,55 @@ def _edge_events(
     b_pts: np.ndarray,
     fa: np.ndarray,
     fb: np.ndarray,
-    scale: float,
-    depth: int = 0,
+    tie_floor: np.ndarray,
 ) -> tuple[dict[int, list[tuple[complex, int, int]]], set[int]]:
-    """Crossing events per edge index; second return is unresolved edges.
+    """Crossing events per edge index, in order along the edge; second return
+    is unresolved edges.  Edges run from ``a_pts`` to ``b_pts``, a stack of
+    grids (g, ...) numbered row-major, with sorted end fibers ``fa``, ``fb``.
 
-    Edges whose endpoint orders differ by one adjacent swap are closed on
-    their crossings in one batch; other edges are halved, up to
-    ``_EDGE_SPLIT_DEPTH`` times.  A rotated real-part tie at an endpoint
-    leaves an edge unresolved.
+    Pieces whose end orders differ by one adjacent swap are closed in one batch
+    after all split depths; others are halved, up to ``_EDGE_SPLIT_DEPTH``
+    times.  A rotated real-part tie below ``tie_floor[g]`` at a piece end, or
+    a piece left unsplit, leaves its edge unresolved, with no events.
     """
-    tie_floor = 1e-11 * scale
-    untied = (_row_adjacent_re_gap(fa, rot) >= tie_floor) & (
-        _row_adjacent_re_gap(fb, rot) >= tie_floor
-    )
-    sel, _, ok = step(fa, fb, min_gap(fa))
-    # Both fibers are sorted, so sel maps each position of a to its strand's
-    # position in b; a set of disjoint swaps is its own inverse.
-    valid, pairs = swaps(np.arange(fa.shape[-1]), sel)
-    count = pairs.sum(axis=-1)
-    resolved = untied & ok & valid & (count <= 1)
-    events: dict[int, list[tuple[complex, int, int]]] = {}
-    simple = np.flatnonzero(resolved & (count == 1))
-    p = pairs[simple].argmax(axis=-1)
-    a, b, rows = a_pts[simple], b_pts[simple], np.arange(len(p))
+    per_grid = a_pts[0].size
+    a_pts, b_pts = a_pts.ravel(), b_pts.ravel()
+    fa, fb = fa.reshape(len(a_pts), -1), fb.reshape(len(a_pts), -1)
+    edge = np.arange(len(a_pts))
+    start = np.broadcast_to(0.0, edge.shape)  # in edge lengths; no copy until split
+    unresolved = np.zeros(len(a_pts), dtype=bool)
+    simple = []
+    for depth in range(_EDGE_SPLIT_DEPTH + 1):
+        untied = tie_floor[edge // per_grid] <= np.minimum(
+            *(np.diff((rot * v).real, axis=-1).min(axis=-1) for v in (fa, fb))
+        )
+        sel, _, ok = step(fa, fb, min_gap(fa))
+        # Both fibers are sorted, so sel maps each position of a to its strand's
+        # position in b; a set of disjoint swaps is its own inverse.
+        valid, pairs = swaps(np.arange(fa.shape[-1]), sel)
+        count = pairs.sum(axis=-1)
+        resolved = untied & ok & valid & (count <= 1)
+        one = np.flatnonzero(resolved & (count == 1))
+        simple.append((edge[one], start[one], a_pts[one], b_pts[one], pairs[one].argmax(axis=-1)))
+        split = untied & ~resolved
+        unresolved[edge[~untied | (split & (depth == _EDGE_SPLIT_DEPTH))]] = True
+        # Each piece is judged alone, so the pieces of an unresolved edge go.
+        split = np.flatnonzero(split & ~unresolved[edge])
+        if split.size == 0:
+            break
+        a, b = a_pts[split], b_pts[split]
+        mid = 0.5 * (a + b)
+        fm = _sorted(solve(f, mid), rot)
+        edge = np.tile(edge[split], 2)
+        start = np.concatenate([start[split], start[split] + 0.5 ** (depth + 1)])
+        a_pts, b_pts = np.concatenate([a, mid]), np.concatenate([mid, b])
+        fa, fb = np.concatenate([fa[split], fm]), np.concatenate([fm, fb[split]])
+
+    edge, start, a, b, p = (np.concatenate(parts) for parts in zip(*simple))
+    keep = np.lexsort((start, edge))
+    keep = keep[~unresolved[edge[keep]]]
+    edge, a, b, p = edge[keep], a[keep], b[keep], p[keep]
+    rows = np.arange(len(p))
     # A solve gives the same bits whatever its batch, so brackets that start
     # from solved ends find crossings that do not depend on how fa, fb were found.
     ends = _sorted(solve(f, np.concatenate([a, b])), rot)
@@ -172,32 +195,10 @@ def _edge_events(
         np.ones(len(p)),
         _BISECT_ITERATIONS,
     )
-    for e, z, label, s in zip(simple, z_star, p + 1, sign):
-        events[int(e)] = [(complex(z), int(label), int(s))]
-
-    unresolved = set(np.flatnonzero(~untied).tolist())
-    split = np.flatnonzero(untied & ~resolved)
-    if depth >= _EDGE_SPLIT_DEPTH or split.size == 0:
-        return events, unresolved | set(split.tolist())
-    mid = 0.5 * (a_pts[split] + b_pts[split])
-    fm = _sorted(solve(f, mid), rot)
-    halves, halves_bad = _edge_events(
-        f,
-        rot,
-        np.concatenate([a_pts[split], mid]),
-        np.concatenate([mid, b_pts[split]]),
-        np.concatenate([fa[split], fm]),
-        np.concatenate([fm, fb[split]]),
-        scale,
-        depth + 1,
-    )
-    for i, e in enumerate(split.tolist()):
-        left, right = i, i + len(split)
-        if left in halves_bad or right in halves_bad:
-            unresolved.add(e)
-        elif left in halves or right in halves:
-            events[e] = halves.get(left, []) + halves.get(right, [])
-    return events, unresolved
+    events: dict[int, list[tuple[complex, int, int]]] = {}
+    for e, z, label, s in zip(edge.tolist(), z_star, (p + 1).tolist(), sign.tolist()):
+        events.setdefault(e, []).append((complex(z), label, s))
+    return events, set(np.flatnonzero(unresolved).tolist())
 
 
 def _oriented(
@@ -228,91 +229,92 @@ def _extract(
     branch_values: tuple[complex, ...],
     xs: np.ndarray,
     ys: np.ndarray,
-    depth: int,
     segments: list[LabeledSegment],
     flagged: list[tuple[float, float, float, float]],
     excluded: list[tuple[float, float, float, float]],
 ) -> None:
-    nx, ny = len(xs), len(ys)
-    grid = xs[None, :] + 1j * ys[:, None]
-    fibers = _sorted(sweep(f, grid), rot)
-    scale = max(1.0, float(np.abs(fibers).max()))
+    """Build one cell depth at a time.  A level is a stack of equal grids: the
+    lattice, then the 3 x 3 grids of the cells the level before could not
+    resolve, in the order a depth-first walk would visit them."""
+    xs, ys = xs[None], ys[None]
+    for depth in range(_MAX_CELL_DEPTH + 1):
+        nx, ny = xs.shape[1], ys.shape[1]
+        grid = xs[:, None, :] + 1j * ys[:, :, None]
+        fibers = np.stack([_sorted(sweep(f, g), rot) for g in grid])
+        tie_floor = 1e-11 * np.maximum(1.0, np.abs(fibers).max(axis=(1, 2, 3)))
 
-    # Horizontal edges (j, i) -> (j, i+1) are numbered j*(nx-1) + i, vertical
-    # edges (j, i) -> (j+1, i) follow them at v0 + j*nx + i.  The two sets are
-    # read one after the other, which halves the peak of the per-edge arrays.
-    n = fibers.shape[-1]
-    v0 = ny * (nx - 1)
-    events: dict[int, list[tuple[complex, int, int]]] = {}
-    bad_edges: set[int] = set()
-    for offset, a, b in ((0, np.s_[:, :-1], np.s_[:, 1:]), (v0, np.s_[:-1, :], np.s_[1:, :])):
-        found, bad = _edge_events(
-            f,
-            rot,
-            grid[a].ravel(),
-            grid[b].ravel(),
-            fibers[a].reshape(-1, n),
-            fibers[b].reshape(-1, n),
-            scale,
-        )
-        events.update((offset + e, ev) for e, ev in found.items())
-        bad_edges.update(offset + e for e in bad)
-
-    # A cell whose four edges carry no event and none of which is unresolved
-    # contributes nothing, so only cells touching such an edge are visited,
-    # in the row-major order that fixes the order of segments and flags.
-    active: set[tuple[int, int]] = set()
-    for e in (*events, *bad_edges):
-        if e < v0:
-            j, i = divmod(e, nx - 1)
-            active.update(((j - 1, i), (j, i)))
-        else:
-            j, i = divmod(e - v0, nx)
-            active.update(((j, i - 1), (j, i)))
-    for j, i in sorted(active):
-        if not (0 <= j < ny - 1 and 0 <= i < nx - 1):
-            continue
-        rect = (float(xs[i]), float(ys[j]), float(xs[i + 1]), float(ys[j + 1]))
-        if any(
-            rect[0] <= z.real <= rect[2] and rect[1] <= z.imag <= rect[3]
-            for z in branch_values
+        # Edge (g, j, i) -> (g, j, i+1) is number (g*ny + j)*(nx-1) + i, edge
+        # (g, j, i) -> (g, j+1, i) is v0 + (g*(ny-1) + j)*nx + i.  Reading the two
+        # sets one after the other halves the peak of the per-edge arrays.
+        v0 = len(grid) * ny * (nx - 1)
+        events: dict[int, list[tuple[complex, int, int]]] = {}
+        bad_edges: set[int] = set()
+        for offset, a, b in (
+            (0, np.s_[:, :, :-1], np.s_[:, :, 1:]),
+            (v0, np.s_[:, :-1, :], np.s_[:, 1:, :]),
         ):
-            excluded.append(rect)
-            continue
-        edge_ids = (
-            (j * (nx - 1) + i, 1.0 + 0.0j),
-            ((j + 1) * (nx - 1) + i, 1.0 + 0.0j),
-            (v0 + j * nx + i, 1j),
-            (v0 + j * nx + i + 1, 1j),
-        )
-        bad = any(idx in bad_edges for idx, _ in edge_ids)
-        found: dict[int, list[tuple[complex, complex, int]]] = {}
-        built: list[LabeledSegment] = []
-        if not bad:
-            for idx, axis in edge_ids:
-                for z_star, label, sign in events.get(idx, ()):
-                    found.setdefault(label, []).append((z_star, axis, sign))
-            for label, items in found.items():
-                if len(items) != 2:
-                    bad = True
-                    break
-                (z1, ax1, s1), (z2, ax2, s2) = items
-                if abs(z1 - z2) < 1e-9 * max(abs(xs[i + 1] - xs[i]), 1.0):
-                    continue
-                ends = _oriented(z1, z2, [(ax1, s1), (ax2, s2)])
-                if ends is None:
-                    bad = True
-                    break
-                built.append(LabeledSegment(*ends, label))
-        if not bad:
-            segments.extend(built)
-            continue
-        if depth >= _MAX_CELL_DEPTH:
-            flagged.append(rect)
-            continue
-        sub_x = np.linspace(xs[i], xs[i + 1], 3)
-        sub_y = np.linspace(ys[j], ys[j + 1], 3)
-        _extract(f, rot, branch_values, sub_x, sub_y, depth + 1, segments, flagged, excluded)
+            found, bad = _edge_events(f, rot, grid[a], grid[b], fibers[a], fibers[b], tie_floor)
+            events.update((offset + e, ev) for e, ev in found.items())
+            bad_edges.update(offset + e for e in bad)
+
+        # A cell whose four edges carry no event and none of which is unresolved
+        # contributes nothing, so only cells touching such an edge are visited,
+        # grid by grid in row-major order, which fixes the order of flags.
+        touched = np.zeros(v0 + len(grid) * (ny - 1) * nx, dtype=bool)
+        touched[[*events, *bad_edges]] = True
+        rows, cols = touched[:v0].reshape(-1, ny, nx - 1), touched[v0:].reshape(-1, ny - 1, nx)
+        active = rows[:, :-1] | rows[:, 1:] | cols[:, :, :-1] | cols[:, :, 1:]
+        sub_x, sub_y = [], []
+        for g, j, i in np.argwhere(active).tolist():
+            x, y = xs[g], ys[g]
+            rect = (float(x[i]), float(y[j]), float(x[i + 1]), float(y[j + 1]))
+            if any(
+                rect[0] <= z.real <= rect[2] and rect[1] <= z.imag <= rect[3]
+                for z in branch_values
+            ):
+                excluded.append(rect)
+                continue
+            h = (g * ny + j) * (nx - 1) + i
+            v = v0 + (g * (ny - 1) + j) * nx + i
+            edge_ids = ((h, 1.0 + 0.0j), (h + nx - 1, 1.0 + 0.0j), (v, 1j), (v + 1, 1j))
+            bad = any(idx in bad_edges for idx, _ in edge_ids)
+            found: dict[int, list[tuple[complex, complex, int]]] = {}
+            built: list[LabeledSegment] = []
+            if not bad:
+                for idx, axis in edge_ids:
+                    for z_star, label, sign in events.get(idx, ()):
+                        found.setdefault(label, []).append((z_star, axis, sign))
+                for label, items in found.items():
+                    if len(items) != 2:
+                        bad = True
+                        break
+                    (z1, ax1, s1), (z2, ax2, s2) = items
+                    if abs(z1 - z2) < 1e-9 * max(abs(x[i + 1] - x[i]), 1.0):
+                        continue
+                    ends = _oriented(z1, z2, [(ax1, s1), (ax2, s2)])
+                    if ends is None:
+                        bad = True
+                        break
+                    built.append(LabeledSegment(*ends, label))
+            if not bad:
+                segments.extend(built)
+            elif depth == _MAX_CELL_DEPTH:
+                flagged.append(rect)
+            else:
+                sub_x.append(np.linspace(x[i], x[i + 1], 3))
+                sub_y.append(np.linspace(y[j], y[j + 1], 3))
+        if not sub_x:
+            break
+        xs, ys = np.array(sub_x), np.array(sub_y)
+
+
+def _rect(values: Iterable, what: str) -> tuple[float, float, float, float]:
+    """``values`` as a rectangle (x0, y0, x1, y1) of finite numbers with
+    x1 > x0 and y1 > y0, else an :class:`InputError` naming ``what``."""
+    x0, y0, x1, y1 = (float(v) for v in values)
+    if not (x1 > x0 and y1 > y0 and all(map(math.isfinite, (x0, y0, x1, y1)))):
+        raise InputError(f"{what} must be finite numbers with x1 > x0 and y1 > y0")
+    return x0, y0, x1, y1
 
 
 def _centre(rect: tuple[float, float, float, float]) -> complex:
@@ -427,9 +429,7 @@ def sample_crossing_graph(
     integer number of cells per side.  Branch points outside the region only
     earn a warning: the sampled picture is then partial.
     """
-    x0, y0, x1, y1 = (float(v) for v in region)
-    if not (x1 > x0 and y1 > y0 and all(map(math.isfinite, (x0, y0, x1, y1)))):
-        raise InputError("region must be finite numbers with x1 > x0 and y1 > y0")
+    x0, y0, x1, y1 = _rect(region, "region")
     if not isinstance(resolution, numbers.Integral) or resolution < 4:
         raise InputError("resolution must be an integer of at least 4")
     resolution = int(resolution)
@@ -450,7 +450,7 @@ def sample_crossing_graph(
     segments: list[LabeledSegment] = []
     flagged: list[tuple[float, float, float, float]] = []
     excluded: list[tuple[float, float, float, float]] = []
-    _extract(f, rot, values, xs, ys, 0, segments, flagged, excluded)
+    _extract(f, rot, values, xs, ys, segments, flagged, excluded)
 
     join_tol = 1e-7 * min(dx, dy)
     edges = _chain_segments(tuple(sorted(segments, key=_segment_key)), join_tol)
@@ -561,15 +561,15 @@ def graph_from_json(payload: dict) -> CrossingGraph:
     try:
         strands = int(payload["strands"])
         theta = float(payload["theta"])
-        region = tuple(float(v) for v in payload["region"])
+        region = _rect(payload["region"], "region")
         resolution = int(payload["resolution"])
         vertices = tuple(complex(v[0], v[1]) for v in payload["vertices"])
         edge_items = payload["edges"]
-        flagged = tuple(tuple(float(v) for v in r) for r in payload["flagged"])
+        flagged = tuple(_rect(r, "a flagged cell") for r in payload["flagged"])
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InputError(f"malformed crossing graph JSON: {exc}") from exc
-    if len(region) != 4:
-        raise InputError("region must have four numbers")
+    if strands < 2 or not all(map(cmath.isfinite, vertices)):
+        raise InputError("a crossing graph needs at least two strands and finite vertices")
     edges = []
     for item in edge_items:
         try:
@@ -584,8 +584,8 @@ def graph_from_json(payload: dict) -> CrossingGraph:
                 "meaning the edge direction now carries; re-sample the graph "
                 "to write it in the current format"
             )
-        if len(points) < 2:
-            raise InputError("edge polylines need at least two points")
+        if len(points) < 2 or not all(map(cmath.isfinite, points)):
+            raise InputError("edge polylines need at least two points, all finite")
         if any(a == b for a, b in zip(points, points[1:])):
             raise InputError("edge polylines need distinct consecutive points")
         edges.append(GraphEdge(label=label, points=points))
@@ -593,7 +593,7 @@ def graph_from_json(payload: dict) -> CrossingGraph:
         segments=_edge_segments(edges),
         edges=tuple(edges),
         vertices=vertices,
-        region=region,  # type: ignore[arg-type]
+        region=region,
         resolution=resolution,
         flagged=flagged,
         strands=strands,

@@ -295,6 +295,16 @@ class TestTopLevel:
         assert rc == 2
         assert json.loads(captured.err.strip())["error"] == "input"
 
+    @pytest.mark.parametrize("cell", [[0.0, 0.0, 1.0], [0.0, 0.0, math.nan, 1.0]])
+    def test_validate_rejects_a_malformed_flagged_cell(self, capsys, tmp_path, cell):
+        bad = tmp_path / "graph.json"
+        graph = {"strands": 2, "theta": 0.0, "region": [-1.0, -1.0, 1.0, 1.0], "resolution": 8}
+        bad.write_text(json.dumps({**graph, "vertices": [], "edges": [], "flagged": [cell]}))
+        rc = main(["--validate", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert json.loads(captured.err.strip())["error"] == "input"
+
     def test_validate_conflicts_with_subcommands(self, capsys, tmp_path):
         good = tmp_path / "loop.json"
         good.write_text(json.dumps({"segments": [], "closed": True}))

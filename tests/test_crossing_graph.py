@@ -7,7 +7,9 @@ known ray configurations with known labels.
 """
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from quasibraid import (
     select_rotation,
     word_to_text,
 )
-from quasibraid.fibers import solve
+from quasibraid.fibers import bisect_crossings, solve, sweep
 from tests.test_monodromy import circle, prepared
 
 SQRT = prepared("w^2 - z")
@@ -46,6 +48,7 @@ JUNCTION = prepared("w^2 + z^2*w + 1")
 SQUARE = (-2, -2, 2, 2)
 FIXTURES = [(SQRT, SQUARE), (QUARTIC, SQUARE), (FOUR, (-3, -3, 3, 3))]
 FIXTURE_IDS = ["sqrt", "quartic", "four-strand"]
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def segment_cloud(graph, per_segment=5):
@@ -193,6 +196,51 @@ class TestSweptLattice:
 
         monkeypatch.setattr(crossing_graph, "sweep", solved)
         assert swept == graph_to_json(sample_crossing_graph(f, data, region, resolution))
+
+
+class TestLevelByLevelBuild:
+    """The subdividing four-strand graph, frozen bitwise with its flag order,
+    and the batching that builds it one cell depth at a time."""
+
+    def test_four_strand_graph_matches_the_frozen_graph(self):
+        f, data = FOUR
+        frozen = json.loads((DATA_DIR / "four_strand_graph_res64.json").read_text())
+        payload = graph_to_json(sample_crossing_graph(f, data, (-3, -3, 3, 3), 64))
+        assert (len(payload["edges"]), len(payload["flagged"])) == (14, 10)
+        assert payload == frozen
+
+    def test_one_bisection_call_per_level_and_edge_direction(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return bisect_crossings(*args, **kwargs)
+
+        monkeypatch.setattr(crossing_graph, "bisect_crossings", counting)
+        f, data = FOUR
+        graph = sample_crossing_graph(f, data, (-3, -3, 3, 3), 64)
+        assert graph.flagged, "the build must reach the deepest cell level"
+        assert len(calls) <= 2 * (crossing_graph._MAX_CELL_DEPTH + 1)
+
+    def test_a_split_edge_gives_its_events_in_order_along_it(self):
+        # On a coarse lattice some edges cross two locus curves, so their end
+        # orders differ by two swaps and they are halved before bisection.
+        f, data = FOUR
+        rot = complex(math.cos(data.rotation_theta), math.sin(data.rotation_theta))
+        xs = np.linspace(-3.0, 3.0, 5) + 0.0123
+        grid = xs[None, :] + 1j * (xs[:, None] + 0.0048)
+        fibers = crossing_graph._sorted(sweep(f, grid), rot)
+        a, b = np.s_[:, :-1], np.s_[:, 1:]
+        events, bad = crossing_graph._edge_events(
+            f, rot, grid[a][None], grid[b][None], fibers[a][None], fibers[b][None], np.array([1e-11])
+        )
+        split = {e: found for e, found in events.items() if len(found) > 1}
+        assert split and not bad
+        starts, ends = grid[a].ravel(), grid[b].ravel()
+        for e, found in split.items():
+            along = [((z - starts[e]) / (ends[e] - starts[e])).real for z, _, _ in found]
+            assert along == sorted(along) and 0 < along[0] and along[-1] < 1
+            assert len({label for _, label, _ in found}) == len(found)
 
 
 class TestReadingLoops:
@@ -433,6 +481,37 @@ class TestValidationAndSerialization:
         payload = graph_to_json(sample_crossing_graph(f, data, (-2, -2, 2, 2), 32))
         # A repeated point would make a segment without a direction.
         payload["edges"][0]["points"].insert(1, payload["edges"][0]["points"][0])
+        with pytest.raises(InputError):
+            graph_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("flagged", [[0.0, 0.0, 1.0]]),
+            ("flagged", [[0.0, 0.0, math.nan, 1.0]]),
+            ("flagged", [[1.0, 0.0, 0.0, 1.0]]),
+            ("flagged", [[0.0, 1.0, 1.0, 1.0]]),
+            ("flagged", [[0.0, 0.0, math.inf, 1.0]]),
+            ("region", [2.0, -2.0, -2.0, 2.0]),
+            ("region", [-2.0, -2.0, 2.0, math.nan]),
+            ("region", [-2.0, -2.0, 2.0]),
+            ("vertices", [[math.nan, 0.0]]),
+            ("vertices", [[0.0, math.inf]]),
+            ("strands", 1),
+        ],
+    )
+    def test_malformed_graph_fields_are_rejected(self, key, value):
+        f, data = SQRT
+        payload = graph_to_json(sample_crossing_graph(f, data, (-2, -2, 2, 2), 32))
+        payload[key] = value
+        with pytest.raises(InputError):
+            graph_from_json(payload)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_edge_points_are_rejected(self, bad):
+        f, data = SQRT
+        payload = graph_to_json(sample_crossing_graph(f, data, (-2, -2, 2, 2), 32))
+        payload["edges"][0]["points"][0][1] = bad
         with pytest.raises(InputError):
             graph_from_json(payload)
 

@@ -3,22 +3,24 @@
 The fiber over z is the n roots in w of f(z, w).  Predicted fibers are
 corrected and certified by :func:`correct`, with :func:`solve` (stacked
 companion eigenvalues) as the fallback, and matched root to root by nearest
-distance.  The kernel owns the rules every fiber walk shares,
-each applied to whole batches: :func:`step` accepts a step when the matching
-is a bijection and no root moves a third of the smallest root gap,
-:func:`orders` sorts strands by rotated real part, and :func:`swaps` reads
-the adjacent strand pairs that changed places.  :func:`bisect_crossings`
-closes every bracket of a batch on the crossing inside it with one solve per
-iteration over the open brackets: a safeguarded regula falsi (Illinois)
-step, or a midpoint step whenever two evaluations in a row have not halved
-the bracket.  A bracket closes at its tolerance (``t_tol``, or
-2^-``max_halvings`` of its width, the width fixed halving reached) after at
-most 3 * ``max_halvings`` evaluations, or earlier once its midpoint repeats
-the z of an end.
+distance.  The kernel owns the rules every fiber walk shares, each applied to
+whole batches: :func:`step` accepts a step when the matching is a bijection
+and no root moves ``gap`` / 3, ``gap`` at most the smallest root distance of
+either fiber, and matches in place, without a search, a fiber whose roots all
+move less, :func:`orders` sorts strands by rotated real part, and
+:func:`swaps` reads the adjacent strand pairs that changed places.
+:func:`bisect_crossings` closes every bracket of a batch on the crossing
+inside it with one solve per iteration over the open brackets: a safeguarded
+regula falsi (Illinois) step, or a midpoint step whenever two evaluations in
+a row have not halved the bracket.  A bracket closes at its tolerance
+(``t_tol``, or 2^-``max_halvings`` of its width, the width fixed halving
+reached) after at most 3 * ``max_halvings`` evaluations, or earlier once its
+midpoint repeats the z of an end.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -26,6 +28,7 @@ import numpy as np
 from .poly import DEFAULT_ROOT_TOL, BivariatePolynomial, _companion_roots, _monic_horner
 
 _SWEEP_STEPS = 6
+_pairs = functools.lru_cache(maxsize=None)(lambda n: np.triu_indices(n, 1))
 
 
 def coefficients(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
@@ -97,11 +100,14 @@ def sweep(f: BivariatePolynomial, grid: np.ndarray) -> np.ndarray:
 
 
 def min_gap(vals: np.ndarray) -> np.ndarray:
-    """Smallest pairwise distance within each fiber (over the last axis)."""
-    d = np.abs(vals[..., :, None] - vals[..., None, :])
-    diagonal = np.arange(vals.shape[-1])
-    d[..., diagonal, diagonal] = np.inf
-    return d.min(axis=(-2, -1))
+    """Smallest distance of the root pairs i < j in each fiber, 4096 fibers at a time."""
+    i, j = _pairs(vals.shape[-1])
+    flat = vals.reshape(-1, vals.shape[-1])
+    gap = np.empty(len(flat), dtype=vals.real.dtype)
+    for k in range(0, len(flat), 4096):
+        block = flat[k : k + 4096]
+        gap[k : k + 4096] = np.abs(block[:, i] - block[:, j]).min(axis=-1, initial=np.inf)
+    return gap.reshape(vals.shape[:-1])[()]
 
 
 def match(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,10 +127,24 @@ def step(
     old: np.ndarray, new: np.ndarray, gap: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`match` of ``old`` to ``new``, and whether the step is accepted:
-    the match is a bijection and no root moves a third of ``gap``, the
-    smallest root distance in ``old``, which makes the match provably right."""
-    sel, move, bijective = match(old, new)
-    return sel, move, bijective & (move < gap / 3.0)
+    the match is a bijection and no root moves a third of ``gap``, which makes
+    it provably right.  ``gap`` must be at most the smallest root distance in
+    ``old`` or in ``new``: a fiber whose roots all move under ``gap`` / 3 in
+    place is then matched by the identity, and only the others are searched."""
+    limit = gap / 3.0
+    move = np.abs(old - new).max(axis=-1)
+    ok = move < limit
+    sel = np.empty(ok.shape + old.shape[-1:], dtype=np.intp)
+    sel[...] = np.arange(old.shape[-1])
+    if ok.all():
+        return sel, move, ok
+    if old.ndim != 2 or not old.shape == new.shape == sel.shape:
+        sel, move, bijective = match(old, new)
+        return sel, move, bijective & (move < limit)
+    bad = (~ok).nonzero()[0]
+    sel[bad], move[bad], ok[bad] = match(old.take(bad, 0), new.take(bad, 0))
+    ok &= move < limit
+    return sel, move, ok
 
 
 def orders(vals: np.ndarray, rot: complex) -> np.ndarray:

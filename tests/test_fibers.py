@@ -5,6 +5,8 @@ A corrected fiber must be the same set of roots that a solve gives, within
 the radii of its discs, whatever its guess; a fiber whose discs cannot
 certify it falls back to the solve, and which fibers certify does not change
 when w is scaled.  A sweep must give every lattice fiber as a solve does.
+The step rule and ``min_gap`` must give the bits of the full pairwise match
+they replaced, without building an (edges, n, n) array on a lattice.
 
 Closing a batch of brackets must give exactly what closing each bracket alone
 gives, whatever positions the brackets swap.  The crossings it finds agree
@@ -16,6 +18,7 @@ quartic.
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +397,51 @@ def order_changes(rng, n):
             yield old, new
 
 
+def reference_min_gap(vals):
+    """The full (..., n, n) form of :func:`min_gap`, kept to check its bits."""
+    d = np.abs(vals[..., :, None] - vals[..., None, :])
+    diagonal = np.arange(vals.shape[-1])
+    d[..., diagonal, diagonal] = np.inf
+    return d.min(axis=(-2, -1))
+
+
+def reference_step(old, new, gap):
+    """:func:`step` as a full nearest match of every fiber, kept to check its bits."""
+    d = np.abs(old[..., :, None] - new[..., None, :])
+    sel = d.argmin(axis=-1)
+    move = d.min(axis=-1).max(axis=-1)
+    bijective = (np.sort(sel, axis=-1) == np.arange(old.shape[-1])).all(axis=-1)
+    return sel, move, bijective & (move < gap / 3.0)
+
+
+def assert_same_bits(got, want):
+    """Same type, dtype and shape, NaN in the same places, equal bits elsewhere."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want) if want.dtype.kind == "f" else np.zeros(want.shape, dtype=bool)
+    assert np.array_equal(np.isnan(got) if got.dtype.kind == "f" else nan, nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def step_rows(rng, n, count):
+    """``count`` pairs of fibers on n roots, each of one of four kinds: every
+    root moved less than a third of the old gap in place, two roots exchanged,
+    two new roots on one old root (so the nearest match collapses), and a NaN."""
+    old = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
+    jitter = rng.random((count, n)) * np.exp(2j * np.pi * rng.random((count, n)))
+    new = old + 0.33 * reference_min_gap(old)[:, None] * jitter
+    for row, kind in enumerate(rng.integers(4, size=count)):
+        i, j = rng.choice(n, 2, replace=False)
+        if kind == 1:
+            new[row, [i, j]] = new[row, [j, i]]
+        elif kind == 2:
+            new[row, j] = new[row, i]
+        elif kind == 3:
+            (old, new)[rng.integers(2)][row, i] = complex(np.nan, rng.normal())
+    return old, new
+
+
 class TestStepAndSwaps:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_swaps_agree_with_a_walk_along_the_positions(self, n):
@@ -420,9 +468,50 @@ class TestStepAndSwaps:
 
     def test_step_rejects_a_match_that_is_not_a_bijection(self):
         old = np.array([0j, 1 + 0j])
-        sel, move, ok = step(old, np.array([0.4 + 0j, 5 + 0j]), 100.0)
-        assert sel.tolist() == [0, 0] and move < 100.0 / 3.0
+        sel, move, ok = step(old, np.array([0.4 + 0j, 5 + 0j]), min_gap(old))
+        assert sel.tolist() == [0, 0]
         assert not ok
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 7),
+        shape=st.one_of(
+            st.just(()),
+            st.tuples(st.integers(1, 12)),
+            st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        gap_of_new=st.booleans(),
+    )
+    def test_step_and_min_gap_keep_the_bits_of_the_full_match(self, n, shape, seed, gap_of_new):
+        rows = step_rows(np.random.default_rng(seed), n, int(np.prod(shape, dtype=int)))
+        old, new = (side.reshape(shape + (n,)) for side in rows)
+        for fiber in (old, new):
+            assert_same_bits(min_gap(fiber), reference_min_gap(fiber))
+        gap = reference_min_gap(new if gap_of_new else old)
+        got, want = step(old, new, gap), reference_step(old, new, gap)
+        for got_part, want_part in zip(got, want):
+            assert_same_bits(got_part, want_part)
+        assert got[0].flags.writeable
+
+    def test_min_gap_reads_a_lattice_in_blocks_as_one(self):
+        rng = np.random.default_rng(7)
+        vals = rng.normal(size=(2, 61, 70, 3)) + 1j * rng.normal(size=(2, 61, 70, 3))
+        vals[1, 30, 5, 2] = np.nan
+        assert_same_bits(min_gap(vals), reference_min_gap(vals))
+
+    def test_a_lattice_step_builds_no_per_edge_root_pair_array(self):
+        # Under a pairwise (edges, 4, 4) difference this peaks near 25 MB.
+        rng = np.random.default_rng(3)
+        fa = rng.normal(size=(258 * 257, 4)) + 1j * rng.normal(size=(258 * 257, 4))
+        fb = fa + 1e-3 * (rng.normal(size=fa.shape) + 1j * rng.normal(size=fa.shape))
+        tracemalloc.start()
+        try:
+            step(fa, fb, min_gap(fa))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestBatchedBisection:

@@ -114,12 +114,13 @@ def match(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """Nearest matching of fibers ``old`` to ``new`` over the last axis.
 
     Returns the selection (``new[..., sel]`` lines up with ``old``), the
-    largest displacement and whether the selection is a bijection.
+    largest displacement and whether the selection is a bijection: whether
+    the bits ``1 << sel`` cover all n places, exact for n < 63.
     """
     d = np.abs(old[..., :, None] - new[..., None, :])
     sel = d.argmin(axis=-1)
     move = d.min(axis=-1).max(axis=-1)
-    bijective = (np.sort(sel, axis=-1) == np.arange(old.shape[-1])).all(axis=-1)
+    bijective = np.bitwise_or.reduce(1 << sel, axis=-1) == (1 << old.shape[-1]) - 1
     return sel, move, bijective
 
 

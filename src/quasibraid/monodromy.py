@@ -11,19 +11,22 @@ and the letter sign is the sign of ``Im(e^(i*theta) * (w_2 - w_1))``.  With
 theta = 0 this reads the counterclockwise unit circle of ``w^2 - z`` as the
 single positive letter s1, which pins the convention.
 
-Continuation is one pass of predict, correct and certify on the shared
-kernel :mod:`quasibraid.fibers`.  Each chunk of steps is predicted along
-dw/dz at the last accepted fiber (-f_z/f_w at the start), corrected in one
-batch with the last chunk's step midpoints, and judged by a few kernel calls
-up to its first rejected step, which is then halved in place.  A step stands
-when nearest matching moves no root a third of the smallest root distance,
-which makes the matching provably bijective, its strand orders differ by
-disjoint adjacent swaps, and its midpoint agrees with it, so a swap and its
-inverse cannot hide inside one step.  The step regrows after ``_REGROW``
-accepted steps wherever chunks end, so answers do not depend on the batch
-size ``_CHUNK``.  :func:`quasibraid.fibers.bisect_crossings` closes the
-bracket of every swap's step in one batch at the end, from the solve's roots
-at the step's ends, which a solve rounds the same in any batch.
+Continuation is predict, correct and certify on the shared kernel
+:mod:`quasibraid.fibers`.  Braid monodromy is a homomorphism, so a loop is
+tracked as pieces that share only the solved fiber at each cut, and that
+advance in lockstep: every round predicts each live piece's next chunk of
+steps along dw/dz at its last accepted fiber (-f_z/f_w at its start),
+corrects all chunks in one batch with the last round's step midpoints, and
+judges them with one kernel call per rule up to each piece's first rejected
+step, which is then halved in place.  A step stands when nearest matching
+moves no root a third of the smallest root distance, which makes the
+matching provably bijective, its strand orders differ by disjoint adjacent
+swaps, and its midpoint agrees with it, so a swap and its inverse cannot
+hide inside one step.  The step regrows after ``_REGROW`` accepted steps
+wherever chunks end, so answers do not depend on the batch size ``_CHUNK``.
+:func:`quasibraid.fibers.bisect_crossings` closes the bracket of every
+swap's step in one batch at the end, from the solve's roots at the step's
+ends, which a solve rounds the same in any batch.
 
 The module also builds lollipop loops (per-target stick, counterclockwise
 circle, stick back) whose crossing events split into conjugator and band
@@ -127,14 +130,65 @@ def _clearance_check(branch: BranchData, loop: LoopPath) -> None:
             )
 
 
-def _chunk_ends(t: float, h: float, streak: int) -> np.ndarray:
-    """Ends of the next chunk's steps of length h from t: at most ``_CHUNK``,
-    up to where ``streak`` reaches ``_REGROW``, the last one ending at t = 1."""
-    steps_left = max(1, int(math.ceil((1.0 - t) / h - 1e-12))) if t < 1.0 - 1e-15 else 0
-    ts = t + h * np.arange(1, min(_CHUNK, steps_left, _REGROW - streak) + 1)
-    if len(ts) == steps_left:
-        ts[-1:] = 1.0
-    return ts
+def _chunk_ends(
+    t: np.ndarray, h: np.ndarray, streak: np.ndarray, end: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of every piece's next chunk of steps of length h from t, and their
+    counts: at most ``_CHUNK``, up to where ``streak`` reaches ``_REGROW``,
+    the last one ending at the piece's ``end``."""
+    left = np.where(t < end - 1e-15, np.maximum(1, np.ceil((end - t) / h - 1e-12)), 0).astype(int)
+    counts = np.minimum(np.minimum(left, _CHUNK), _REGROW - streak)
+    last = np.cumsum(counts) - 1
+    steps = np.arange(last[-1] + 1) - np.repeat(last - counts, counts)
+    ts = np.repeat(t, counts) + np.repeat(h, counts) * steps
+    done = (counts == left) & (counts > 0)
+    ts[last[done]] = end[done]
+    return ts, counts
+
+
+def _pieces(
+    f: BivariatePolynomial, rot: complex, loop: LoopPath, cap: float
+) -> tuple[np.ndarray, ...]:
+    """Where the loop is cut into pieces that are tracked in lockstep: each
+    piece's start parameter, end parameter, start point and solved fiber.
+
+    There are ceil(1 / (``cap`` * ``_REGROW``)) pieces.  Each cut lies on the
+    cap grid, at the one of five grid points about an even split whose sorted
+    rotated real parts lie furthest apart, relative to max(1, max |w|); a cut
+    where none clears the basepoint's tie floor of 1e-9 of that scale is
+    dropped, merging its two pieces."""
+    count = math.ceil(1.0 / (cap * _REGROW))
+    grid = np.round(np.arange(1, count) / (count * cap))[:, None] + [0, -1, 1, -2, 2]
+    ts = np.concatenate([[0.0], (grid * cap).ravel()])
+    zs = np.concatenate([[loop.point_at(0.0)], loop.sample_points(ts[1:])])
+    fibers = solve(f, zs)
+    if min_gap(fibers[0]) <= 0.0:
+        raise InputError("the fiber at the loop start has coincident roots")
+    apart = np.diff(np.sort((rot * fibers).real), axis=-1).min(axis=-1)
+    scale = np.maximum(1.0, np.abs(fibers).max(axis=-1))
+    tied = apart < 1e-9 * scale
+    if tied[0]:
+        raise InputError(
+            "two roots share a rotated real part at the loop basepoint; "
+            "move the basepoint or pick a different rotation"
+        )
+    cuts = 1 + 5 * np.arange(count - 1) + (apart / scale)[1:].reshape(-1, 5).argmax(axis=1)
+    keep = np.concatenate([[0], cuts[~tied[cuts]]])
+    return ts[keep], np.append(ts[keep[1:]], 1.0), zs[keep], fibers[keep]
+
+
+def _first(bad: np.ndarray, first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per piece, whose ``counts`` rows start at row ``first``, the place
+    among them of its first ``bad`` row, or its count."""
+    hits = np.append(np.flatnonzero(bad), len(bad))
+    return np.minimum(hits[np.searchsorted(hits, first)] - first, counts)
+
+
+def _shifted(rows: np.ndarray, heads: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The row before each row, or its piece's ``heads`` entry at row ``first``."""
+    before = np.empty_like(rows)
+    before[1:], before[first] = rows[:-1], heads
+    return before
 
 
 def track_roots(
@@ -146,125 +200,167 @@ def track_roots(
 ) -> Track:
     """Continue the fiber roots along the loop and collect crossing events.
 
-    The first step is ``step_cap_fraction`` of the loop length (the cap, in
-    (0, 1]).  A rejected step is halved, and the step doubles back toward the
-    cap after each ``_REGROW`` accepted steps.  With ``stabilize`` on (the
-    default) a step must also agree with its parameter midpoint (see
-    :func:`_midpoint_check`), so crossings hiding in pairs get split.  Step
+    The loop is tracked as pieces cut on the cap grid, each from the solved
+    fiber at its start (see :func:`_pieces` for the cuts and their tie
+    floor), and every round judges the next chunk of steps of every live
+    piece with one kernel call per rule.  A piece's first step is
+    ``step_cap_fraction`` of the loop length (the cap, in (0, 1]).  A rejected
+    step is halved, and the step doubles back toward the cap after each
+    ``_REGROW`` accepted steps.  With ``stabilize`` on (the default) a step
+    must also agree with its parameter midpoint (see :func:`_midpoint_check`),
+    so crossings hiding in pairs get split.  A piece's last step ends on the
+    solved fiber the next starts from, so strand orders at a cut come from
+    one fiber; gluing matches its tracked end to that fiber (a closed loop's
+    last to the start fiber) by the step rule, or raises with the cut's t,
+    and composes the relabellings into the start fiber's labels.  Step
     underflow below 1e-12 of the loop length raises: the loop hugs the branch
-    locus or meets the crossing locus non-transversally.  Its diagnostics give
-    t, the rejected step h, the gap, its largest move, the primitive index at
-    t and the ``rule`` that rejected it: ``move`` or ``order`` at the step's
-    end, or the midpoint's ``first half``, ``second half`` or ``swaps``.
+    locus or meets the crossing locus non-transversally.  Its diagnostics
+    give t, the rejected step h, the gap, its largest move, the primitive
+    index at t and the ``rule`` that rejected it: ``move`` or ``order`` at the
+    step's end, or the midpoint's ``first half``, ``second half`` or ``swaps``.
     """
     if not 0.0 < step_cap_fraction <= 1.0:
         raise InputError(f"the step cap must lie in (0, 1], not {step_cap_fraction!r}")
     _clearance_check(branch, loop)
-    rot = _cis(branch.rotation_theta)
-    n = f.w_degree
+    rot, n, cap = _cis(branch.rotation_theta), f.w_degree, step_cap_fraction
+    t, end, z_start, start = _pieces(f, rot, loop, cap)
+    z, roots, gap, order = z_start.copy(), start.copy(), min_gap(start), strand_orders(start, rot)
+    (f_z, f_w), _ = f.jet(z_start[:, None], start, ((1, 0), (0, 1)))
+    velocity, h, streak = -f_z / f_w, np.full(len(t), cap), np.zeros(len(t), int)
 
-    z0 = loop.point_at(0.0)
-    roots0 = solve(f, np.array([z0]))[0]
-    gap0 = min_gap(roots0)
-    if gap0 <= 0.0:
-        raise InputError("the fiber at the loop start has coincident roots")
-    order0 = strand_orders(roots0, rot)
-    ordered0 = (rot * roots0[order0]).real
-    scale0 = max(1.0, float(np.abs(roots0).max()))
-    if n > 1 and float(np.diff(ordered0).min()) < 1e-9 * scale0:
-        raise InputError(
-            "two roots share a rotated real part at the loop basepoint; "
-            "move the basepoint or pick a different rotation"
-        )
+    def glued(ts, zs, fibers, owner):
+        """Chunk rows, where a row at a cut takes the solved fiber there."""
+        cut = np.flatnonzero((ts == end[owner]) & (owner < len(t) - 1))
+        zs[cut], fibers[cut] = z_start[owner[cut] + 1], start[owner[cut] + 1]
+        return ts, zs, fibers, owner
 
-    # One bracket per swap of an accepted step, in step order: the two
-    # strands (lower position first), z and t at the step's start and end, and
-    # the letter position, one array each per chunk.
+    # One bracket per swap of an accepted step: the two strands (lower
+    # position first), z and t at the step's start and end, and the letter
+    # position, one array each per round.
     brackets: list[tuple[np.ndarray, ...]] = []
-    t_cur, z_cur, roots_cur, gap_cur, order_cur = 0.0, z0, roots0, gap0, order0
-    (f_z, f_w), _ = f.jet(z0, roots0, ((1, 0), (0, 1)))
-    h, streak, accepted, velocity = step_cap_fraction, 0, 0, -f_z / f_w
-    ahead = None  # the next chunk's ends, points and fibers, corrected with the midpoints
-
-    while t_cur < 1.0 - 1e-15:
-        if ahead is None:
-            ts = _chunk_ends(t_cur, h, streak)
-            zs = loop.sample_points(ts)
+    accepted = 0
+    ahead = None  # the next chunks' ends, points, fibers and pieces, corrected with the midpoints
+    while (live := np.flatnonzero(t < end - 1e-15)).size:
+        live = live if ahead is None else live[np.bincount(ahead[3], minlength=len(t))[live] == 0]
+        if live.size:
+            ts, counts = _chunk_ends(t[live], h[live], streak[live], end[live])
+            owner, zs = np.repeat(live, counts), loop.sample_points(ts)
             # Predicted on dw/dz at the last accepted fiber: w is analytic in z, even at corners.
-            guess = roots_cur + velocity * (zs - z_cur)[:, None]
-            fibers = correct(coefficients(f, zs), guess, _CORRECT_RTOL)[0]
-        else:
-            (ts, zs, fibers), ahead = ahead, None
-        count, gaps = len(ts), min_gap(fibers)
+            guess = roots[owner] + velocity[owner] * (zs - z[owner])[:, None]
+            fresh = glued(ts, zs, correct(coefficients(f, zs), guess, _CORRECT_RTOL)[0], owner)
+            ahead = fresh if ahead is None else tuple(map(np.concatenate, zip(ahead, fresh)))
+        (ts, zs, fibers, owner), ahead = ahead, None
+        # Each piece's rows are contiguous; ``pos`` counts them from its first.
+        first = np.concatenate([[0], np.flatnonzero(owner[1:] != owner[:-1]) + 1])
+        pieces, counts = owner[first], np.append(first[1:], len(owner)) - first
+        pos, gaps = np.arange(len(owner)) - np.repeat(first, counts), min_gap(fibers)
 
-        # Matching is blind to the order of the old roots, so every step of
-        # the chunk is judged against the raw fiber before it at once; the
-        # accepted prefix ends at the first step to fail a rule.
-        before = np.concatenate([roots_cur[None], fibers[:-1]])
-        sel, moves, ok = step(before, fibers, np.concatenate([[gap_cur], gaps[:-1]]))
-        k, rule = (count, "") if ok.all() else (int(np.argmin(ok)), "move")
-        perms = np.empty((k, n), dtype=int)
-        perm = np.arange(n)
-        for i in range(k):
-            perm = perms[i] = sel[i][perm]
-        tracked = np.take_along_axis(fibers[:k], perms, axis=-1)
+        # Matching is blind to the order of the old roots, so every step is
+        # judged against the raw fiber before it at once; each piece's
+        # accepted prefix ends at its first step to break a rule, named in ``why``.
+        before, gaps_before = _shifted(fibers, roots[pieces], first), _shifted(gaps, gap[pieces], first)
+        sel, moves, ok = step(before, fibers, gaps_before)
+        k = _first(~ok, first, counts)
+        perms = np.broadcast_to(np.arange(n), sel.shape).copy()
+        # Relabel from each row on that is not matched in place.
+        piece_end = np.repeat(first + counts, counts)
+        moved = (pos < np.repeat(k, counts)) & (sel != np.arange(n)).any(axis=-1)
+        for i in np.flatnonzero(moved).tolist():
+            perms[i : piece_end[i]] = sel[i][perms[i - 1]] if pos[i] else sel[i]
+        tracked = np.take_along_axis(fibers, perms, axis=-1)
         orders = strand_orders(tracked, rot)
-        # Row i + 1 of each walk is the end of step i, row 0 the chunk start.
-        walk = np.concatenate([roots_cur[None], tracked])
-        walk_orders = np.concatenate([order_cur[None], orders])
-        walk_t, walk_z = np.concatenate([[t_cur], ts]), np.concatenate([[z_cur], zs])
-        valid, pairs = swaps(walk_orders[:-1], orders)
-        if not valid.all():
-            k, rule = int(np.argmin(valid)), "order"
-        h_next, streak_next = (0.5 * h, 0) if k < count else (h, streak + k)
-        if streak_next == _REGROW:
-            h_next, streak_next = min(step_cap_fraction, 2.0 * h), 0
-        if stabilize and k:
-            # The midpoint fibers are corrected in one batch with the next
-            # chunk, which is planned as if every step stands.
-            t_ahead = _chunk_ends(ts[k - 1], h_next, streak_next)
-            z = loop.sample_points(np.concatenate([0.5 * (walk_t[:k] + ts[:k]), t_ahead]))
-            dw = (walk[k] - walk[k - 1]) / (walk_z[k] - walk_z[k - 1])
-            ahead_guess = walk[k] + dw * (z[k:] - walk_z[k])[:, None]
-            guess = np.concatenate([0.5 * (walk[:k] + tracked[:k]), ahead_guess])
-            raw = correct(coefficients(f, z), guess, _CORRECT_RTOL)[0]
-            stands, broken = _midpoint_check(rot, walk[: k + 1], raw[:k], walk_orders[: k + 1])
-            if stands == k:
-                ahead = t_ahead, z[k:], raw[k:]
-            else:
-                k, rule, h_next, streak_next = stands, broken, 0.5 * h, 0
-        rows, lower = np.nonzero(pairs[:k])
-        ends = rows[:, None] + [0, 1]
-        strands = walk_orders[rows[:, None], lower[:, None] + [0, 1]]
-        roots = walk[ends[..., None], strands[:, None]]
-        brackets.append((roots, walk_z[ends], walk_t[ends], lower + 1))
+        # Where each row's step starts: the row before, or its piece's state.
+        lo, lo_orders = _shifted(tracked, roots[pieces], first), _shifted(orders, order[pieces], first)
+        t_lo, z_lo = _shifted(ts, t[pieces], first), _shifted(zs, z[pieces], first)
+        valid, pairs = swaps(lo_orders, orders)
+        why = np.select([~ok, ~valid], ["move", "order"], "").astype("<U11")
+        k = _first(why != "", first, counts)
 
-        accepted += k
-        if k:
-            velocity = (walk[k] - walk[k - 1]) / (walk_z[k] - walk_z[k - 1])
-            t_cur, z_cur = float(ts[k - 1]), zs[k - 1]
-            roots_cur, gap_cur, order_cur = tracked[k - 1], gaps[k - 1], orders[k - 1]
-        if k < count and 0.5 * h < STEP_UNDERFLOW:
+        def reached(k):
+            """Every live piece's t, z, fiber, gap, order and velocity after k steps."""
+            row, went = np.where(k > 0, first + k - 1, first), (k > 0)[:, None]
+            dw = (tracked[row] - lo[row]) / (zs[row] - z_lo[row])[:, None]
+            now = (t, z, roots, gap, order, velocity)
+            then = (ts[row], zs[row], tracked[row], gaps[row], orders[row], dw)
+            return [np.where(went if a.ndim > 1 else went[:, 0], b, a[pieces]) for a, b in zip(now, then)]
+
+        def schedule(k):
+            full = k == counts
+            h_next = np.where(full, 1.0, 0.5) * h[pieces]
+            streak_next = np.where(full, streak[pieces] + k, 0)
+            regrow = streak_next == _REGROW
+            return np.where(regrow, np.minimum(cap, 2.0 * h_next), h_next), streak_next % _REGROW
+
+        state = reached(k)
+        if stabilize:
+            # The midpoint fibers are corrected in one batch with the next
+            # chunks, which are planned as if every step stands.
+            rows = np.flatnonzero(pos < np.repeat(k, counts))
+            t_next, z_next, roots_next, _, _, dw_next = state
+            ts_ahead, counts_ahead = _chunk_ends(t_next, *schedule(k), end[pieces])
+            at = np.repeat(np.arange(len(pieces)), counts_ahead)
+            points = loop.sample_points(np.concatenate([0.5 * (t_lo[rows] + ts[rows]), ts_ahead]))
+            z_ahead = points[len(rows) :]
+            guess_ahead = roots_next[at] + dw_next[at] * (z_ahead - z_next[at])[:, None]
+            guess = np.concatenate([0.5 * (lo[rows] + tracked[rows]), guess_ahead])
+            raw = correct(coefficients(f, points), guess, _CORRECT_RTOL)[0]
+            halves = lo[rows], tracked[rows], raw[: len(rows)], lo_orders[rows], orders[rows]
+            why[rows] = _midpoint_check(rot, *halves)
+            stands = _first(why != "", first, counts)
+            keep = np.flatnonzero(stands[at] == k[at])
+            ahead = glued(ts_ahead[keep], z_ahead[keep], raw[len(rows) :][keep], pieces[at[keep]])
+            if (stands < k).any():
+                k, state = stands, reached(stands)
+        rows, lower = np.nonzero(pairs & (pos < np.repeat(k, counts))[:, None])
+        strands = lo_orders[rows[:, None], lower[:, None] + [0, 1]]
+        ends = np.stack([np.take_along_axis(w[rows], strands, -1) for w in (lo, tracked)], 1)
+        steps = [np.stack([a[rows], b[rows]], 1) for a, b in ((z_lo, zs), (t_lo, ts))]
+        brackets.append((ends, *steps, lower + 1))
+
+        accepted += int(k.sum())
+        t[pieces], z[pieces], roots[pieces], gap[pieces], order[pieces], velocity[pieces] = state
+        under = np.flatnonzero((k < counts) & (0.5 * h[pieces] < STEP_UNDERFLOW))
+        if under.size:
+            i, p = under[0], pieces[under[0]]
             raise NumericalFailure(
                 "continuation step underflow: the path runs too close to the branch "
                 "locus or meets the crossing locus non-transversally",
                 diagnostics={
-                    "t": t_cur,
-                    "h": h,
-                    "gap": float(gap_cur),
-                    "max_move": float(moves[k]),
-                    "primitive": loop._locate(t_cur)[0],
-                    "rule": rule,
+                    "t": float(t[p]),
+                    "h": float(h[p]),
+                    "gap": float(gap[p]),
+                    "max_move": float(moves[first[i] + k[i]]),
+                    "primitive": loop._locate(float(t[p]))[0],
+                    "rule": str(why[first[i] + k[i]]),
                 },
             )
-        h, streak = h_next, streak_next
+        h[pieces], streak[pieces] = schedule(k)
+
+    # Glue each piece's end to the fiber it ended on, and a closed loop's
+    # last piece to the start fiber.
+    meets = np.roll(start, -1, axis=0)[: len(t) - (not loop.closed)]
+    sel, moves, met = step(roots[: len(meets)], meets, min_gap(meets))
+    if not met.all():
+        i = int(np.argmin(met))
+        raise NumericalFailure(
+            "could not match a piece's final fiber to the fiber it ends on",
+            diagnostics={
+                "t": float(end[i]),
+                "max_move": float(moves[i]),
+                "gap": float(min_gap(meets[i])),
+                "bijective": bool(np.unique(sel[i]).size == n),
+            },
+        )
+    labels = np.arange(n)
+    for relabel in sel[: len(t) - 1]:
+        labels = relabel[labels]
 
     events: list[CrossingEvent] = []
-    roots, z_ends, t_ends, positions = map(np.concatenate, zip(*brackets))
+    ends, z_ends, t_ends, positions = map(np.concatenate, zip(*brackets))
     if positions.size:
         # ref_a, ref_b, far_a, far_b from a solve, which rounds the same in any batch.
-        ends = _tracked(f, roots.reshape(-1, 2), z_ends.ravel()).reshape(-1, 2, 2)
-        t, _, w_a, w_b, sign = bisect_crossings(
+        ends = _tracked(f, ends.reshape(-1, 2), z_ends.ravel()).reshape(-1, 2, 2)
+        t_cross, _, w_a, w_b, sign = bisect_crossings(
             f,
             rot,
             lambda ts, _: loop.sample_points(ts),
@@ -275,33 +371,23 @@ def track_roots(
         )
         # Each t lies strictly inside its own step, so one sort keeps step order.
         pairs = zip(w_a.tolist(), w_b.tolist())
-        found = map(CrossingEvent, t.tolist(), positions.tolist(), sign.tolist(), pairs)
+        found = map(CrossingEvent, t_cross.tolist(), positions.tolist(), sign.tolist(), pairs)
         events = sorted(found, key=lambda e: (e.t, e.position))
 
     permutation: tuple[int, ...] | None = None
     if loop.closed:
-        sel, max_move, closes = step(roots_cur, roots0, gap0)
-        if not closes:
-            raise NumericalFailure(
-                "could not match the final fiber back to the starting fiber",
-                diagnostics={
-                    "max_move": float(max_move),
-                    "gap0": float(gap0),
-                    "bijective": bool(np.unique(sel).size == n),
-                },
-            )
         # Occupant convention: entry q is the starting position of the strand
         # that finishes at position q.
         pos0 = np.empty(n, dtype=int)
-        pos0[order0] = np.arange(1, n + 1)
+        pos0[strand_orders(start[0], rot)] = np.arange(1, n + 1)
         images = np.empty(n, dtype=int)
-        images[pos0[sel] - 1] = pos0
+        images[pos0[sel[-1][labels]] - 1] = pos0
         permutation = tuple(images.tolist())
 
     return Track(
         events=tuple(events),
-        start_roots=tuple(complex(v) for v in roots0),
-        end_roots=tuple(complex(v) for v in _tracked(f, roots_cur[None], np.array([z_cur]))[0]),
+        start_roots=tuple(complex(v) for v in start[0]),
+        end_roots=tuple(complex(v) for v in _tracked(f, roots[-1][labels][None], z[-1:])[0]),
         permutation=permutation,
         theta=branch.rotation_theta,
         accepted_steps=accepted,
@@ -309,32 +395,26 @@ def track_roots(
 
 
 def _midpoint_check(
-    rot: complex, fibers: np.ndarray, raw: np.ndarray, orders: np.ndarray
-) -> tuple[int, str]:
-    """How many steps of a walk stand before the first that its midpoint
-    contradicts, and the rule that step breaks ("" if all stand).
+    rot: complex, lo: np.ndarray, hi: np.ndarray, raw: np.ndarray, order_lo: np.ndarray, order_hi: np.ndarray
+) -> np.ndarray:
+    """The rule each step breaks against its midpoint, "" where it stands.
 
-    ``fibers`` and ``orders`` are the walk's tracked fibers and strand orders
-    at its step ends, ``raw`` the fibers at the steps' parameter midpoints.
-    A step stands when its first half passes the move rule of :func:`step`,
-    its second half does too keeping the strands' identity, and the halves'
-    swaps add up to the step's own, so a swap and its inverse, a split swap
-    or a shifted one break ``swaps``."""
-    lo, hi = fibers[:-1], fibers[1:]
+    Row i is a step between the tracked fibers ``lo[i]`` and ``hi[i]``, with
+    strand orders ``order_lo[i]`` and ``order_hi[i]``; ``raw[i]`` is the fiber
+    at its parameter midpoint.  A step stands when its first half passes the
+    move rule of :func:`step`, its second half does too keeping the strands'
+    identity, and the halves' swaps add up to the step's own, so a swap and
+    its inverse, a split swap or a shifted one break ``swaps``."""
     sel, _, first = step(lo, raw, min_gap(lo))
     mid = np.take_along_axis(raw, sel, axis=-1)
     sel_out, _, second = step(mid, hi, min_gap(raw))
-    second &= (sel_out == np.arange(fibers.shape[-1])).all(axis=-1)
+    second &= (sel_out == np.arange(lo.shape[-1])).all(axis=-1)
     order_mid = strand_orders(mid, rot)
-    valid_in, pairs_in = swaps(orders[:-1], order_mid)
-    valid_out, pairs_out = swaps(order_mid, orders[1:])
-    _, pairs_whole = swaps(orders[:-1], orders[1:])
+    valid_in, pairs_in = swaps(order_lo, order_mid)
+    valid_out, pairs_out = swaps(order_mid, order_hi)
+    _, pairs_whole = swaps(order_lo, order_hi)
     joined = valid_in & valid_out & (pairs_in.astype(int) + pairs_out == pairs_whole).all(axis=-1)
-    broken = ~np.stack([first, second, joined])
-    bad = np.flatnonzero(broken.any(axis=0))
-    if not bad.size:
-        return len(lo), ""
-    return int(bad[0]), ("first half", "second half", "swaps")[int(np.argmax(broken[:, bad[0]]))]
+    return np.where(~first, "first half", np.where(~second, "second half", np.where(joined, "", "swaps")))
 
 
 def braid_along(

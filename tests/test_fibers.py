@@ -27,8 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasibraid import (
-    BivariatePolynomial,
-    UnivariatePolynomial,
     fibers,
     graph_to_json,
     monodromy,
@@ -49,7 +47,7 @@ from quasibraid.fibers import (
 )
 from quasibraid.poly import DEFAULT_ROOT_TOL
 from quasibraid.realization import build_plan
-from tests.test_monodromy import prepared
+from tests.test_monodromy import monic_curve, prepared
 
 DATA_DIR = Path(__file__).parent / "data"
 QUARTIC = prepared("w^3 - 3*w + 2*z^4")
@@ -205,17 +203,6 @@ class TestSolveAndMatch:
 
     def test_min_gap_is_the_closest_pair(self):
         assert min_gap(np.array([0j, 2 + 0j, 2.5 + 0j])) == pytest.approx(0.5)
-
-
-def monic_curve(data, w_degree, z_degree):
-    """A monic curve with integer z-coefficients in [-3, 3], as the
-    crossing-graph property draws them."""
-    entries = st.integers(-3, 3)
-    coeffs = [
-        UnivariatePolynomial(tuple(data.draw(entries) for _ in range(z_degree + 1)))
-        for _ in range(w_degree)
-    ]
-    return BivariatePolynomial(tuple(coeffs) + (UnivariatePolynomial((1,)),))
 
 
 class TestCorrect:

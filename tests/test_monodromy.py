@@ -12,10 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quasibraid import (
     Arc,
     Band,
+    BivariatePolynomial,
     BraidLetter,
     InputError,
     LollipopSpec,
@@ -23,6 +26,7 @@ from quasibraid import (
     NumericalFailure,
     QuasipositiveFactorization,
     Segment,
+    UnivariatePolynomial,
     braid_along,
     branch_points,
     check_genericity,
@@ -37,6 +41,7 @@ from quasibraid import (
     loop_from_json,
     parse_bivariate_text,
     permutation_of,
+    perturb_generic,
     qp_factorization,
     realize,
     reverse_loop,
@@ -61,6 +66,17 @@ def prepared(text):
     from dataclasses import replace
 
     return f, replace(data, generic=True, rotation_theta=theta)
+
+
+def monic_curve(data, w_degree, z_degree):
+    """A monic curve with integer z-coefficients in [-3, 3], as the
+    crossing-graph property draws them."""
+    entries = st.integers(-3, 3)
+    coeffs = [
+        UnivariatePolynomial(tuple(data.draw(entries) for _ in range(z_degree + 1)))
+        for _ in range(w_degree)
+    ]
+    return BivariatePolynomial(tuple(coeffs) + (UnivariatePolynomial((1,)),))
 
 
 def circle(center=0j, radius=1.0, turns=1, start_angle=math.pi / 2):
@@ -371,7 +387,9 @@ class TestHiddenPair:
         mids = solve(f, loop.sample_points(0.5 * (ts[:-1] + ts[1:])))
         orders = monodromy.strand_orders(fibers, rot)
         edit(fibers)
-        return monodromy._midpoint_check(rot, fibers, mids, orders)
+        rules = monodromy._midpoint_check(rot, fibers[:-1], fibers[1:], mids, orders[:-1], orders[1:])
+        broken = np.flatnonzero(rules != "")
+        return (int(broken[0]), str(rules[broken[0]])) if broken.size else (len(rules), "")
 
     def test_the_clean_walk_stands(self):
         assert self.midpoint_check_after(lambda fibers: None) == (15, "")
@@ -394,12 +412,13 @@ class TestChunking:
     def test_chunk_size_does_not_change_the_track(self, monkeypatch, chunk):
         # A chunk of one is the step-by-step loop.  The n = 4 realize loop
         # and the hidden pair reject steps, so they also pin a step schedule
-        # that regrows wherever chunks end.
+        # that regrows wherever chunks end.  The realize loop runs as four
+        # pieces, each starting at the cap.
         f, data = QUARTIC
         loops = (figure_loop(), circle(radius=1.5, turns=2, start_angle=0.4), three_target_lollipop())
         cases = [(f, data, loop) for loop in loops] + [realize_case(), hidden_pair_case()]
         reference = [track_roots(*case) for case in cases]
-        assert reference[3].accepted_steps == 679
+        assert reference[3].accepted_steps == 646
         monkeypatch.setattr(monodromy, "_CHUNK", chunk)
         assert [track_roots(*case) for case in cases] == reference
 
@@ -434,6 +453,132 @@ class TestFailureContext:
         _, _, loop = hidden_pair_case()
         gap = 2 * math.sqrt(abs(loop.point_at(diagnostics["t"])))
         assert diagnostics["gap"] == pytest.approx(gap, rel=1e-12)
+
+
+def letters(track):
+    return [(e.position, e.sign) for e in track.events]
+
+
+def read_by_arcs(f, data, loop):
+    """The letters of a one-arc loop, and the letters of its open arcs
+    between the cuts its track makes, each arc tracked on its own."""
+    (arc,) = loop.primitives
+    rot = complex(math.cos(data.rotation_theta), math.sin(data.rotation_theta))
+    ts = [*monodromy._pieces(f, rot, loop, monodromy.STEP_CAP_FRACTION)[0], 1.0]
+    angles = [arc.angle_from + t * arc.span for t in ts]
+    arcs = [Arc(arc.center, arc.radius, a, b) for a, b in zip(angles, angles[1:])]
+    parts = [letters(track_roots(f, data, LoopPath((a,), closed=False))) for a in arcs]
+    return letters(track_roots(f, data, loop)), [letter for part in parts for letter in part], len(arcs)
+
+
+class TestPieces:
+    """Braid monodromy is a homomorphism: a loop cut at the tracker's cuts
+    reads as the concatenation of its arcs, each tracked on its own."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            (*QUARTIC, circle(radius=1.5, turns=2, start_angle=0.4)),
+            (*QUARTIC, circle(radius=1.8, turns=-1, start_angle=1.0)),
+            hidden_pair_case(),
+        ],
+    )
+    def test_a_circle_reads_as_its_arcs(self, case):
+        whole, parts, count = read_by_arcs(*case)
+        assert count == 4
+        assert whole and parts == whole
+
+    @settings(max_examples=12, deadline=None)
+    @given(w_degree=st.integers(2, 3), z_degree=st.integers(1, 2), data=st.data())
+    def test_random_circles_read_as_their_arcs(self, w_degree, z_degree, data):
+        f = monic_curve(data, w_degree, z_degree)
+        try:
+            f, branch = perturb_generic(f)
+            branch = replace(branch, rotation_theta=select_rotation(f, branch))
+        except (InputError, NumericalFailure):
+            assume(False)
+        points = branch.values()
+        assume(points)
+        # Centred near a branch point, enclosing the k nearest and clear of all.
+        offset = complex(data.draw(st.floats(-0.5, 0.5)), data.draw(st.floats(-0.5, 0.5)))
+        center = data.draw(st.sampled_from(points)) + offset
+        near = sorted(abs(center - z) for z in points) + [math.inf]
+        k = data.draw(st.integers(1, len(points)))
+        room = min(near[k] - near[k - 1], 2.0)
+        assume(room > 1e-2)
+        radius = near[k - 1] + data.draw(st.floats(0.2, 0.8)) * room
+        turns = data.draw(st.sampled_from([1, -1, 2, -2]))
+        loop = circle(center, radius, turns, data.draw(st.floats(0.0, 2 * math.pi)))
+        try:
+            track_roots(f, branch, loop)
+        except (InputError, NumericalFailure):
+            assume(False)
+        whole, parts, _ = read_by_arcs(f, branch, loop)
+        assert parts == whole
+
+
+def notch_loop(mirrored=False):
+    """A counterclockwise polygon about the branch point 0 of w^2 - z that
+    meets the crossing locus, the negative real axis, once: near -1.3 it runs
+    0.01 above the axis, drops to a notch 0.05 below it and runs on 0.01
+    below.  The notch is the point of the even split's window furthest from
+    the locus, so the cut lands next to it, one step after the crossing.
+    Mirrored in the real axis and reversed, the loop stays counterclockwise
+    and the crossing falls one step after the cut."""
+    points = [3 - 0.4j, 3 + 3j, -1 + 3j, -1 + 0.01j, -1.3 + 0.01j, -1.3 - 0.05j]
+    points += [-1.33 - 0.01j, -1.63 - 0.01j, -1.63 - 3j, 3 - 3j]
+    if mirrored:
+        points = [z.conjugate() for z in points[:1] + points[:0:-1]]
+    segments = (Segment(a, b) for a, b in zip(points, points[1:] + points[:1]))
+    return LoopPath(tuple(segments), closed=True)
+
+
+class TestCuts:
+    SQRT0 = (SQRT[0], replace(SQRT[1], rotation_theta=0.0))
+
+    @staticmethod
+    def cuts(f, data, loop):
+        return monodromy._pieces(f, 1.0 + 0j, loop, monodromy.STEP_CAP_FRACTION)[0][1:] * 256
+
+    @pytest.mark.parametrize("mirrored, cut, step", [(False, 129, (128, 129)), (True, 127, (127, 128))])
+    def test_a_crossing_next_to_a_cut_is_read_once(self, mirrored, cut, step):
+        loop = notch_loop(mirrored)
+        assert list(self.cuts(*self.SQRT0, loop)) == [62, cut, 194]
+        (event,) = track_roots(*self.SQRT0, loop).events
+        assert step[0] < 256 * event.t < step[1]
+        assert (event.position, event.sign) == (1, 1)
+        assert word_to_text(braid_along(*self.SQRT0, loop)) == "s1"
+
+    def test_a_crossing_at_an_even_split_moves_the_cut(self):
+        # The unit circle from angle 0 meets the negative real axis at t = 1/2.
+        loop = circle(start_angle=0.0)
+        f, data = self.SQRT0
+        (tied,) = solve(f, loop.sample_points(np.array([0.5])))
+        assert abs(tied[0].real - tied[1].real) < 1e-9
+        cuts = self.cuts(f, data, loop)
+        assert len(cuts) == 3 and 128 not in cuts and abs(cuts[1] - 128) <= 2
+        assert word_to_text(braid_along(f, data, loop)) == "s1"
+
+    def test_a_curve_of_w_degree_one_never_reaches_the_tracker(self):
+        with pytest.raises(InputError, match="w-degree"):
+            parse_bivariate_text("w - z")
+
+    def test_accepted_steps_is_a_plain_int(self):
+        for _, f, data, loop in frozen_cases():
+            assert type(track_roots(f, data, loop).accepted_steps) is int
+
+    def test_the_n4_realize_loop_makes_few_correct_calls(self, monkeypatch):
+        # Its four pieces advance together: six rounds, one fresh chunk.
+        case, calls = realize_case(), []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return correct(*args)
+
+        correct = monodromy.correct
+        monkeypatch.setattr(monodromy, "correct", counted)
+        track_roots(*case)
+        assert len(calls) <= 8
 
 
 if __name__ == "__main__":

@@ -559,6 +559,14 @@ class TestCuts:
         assert len(cuts) == 3 and 128 not in cuts and abs(cuts[1] - 128) <= 2
         assert word_to_text(braid_along(f, data, loop)) == "s1"
 
+    def test_a_cut_whose_candidates_all_tie_is_dropped(self):
+        # The loop runs along the negative real axis, the locus, from -1 to
+        # -3 around t = 1/2, so every candidate there ties: two cuts remain.
+        points = [2 - 1j, 2 + 1j, -1 + 1j, -1 + 0j, -3 + 0j, -3 - 1j]
+        loop = LoopPath(tuple(Segment(a, b) for a, b in zip(points, points[1:] + points[:1])))
+        cuts = self.cuts(*self.SQRT0, loop)
+        assert len(cuts) == 2 and abs(cuts[0] - 64) <= 2 and abs(cuts[1] - 192) <= 2
+
     def test_a_curve_of_w_degree_one_never_reaches_the_tracker(self):
         with pytest.raises(InputError, match="w-degree"):
             parse_bivariate_text("w - z")

@@ -9,15 +9,19 @@ Both properties hold after adding a small multiple of w to f, which is what
 :func:`perturb_generic` automates.
 
 The discriminant roots come from the Sylvester pencil eigensolve in
-:mod:`quasibraid.poly`.  Every fiber over a branch point, or over a vertical
-tangent point near one, is solved in one batch by the companion eigensolve
-of the fiber kernel and certified by the coefficients rebuilt from its roots.
-Values and derivatives of f at tangent points come from
-:meth:`~quasibraid.poly.BivariatePolynomial.jet`.
+:mod:`quasibraid.poly`, and the discriminant's exact multiplicity structure
+from :attr:`~quasibraid.poly.BivariatePolynomial.discriminant_multiplicities`.
+That structure checks the located points and alone decides genericity: by
+Teissier's lemma every branch point is a simple vertical tangent exactly when
+the discriminant is square-free.  The fibers over the branch points, which
+the rotation separates, are solved in one batch by the companion eigensolve
+of the fiber kernel and certified by the coefficients rebuilt from their
+roots.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -51,7 +55,6 @@ __all__ = [
 SEPARATION_FLOOR_FACTOR = 1e-4
 ROTATION_SAMPLES = 720
 PERTURB_TRIALS = 24
-GENERICITY_RTOL = 1e-6
 # Accepted coefficient residual of a branch fiber rebuilt from its roots; a
 # fiber over a branch point carries a near-double root.
 FIBER_CERTIFY_TOL = 1e-7
@@ -100,14 +103,22 @@ def branch_points(f: BivariatePolynomial) -> BranchData:
     The roots are the finite eigenvalues of the Sylvester pencil of f and
     df/dw.  Each gets the Weierstrass inclusion disc of the discriminant's
     value there, and every connected component of k discs is one branch
-    point of multiplicity k at the mean of its eigenvalues.  Points are
-    sorted by real part, with real parts within 1e-9 of the scale counted as
-    equal, then by imaginary part.
+    point of multiplicity k at the mean of its eigenvalues.  Raises
+    :class:`NumericalFailure`, naming both, when these multiplicities are not
+    those of the exact discriminant structure.  Points are sorted by real
+    part, with real parts within 1e-9 of the scale counted as equal, then by
+    imaginary part.
     """
     values, _, residuals = _discriminant_roots(f)
     if len(values) == 0:
         return BranchData(points=())
     centers, mults = _cluster_values(values, _inclusion_radii(values, residuals))
+    exact = f.discriminant_multiplicities
+    if tuple(sorted(mults)) != exact:
+        raise NumericalFailure(
+            "branch point clusters do not match the discriminant's multiplicities",
+            diagnostics={"clusters": sorted(mults), "multiplicities": list(exact)},
+        )
     tie = 1e-9 * (1.0 + float(np.max(np.abs(values))))
     pts = sorted((BranchPoint(z, m) for z, m in zip(centers, mults)), key=lambda p: p.z.real)
     runs: list[list[BranchPoint]] = []
@@ -152,104 +163,35 @@ def _merge_double_roots(vals: np.ndarray) -> np.ndarray:
 
 
 def check_genericity(f: BivariatePolynomial, data: BranchData) -> GenericityReport:
-    """Certify that every branch fiber has one simple double root.
+    """Whether every branch point of f is one simple vertical tangent.
 
-    Checks, per branch point: the fiber has exactly n-1 distinct values with a
-    single double one; at the double root the z-derivative and the second
-    w-derivative are nonzero relative to the local coefficient scale (a
-    genuine vertical tangent of a smooth curve point); and the branch point is
-    a simple discriminant root.
+    By Teissier's lemma the order of the discriminant at z0 is the sum of
+    mu_p + i_p - 1 over the points p of the fiber, with mu the Milnor number
+    and i the intersection number with the vertical line.  It is 1 exactly
+    when the fiber has one smooth point with a simple vertical tangent and
+    n - 2 simple roots, so f is generic exactly when its discriminant is
+    square-free.  The report is ok when f's exact multiplicities are all 1
+    and ``data`` has them.  Each multiple point of ``data`` is an issue, and
+    a ``data`` with other multiplicities is one more, at z = nan.
     """
-    issues = {
-        k: f"discriminant root has multiplicity {p.multiplicity}"
-        for k, p in enumerate(data.points)
+    exact = list(f.discriminant_multiplicities)
+    issues = [
+        GenericityIssue(p.z, f"discriminant root has multiplicity {p.multiplicity}")
+        for p in data.points
         if p.multiplicity != 1
-    }
-    simple = [k for k, p in enumerate(data.points) if p.multiplicity == 1]
-    # The stored branch point carries roundoff, so its fiber shows the double
-    # root as a close pair.  The pair midpoint only seeds a Newton refinement
-    # of the tangent point; all structural decisions are made at the refined
-    # point, where the double root is exact.
-    vals = _certified_fibers(f, [data.points[k].z for k in simple])
-    seeds = _merge_double_roots(vals)[:, -1]
-    tangents: dict[int, tuple[complex, complex]] = {}
-    for k, w0 in zip(simple, seeds):
-        z = data.points[k].z
-        z_t, w_t, converged = _polish_tangent(f, z, w0)
-        if not converged:
-            issues[k] = "vertical tangent refinement did not converge"
-        elif abs(z_t - z) > 1e-6 * (1.0 + abs(z)):
-            issues[k] = "nearest vertical tangent is too far from the branch point"
-        else:
-            tangents[k] = (z_t, w_t)
-    fibers_t = _certified_fibers(f, [z_t for z_t, _ in tangents.values()])
-    for (k, (z_t, w_t)), vals in zip(tangents.items(), fibers_t):
-        reason = _tangent_issue(f, z_t, w_t, vals)
-        if reason is not None:
-            issues[k] = reason
-    return GenericityReport(
-        ok=not issues,
-        issues=tuple(GenericityIssue(data.points[k].z, issues[k]) for k in sorted(issues)),
-    )
-
-
-def _tangent_issue(f: BivariatePolynomial, z_t, w_t, tangent_vals) -> str | None:
-    """Why the fiber over the tangent point (z_t, w_t) is not one simple
-    double root at w_t plus n - 2 simple roots, or None."""
-    n = f.w_degree
-    scale_w = max(1.0, float(np.abs(tangent_vals).max()))
-    floor = 1e-4 * scale_w
-    near = [i for i, v in enumerate(tangent_vals) if abs(v - w_t) < 0.5 * floor]
-    others = [v for i, v in enumerate(tangent_vals) if i not in near]
-    simple_ok = all(abs(v - w_t) >= floor for v in others) and all(
-        abs(others[i] - others[j]) >= floor
-        for i in range(len(others))
-        for j in range(i + 1, len(others))
-    )
-    if len(near) != 2 or not simple_ok:
-        return f"fiber does not split into one double and {n - 2} simple roots"
-    (dz_val, dww_val), scales = f.jet(z_t, w_t, ((1, 0), (0, 2)))
-    dz_scale, dww_scale = np.maximum(scales, 1e-300)
-    if abs(dz_val) <= GENERICITY_RTOL * dz_scale:
-        return "z-derivative vanishes at the double root"
-    if abs(dww_val) <= GENERICITY_RTOL * dww_scale:
-        return "second w-derivative vanishes at the double root"
-    return None
-
-
-# f and f_w, whose common zero is a vertical tangent point, then f_z, f_zw and
-# f_ww, which complete the Jacobian of that system.
-_TANGENT_ORDERS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2))
-
-
-def _polish_tangent(f: BivariatePolynomial, z0, w0):
-    """Newton refinement of a vertical tangent point (f = 0, f_w = 0)."""
-    z, w = complex(z0), complex(w0)
-    for _ in range(40):
-        values, scales = f.jet(z, w, _TANGENT_ORDERS)
-        f0, fw, fz, fzw, fww = values.tolist()
-        s0, sw = np.maximum(scales[:2], 1e-300)
-        if abs(f0) <= 1e-13 * s0 and abs(fw) <= 1e-13 * sw:
-            return z, w, True
-        det = fz * fww - fw * fzw
-        if det == 0:
-            return z, w, False
-        z -= (f0 * fww - fw * fw) / det
-        w -= (fz * fw - fzw * f0) / det
-    (f0, fw), scales = f.jet(z, w, _TANGENT_ORDERS[:2])
-    s0, sw = np.maximum(scales, 1e-300)
-    return z, w, abs(f0) <= 1e-12 * s0 and abs(fw) <= 1e-12 * sw
+    ]
+    found = sorted(p.multiplicity for p in data.points)
+    if found != exact:
+        reason = f"branch data has multiplicities {found}, the discriminant {exact}"
+        issues.append(GenericityIssue(complex(math.nan, math.nan), reason))
+    return GenericityReport(ok=not issues, issues=tuple(issues))
 
 
 def _separation_ok(values: tuple[complex, ...]) -> bool:
     if len(values) < 2:
         return True
     floor = SEPARATION_FLOOR_FACTOR * bbox_diameter(bounding_box(values))
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if abs(values[i] - values[j]) < floor:
-                return False
-    return True
+    return not any(abs(a - b) < floor for a, b in itertools.combinations(values, 2))
 
 
 def perturb_generic(
@@ -266,26 +208,18 @@ def perturb_generic(
     """
     if not math.isfinite(budget):
         raise InputError(f"the perturbation budget must be finite, not {budget!r}")
-    try:
-        data = branch_points(f)
-        if check_genericity(f, data).ok and _separation_ok(data.values()):
-            return f, replace(data, generic=True, perturbation=None)
-    except (InputError, NumericalFailure):
-        pass
-
-    best: tuple[BivariatePolynomial, BranchData, complex] | None = None
-    for k in range(PERTURB_TRIALS):
-        eps = budget * 2.0 ** (-k)
-        candidate = f.add_w_linear(eps)
+    best: tuple[BivariatePolynomial, BranchData, complex | None] | None = None
+    for eps in [None] + [budget * 2.0 ** (-k) for k in range(PERTURB_TRIALS)]:
+        candidate = f if eps is None else f.add_w_linear(eps)
         try:
             data = branch_points(candidate)
-            ok = check_genericity(candidate, data).ok and _separation_ok(
-                data.values()
-            )
+            ok = check_genericity(candidate, data).ok and _separation_ok(data.values())
         except (InputError, NumericalFailure):
             ok = False
         if ok:
             best = (candidate, data, eps)
+            if eps is None:
+                break
         elif best is not None:
             break
     if best is None:

@@ -393,22 +393,11 @@ def main(argv: list[str] | None = None) -> int:
         }[args.command]
         return handler(args)
     except InputError as exc:
-        print(
-            json.dumps({"error": "input", "message": str(exc)}),
-            file=sys.stderr,
-        )
+        print(json.dumps({"error": "input", "message": str(exc)}), file=sys.stderr)
         return 2
     except NumericalFailure as exc:
-        print(
-            json.dumps(
-                {
-                    "error": "numerical",
-                    "message": str(exc),
-                    "diagnostics": _jsonable(exc.diagnostics),
-                }
-            ),
-            file=sys.stderr,
-        )
+        report = {"error": "numerical", "message": str(exc), "diagnostics": exc.diagnostics}
+        print(json.dumps(_jsonable(report)), file=sys.stderr)
         return 3
 
 

@@ -18,6 +18,7 @@ from quasibraid import (
     BranchData,
     BranchPoint,
     InputError,
+    NumericalFailure,
     UnivariatePolynomial,
     branch_data_from_json,
     branch_data_to_json,
@@ -27,7 +28,6 @@ from quasibraid import (
     perturb_generic,
     select_rotation,
 )
-from quasibraid.branch import _polish_tangent
 
 
 def distinct_fiber_values(f, z, merge_tol=1e-3):
@@ -124,8 +124,7 @@ class TestBranchPoints:
         assert len(data.points) == 2 * (n - 1)
         assert all(p.multiplicity == 1 for p in data.points)
         assert_same_point_set(data.values(), family_closed_form(n), tol=1e-9)
-        if n <= 7:
-            assert check_genericity(f, data).ok
+        assert check_genericity(f, data).ok
 
     def test_constant_discriminant_has_no_branch_points(self):
         # The pencil of (w + z)^2 - 1 has only infinite eigenvalues.
@@ -220,6 +219,8 @@ class TestMultiplicities:
             # 9 (z + 1)^2.  Two eigenvalues -1 +- e have |W| = e / 2, so
             # discs of radius d|W| would only touch; (d + 1)|W| overlap.
             ("w^2 + w + 3*z*w - 2 - 3*z", {-1: 2}),
+            ("w^2 - z^5", {0: 5}),  # 4 z^5
+            ("w^5 + z*w + z", {-3125 / 256: 1, 0: 4}),  # z^4 (256 z + 3125)
         ],
     )
     def test_multiple_points_are_one_point_each(self, text, expected):
@@ -257,6 +258,44 @@ class TestMultiplicities:
         assert_same_point_set([1e6 * z for z in scaled.values()], unscaled, tol=1e-7)
 
 
+def scale_w(f, mu):
+    """f(z, mu w), whose discriminant is a constant times that of f."""
+    return BivariatePolynomial(tuple(c.scale(mu**k) for k, c in enumerate(f.w_coefficients)))
+
+
+class TestUnitsAndRefusals:
+    @pytest.mark.parametrize("text", [FOUR_STRAND, "w^3 - 3*w + 2*z^4"])
+    @pytest.mark.parametrize("mu", [1e-2, 1e2, 1e3])
+    def test_scaling_w_keeps_the_branch_points(self, text, mu):
+        f = parse_bivariate_text(text)
+        expected = branch_points(f)
+        scaled = branch_points(scale_w(f, mu))
+        assert [p.multiplicity for p in scaled.points] == [
+            p.multiplicity for p in expected.points
+        ]
+        assert_same_point_set(scaled.values(), expected.values(), tol=1e-9)
+
+    def test_an_unresolved_pencil_is_a_numerical_failure(self):
+        # The four-strand curve under z -> z + 100 has six simple branch
+        # points, which the pencil eigenvalues merge into one cluster.
+        f = parse_bivariate_text("w^4 - z*w^3 - 100*w^3 - w^2 + z*w + 100*w + 0.05")
+        assert f.discriminant_multiplicities == (1,) * 6
+        with pytest.raises(NumericalFailure, match="multiplicities") as caught:
+            branch_points(f)
+        assert caught.value.diagnostics["multiplicities"] == [1] * 6
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "w^3 - w^2 - 2*z*w^2 + 2*z*w + z^2*w - z^2",  # (w - z)^2 (w - 1)
+            "w^4 - 2*z*w^2 + z^2",  # (w^2 - z)^2
+        ],
+    )
+    def test_a_repeated_factor_is_an_input_error(self, text):
+        with pytest.raises(InputError, match="repeated factor"):
+            branch_points(parse_bivariate_text(text))
+
+
 class TestGenericity:
     def test_square_root_surface_is_generic(self):
         f = parse_bivariate_text("w^2 - z")
@@ -280,17 +319,18 @@ class TestGenericity:
         report = check_genericity(f, branch_points(f))
         assert abs(report.issues[0].z) < 1e-6
 
-    def test_tangent_polish_converges_on_the_quartic(self):
-        # The vertical tangents of w^3 - 3w + 2z^4 sit over the eighth roots
-        # of unity, with w = 1 where z^4 = 1 and w = -1 where z^4 = -1.
+    def test_genericity_is_a_square_free_discriminant(self):
+        # The 4-fold point of w^5 + z w + z fails; the simple one does not.
+        f = parse_bivariate_text("w^5 + z*w + z")
+        report = check_genericity(f, branch_points(f))
+        assert [abs(issue.z) < 1e-9 for issue in report.issues] == [True]
+
+    def test_data_of_another_structure_is_not_generic(self):
         f = parse_bivariate_text("w^3 - 3*w + 2*z^4")
-        for k in range(8):
-            z = cmath.exp(1j * math.pi * k / 4)
-            w = 1.0 if k % 2 == 0 else -1.0
-            z_t, w_t, converged = _polish_tangent(f, z * (1 + 1e-4j), w + 1e-4)
-            assert converged
-            assert abs(z_t - z) < 1e-12
-            assert abs(w_t - w) < 1e-12
+        data = branch_points(f)
+        report = check_genericity(f, BranchData(points=data.points[:7]))
+        assert not report.ok
+        assert "multiplicities" in report.issues[0].reason
 
 
 class TestPerturbation:

@@ -44,6 +44,16 @@ class TestAnalyze:
         assert "perturbation" in out
         assert "generic: yes" in out
 
+    def test_a_five_fold_point_is_found_and_perturbed(self, capsys):
+        # w^2 - z^5 branches once, with multiplicity 5; analyze reports the
+        # generic curve w^2 + eps w - z^5, whose five simple points surround it.
+        rc = main(["analyze", "--poly", "w^2 - z^5"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "branch points (5):" in out
+        assert out.count("(multiplicity 1)") == 5
+        assert "perturbation: none" not in out
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -210,6 +220,19 @@ class TestBplus:
         assert rc == 2
         assert json.loads(captured.err.strip())["error"] == "input"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "w^3 - w^2 - 2*z*w^2 + 2*z*w + z^2*w - z^2",  # (w - z)^2 (w - 1)
+            "w^4 - 2*z*w^2 + z^2",  # (w^2 - z)^2
+        ],
+    )
+    def test_a_repeated_factor_is_an_input_error(self, capsys, text):
+        rc = main(["bplus", "--poly", text, "--region", "0,0,1,1", "--res", "8"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert json.loads(captured.err.strip())["error"] == "input"
+
 
 class TestRealize:
     def test_round_trip_bundle(self, capsys, tmp_path):
@@ -251,6 +274,12 @@ class TestVerify:
         assert rc == 0
         assert "refinement invariance: PASS" in out
         assert "exponent sum: PASS" in out
+
+    def test_a_five_fold_point_counts_five_times(self, capsys, tmp_path):
+        rc = main(["verify", "--poly", "w^2 - z^5", "--loop", write_loop(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "exponent sum: PASS (word 5, enclosed 5)" in out
 
 
 class TestTopLevel:

@@ -21,6 +21,7 @@ from quasibraid import (
     raw_roots,
     roots,
 )
+from quasibraid import poly
 
 Z = UnivariatePolynomial((0, 1))
 ONE = UnivariatePolynomial((1,))
@@ -72,10 +73,6 @@ class TestUnivariateArithmetic:
         b = UnivariatePolynomial((-1, 4))
         expected = np.convolve([1, 2, 3], [-1, 4])
         assert np.allclose((a * b).coefficients, expected)
-
-    def test_magnitude_at_sums_absolute_terms(self):
-        p = UnivariatePolynomial((3, -4j))
-        assert p.magnitude_at(2.0) == pytest.approx(3 + 8)
 
 
 class TestRootFinding:
@@ -232,6 +229,72 @@ class TestDiscriminant:
         squared = parse_bivariate_text("w^4 - 2*z*w^2 + z^2")
         with pytest.raises(InputError):
             discriminant_w(squared)
+
+
+def is_prime(n):
+    """Miller-Rabin on the first twelve primes, exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if n < 2 or any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class TestExactStructure:
+    def test_the_primes_hold_a_square_root_of_minus_one(self):
+        for p in poly._PRIMES:
+            assert is_prime(p)
+            assert p % 8 == 5
+            root = pow(2, (p - 1) // 4, p)
+            assert root * root % p == p - 1
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("w^2 - z", (1,)),
+            ("w^3 - 3*w + 2*z^4", (1,) * 8),
+            ("w^3 - z", (2,)),
+            ("w^2 - z^5", (5,)),
+            ("w^5 + z*w + z", (1, 4)),  # z^4 (256 z + 3125)
+            ("w^2 + 2*z*w + z^2 - 1", ()),  # the constant 4
+            ("w^3 + 3*z*w^2 + 3*z^2*w + z^3 - w", (1, 1)),  # 4 - 27 z^2
+        ],
+    )
+    def test_multiplicities_of_closed_form_discriminants(self, text, expected):
+        assert parse_bivariate_text(text).discriminant_multiplicities == expected
+
+    def test_an_identically_zero_discriminant_is_a_repeated_factor(self):
+        with pytest.raises(InputError, match="repeated factor"):
+            parse_bivariate_text("w^4 - 2*z*w^2 + z^2").discriminant_multiplicities
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "w^2 - 13*z",  # 52 z vanishes mod 13
+            "w^2 - z - 13*z^2",  # 4 z + 52 z^2 drops to degree 1 mod 13
+            "w^2 - z^2 + 13",  # 4 (z^2 - 13) has a double root mod 13
+            "13*w^2 - z",  # the lead vanishes mod 13
+        ],
+    )
+    def test_an_unlucky_prime_is_loud(self, monkeypatch, text):
+        # 13 is 5 mod 8, and small enough to divide what these curves need.
+        monkeypatch.setattr(poly, "_PRIMES", (poly._PRIMES[0], 13))
+        with pytest.raises(NumericalFailure):
+            parse_bivariate_text(text).discriminant_multiplicities
 
 
 class TestBivariate:

@@ -30,6 +30,7 @@ from quasibraid import (
     realize,
     word_to_text,
 )
+from quasibraid.realization import DEFAULT_EPSILON
 
 
 def qpf(n, *bands):
@@ -73,6 +74,12 @@ class TestCurveFamily:
             data = branch_points(f)
             assert len(data.points) == 2 * (n - 1)
             assert check_genericity(f, data).ok
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_large_curves_are_generic_at_the_default_epsilon(self, n):
+        # The w^0 coefficient of P(w)(w - z) + eps is eps - P(0) z.
+        f = realization_curve(n)
+        assert f.w_coefficients[0].coefficients[0] == DEFAULT_EPSILON
 
     def test_degree_validation(self):
         with pytest.raises(InputError):

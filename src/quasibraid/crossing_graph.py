@@ -44,7 +44,7 @@ import numpy as np
 
 from .branch import BranchData
 from .errors import InputError, NumericalFailure
-from .fibers import bisect_crossings, min_gap, orders, solve, step, swaps, sweep
+from .fibers import bisect_crossings, orders, root_gaps, solve, step, swaps, sweep
 from .paths import LoopPath, bounding_box, segment_crossings
 from .poly import BivariatePolynomial
 from .words import BraidLetter, BraidWord
@@ -152,7 +152,7 @@ def _edge_events(
         untied = tie_floor[edge // per_grid] <= np.minimum(
             *(np.diff((rot * v).real, axis=-1).min(axis=-1) for v in (fa, fb))
         )
-        sel, _, ok = step(fa, fb, min_gap(fa))
+        sel, _, ok = step(fa, fb, root_gaps(fa))
         # Both fibers are sorted, so sel maps each position of a to its strand's
         # position in b; a set of disjoint swaps is its own inverse.
         valid, pairs = swaps(np.arange(fa.shape[-1]), sel)

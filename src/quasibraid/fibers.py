@@ -5,9 +5,10 @@ corrected and certified by :func:`correct`, with :func:`solve` (stacked
 companion eigenvalues) as the fallback, and matched root to root by nearest
 distance.  The kernel owns the rules every fiber walk shares, each applied to
 whole batches: :func:`step` accepts a step when the matching is a bijection
-and no root moves ``gap`` / 3, ``gap`` at most the smallest root distance of
-either fiber, and matches in place, without a search, a fiber whose roots all
-move less, :func:`orders` sorts strands by rotated real part, and
+and each root moves less than a third of its gap, at most its distance to
+the nearest other root of the old fiber (:func:`root_gaps`), and matches in
+place, without a search, a fiber whose roots all move less, so a far root
+keeps its own pace, :func:`orders` sorts strands by rotated real part, and
 :func:`swaps` reads the adjacent strand pairs that changed places.
 :func:`bisect_crossings` closes every bracket of a batch on the crossing
 inside it with one solve per iteration over the open brackets: a safeguarded
@@ -28,7 +29,14 @@ import numpy as np
 from .poly import DEFAULT_ROOT_TOL, BivariatePolynomial, _companion_roots, _monic_horner
 
 _SWEEP_STEPS = 6
-_pairs = functools.lru_cache(maxsize=None)(lambda n: np.triu_indices(n, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The root pairs i < j, and for every root the pairs it belongs to."""
+    i, j = np.triu_indices(n, 1)
+    roots = np.arange(n)[:, None]
+    return i, j, np.nonzero((i == roots) | (j == roots))[1].reshape(n, n - 1)
 
 
 def coefficients(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
@@ -54,27 +62,28 @@ def correct(coeffs: np.ndarray, guess: np.ndarray, rtol: float) -> tuple[np.ndar
     (rows, n), and the radii of their inclusion discs.  After up to
     ``_SWEEP_STEPS`` Weierstrass steps W, k discs of radius n|W_i| that meet
     hold k roots (Carstensen, Numer. Math. 59, 1991); they are widened by the
-    last step and the rounding bound.  A row is kept when every radius is at
-    most ``rtol`` of the distance to the nearest other root, a rule that holds
-    under w -> mu w and for ``rtol`` < 1/2 keeps the discs apart.  Any other
-    row is solved, in the guess's order if :func:`match` is one to one, and
-    gets infinite radii."""
+    last step and the rounding bound.  A row is kept when every radius is
+    finite and at most ``rtol`` of the distance to the nearest other root, a
+    rule that holds under w -> mu w and for ``rtol`` < 1/2 keeps the discs
+    apart.  Any other row is solved, in the guess's order if :func:`match` is
+    one to one, and gets infinite radii."""
     n = coeffs.shape[-1] - 1
     # Rows are transposed to (n, rows); entry [j, i] of a difference is w_i - w_j.
     c, w = (coeffs / coeffs[:, -1:]).T, guess.T.copy()
+    diff = np.empty((n, n, len(guess)), dtype=complex)  # one buffer for every difference
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_SWEEP_STEPS):
             value, bound = _monic_horner(c, w)
-            diff = w[None] - w[:, None]
+            np.subtract(w[None], w[:, None], out=diff)
             diff[np.diag_indices(n)] = 1.0
             product = diff.prod(axis=0)
             w -= value / product
             if (np.abs(value) <= bound).all():
                 break
         radius = (n + 1) * (np.abs(value) + bound) / np.abs(product)
-        apart = np.abs(w[None] - w[:, None])
+        apart = np.abs(np.subtract(w[None], w[:, None], out=diff))
         apart[np.diag_indices(n)] = np.inf
-        certified = (radius <= rtol * apart.min(axis=0)).all(axis=0)
+        certified = ((radius <= rtol * apart.min(axis=0)) & (radius < np.inf)).all(axis=0)
     roots, radius = w.T, radius.T
     bad = np.flatnonzero(~certified)
     if bad.size:
@@ -99,53 +108,54 @@ def sweep(f: BivariatePolynomial, grid: np.ndarray) -> np.ndarray:
     return fibers
 
 
-def min_gap(vals: np.ndarray) -> np.ndarray:
-    """Smallest distance of the root pairs i < j in each fiber, 4096 fibers at a time."""
-    i, j = _pairs(vals.shape[-1])
+def root_gaps(vals: np.ndarray) -> np.ndarray:
+    """Distance of every root to the nearest other root of its fiber, shape
+    of ``vals``, from the root pairs i < j, 4096 fibers at a time."""
+    i, j, member = _pairs(vals.shape[-1])
     flat = vals.reshape(-1, vals.shape[-1])
-    gap = np.empty(len(flat), dtype=vals.real.dtype)
+    gaps = np.empty(flat.shape, dtype=vals.real.dtype)
     for k in range(0, len(flat), 4096):
         block = flat[k : k + 4096]
-        gap[k : k + 4096] = np.abs(block[:, i] - block[:, j]).min(axis=-1, initial=np.inf)
-    return gap.reshape(vals.shape[:-1])[()]
+        gaps[k : k + 4096] = np.abs(block[:, i] - block[:, j])[:, member].min(axis=-1, initial=np.inf)
+    return gaps.reshape(vals.shape)
 
 
 def match(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nearest matching of fibers ``old`` to ``new`` over the last axis.
 
     Returns the selection (``new[..., sel]`` lines up with ``old``), the
-    largest displacement and whether the selection is a bijection: whether
-    the bits ``1 << sel`` cover all n places, exact for n < 63.
+    displacement of every root and whether the selection is a bijection:
+    whether the bits ``1 << sel`` cover all n places, exact for n < 63.
     """
     d = np.abs(old[..., :, None] - new[..., None, :])
     sel = d.argmin(axis=-1)
-    move = d.min(axis=-1).max(axis=-1)
     bijective = np.bitwise_or.reduce(1 << sel, axis=-1) == (1 << old.shape[-1]) - 1
-    return sel, move, bijective
+    return sel, d.min(axis=-1), bijective
 
 
 def step(
-    old: np.ndarray, new: np.ndarray, gap: np.ndarray
+    old: np.ndarray, new: np.ndarray, gaps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`match` of ``old`` to ``new``, and whether the step is accepted:
-    the match is a bijection and no root moves a third of ``gap``, which makes
-    it provably right.  ``gap`` must be at most the smallest root distance in
-    ``old`` or in ``new``: a fiber whose roots all move under ``gap`` / 3 in
-    place is then matched by the identity, and only the others are searched."""
-    limit = gap / 3.0
-    move = np.abs(old - new).max(axis=-1)
-    ok = move < limit
-    sel = np.empty(ok.shape + old.shape[-1:], dtype=np.intp)
-    sel[...] = np.arange(old.shape[-1])
-    if ok.all():
-        return sel, move, ok
-    if old.ndim != 2 or not old.shape == new.shape == sel.shape:
-        sel, move, bijective = match(old, new)
-        return sel, move, bijective & (move < limit)
-    bad = (~ok).nonzero()[0]
-    sel[bad], move[bad], ok[bad] = match(old.take(bad, 0), new.take(bad, 0))
-    ok &= move < limit
-    return sel, move, ok
+    the match is a bijection and each root i moves less than a third of
+    ``gaps[..., i]``, which makes it provably right.  ``gaps[..., i]`` must be
+    at most root i's distance to the nearest other root, all in ``old`` or all
+    in ``new``, so no other new root lies within two thirds of that distance
+    of old root i: a fiber whose roots all move less in place is matched by
+    the identity without a search.  Moves are judged 4096 fibers at a time."""
+    n = old.shape[-1]
+    flat_old, flat_new, limit = old.reshape(-1, n), new.reshape(-1, n), gaps.reshape(-1, n)
+    move, ok = np.empty(flat_old.shape, dtype=old.real.dtype), np.empty(len(flat_old), dtype=bool)
+    for k in range(0, len(flat_old), 4096):
+        d = np.abs(flat_old[k : k + 4096] - flat_new[k : k + 4096], out=move[k : k + 4096])
+        ok[k : k + 4096] = (d < limit[k : k + 4096] / 3.0).all(axis=-1)
+    sel = np.empty(flat_old.shape, dtype=np.intp)
+    sel[...] = np.arange(n)
+    if not ok.all():
+        bad = (~ok).nonzero()[0]
+        sel[bad], moved, bijective = match(flat_old.take(bad, 0), flat_new.take(bad, 0))
+        move[bad], ok[bad] = moved, bijective & (moved < limit.take(bad, 0) / 3.0).all(axis=-1)
+    return sel.reshape(old.shape), move.reshape(old.shape), ok.reshape(old.shape[:-1])[()]
 
 
 def orders(vals: np.ndarray, rot: complex) -> np.ndarray:
@@ -205,8 +215,8 @@ def bisect_crossings(
 
     Bracket i spans parameters ``lo[i]`` to ``hi[i]``, mapped to z by
     ``point(ts, idx)`` for brackets ``idx``.  Along it the roots w_a, w_b
-    nearest to ``ref_a[i]``, ``ref_b[i]`` are tracked (valid while no root
-    moves by a third of the smallest root gap) and the gap
+    nearest to ``ref_a[i]``, ``ref_b[i]`` are tracked (valid while each root
+    moves less than a third of its distance to the nearest other root) and the gap
     g = Re(rot * (w_a - w_b)) changes sign.  ``far_a``, ``far_b`` are the
     tracked roots at ``hi``, which every caller already holds.
 

@@ -19,11 +19,12 @@ steps along dw/dz at its last accepted fiber (-f_z/f_w at its start),
 corrects all chunks in one batch with the last round's step midpoints, and
 judges them with one kernel call per rule up to each piece's first rejected
 step, which is then halved in place.  A step stands when nearest matching
-moves no root a third of the smallest root distance, which makes the
-matching provably bijective, its strand orders differ by disjoint adjacent
-swaps, and its midpoint agrees with it, so a swap and its inverse cannot
-hide inside one step.  The step regrows after ``_REGROW`` accepted steps
-wherever chunks end, so answers do not depend on the batch size ``_CHUNK``.
+moves each root less than a third of its distance to the nearest other root,
+which makes the matching provably bijective, its strand orders differ by
+disjoint adjacent swaps, and its midpoint agrees with it, so a swap and its
+inverse cannot hide inside one step.  The step regrows after ``_REGROW``
+accepted steps wherever chunks end, so answers do not depend on the batch
+size ``_CHUNK``.
 :func:`quasibraid.fibers.bisect_crossings` closes the bracket of every
 swap's step in one batch at the end, from the solve's roots at the step's
 ends, which a solve rounds the same in any batch.
@@ -43,7 +44,7 @@ import numpy as np
 
 from .branch import BranchData
 from .errors import InputError, NumericalFailure
-from .fibers import _tracked, bisect_crossings, coefficients, correct, min_gap, solve, step, swaps
+from .fibers import _tracked, bisect_crossings, coefficients, correct, root_gaps, solve, step, swaps
 from .fibers import orders as strand_orders
 from .paths import (
     Arc,
@@ -162,7 +163,7 @@ def _pieces(
     ts = np.concatenate([[0.0], (grid * cap).ravel()])
     zs = np.concatenate([[loop.point_at(0.0)], loop.sample_points(ts[1:])])
     fibers = solve(f, zs)
-    if min_gap(fibers[0]) <= 0.0:
+    if root_gaps(fibers[0]).min() <= 0.0:
         raise InputError("the fiber at the loop start has coincident roots")
     apart = np.diff(np.sort((rot * fibers).real), axis=-1).min(axis=-1)
     scale = np.maximum(1.0, np.abs(fibers).max(axis=-1))
@@ -215,16 +216,18 @@ def track_roots(
     and composes the relabellings into the start fiber's labels.  Step
     underflow below 1e-12 of the loop length raises: the loop hugs the branch
     locus or meets the crossing locus non-transversally.  Its diagnostics
-    give t, the rejected step h, the gap, its largest move, the primitive
-    index at t and the ``rule`` that rejected it: ``move`` or ``order`` at the
-    step's end, or the midpoint's ``first half``, ``second half`` or ``swaps``.
+    give t, the rejected step h, the ``root`` that moves furthest against its
+    own gap over that step (its index among the piece's tracked roots), that
+    root's gap and move, the primitive index at t and the ``rule`` that
+    rejected the step: ``move`` or ``order`` at the step's end, or the
+    midpoint's ``first half``, ``second half`` or ``swaps``.
     """
     if not 0.0 < step_cap_fraction <= 1.0:
         raise InputError(f"the step cap must lie in (0, 1], not {step_cap_fraction!r}")
     _clearance_check(branch, loop)
     rot, n, cap = _cis(branch.rotation_theta), f.w_degree, step_cap_fraction
     t, end, z_start, start = _pieces(f, rot, loop, cap)
-    z, roots, gap, order = z_start.copy(), start.copy(), min_gap(start), strand_orders(start, rot)
+    z, roots, gap, order = z_start.copy(), start.copy(), root_gaps(start), strand_orders(start, rot)
     (f_z, f_w), _ = f.jet(z_start[:, None], start, ((1, 0), (0, 1)))
     velocity, h, streak = -f_z / f_w, np.full(len(t), cap), np.zeros(len(t), int)
 
@@ -253,13 +256,13 @@ def track_roots(
         # Each piece's rows are contiguous; ``pos`` counts them from its first.
         first = np.concatenate([[0], np.flatnonzero(owner[1:] != owner[:-1]) + 1])
         pieces, counts = owner[first], np.append(first[1:], len(owner)) - first
-        pos, gaps = np.arange(len(owner)) - np.repeat(first, counts), min_gap(fibers)
+        pos, gaps = np.arange(len(owner)) - np.repeat(first, counts), root_gaps(fibers)
 
         # Matching is blind to the order of the old roots, so every step is
         # judged against the raw fiber before it at once; each piece's
         # accepted prefix ends at its first step to break a rule, named in ``why``.
         before, gaps_before = _shifted(fibers, roots[pieces], first), _shifted(gaps, gap[pieces], first)
-        sel, moves, ok = step(before, fibers, gaps_before)
+        sel, _, ok = step(before, fibers, gaps_before)
         k = _first(~ok, first, counts)
         perms = np.broadcast_to(np.arange(n), sel.shape).copy()
         # Relabel from each row on that is not matched in place.
@@ -267,7 +270,7 @@ def track_roots(
         moved = (pos < np.repeat(k, counts)) & (sel != np.arange(n)).any(axis=-1)
         for i in np.flatnonzero(moved).tolist():
             perms[i : piece_end[i]] = sel[i][perms[i - 1]] if pos[i] else sel[i]
-        tracked = np.take_along_axis(fibers, perms, axis=-1)
+        tracked, tracked_gaps = (np.take_along_axis(a, perms, axis=-1) for a in (fibers, gaps))
         orders = strand_orders(tracked, rot)
         # Where each row's step starts: the row before, or its piece's state.
         lo, lo_orders = _shifted(tracked, roots[pieces], first), _shifted(orders, order[pieces], first)
@@ -277,11 +280,11 @@ def track_roots(
         k = _first(why != "", first, counts)
 
         def reached(k):
-            """Every live piece's t, z, fiber, gap, order and velocity after k steps."""
+            """Every live piece's t, z, fiber, root gaps, order and velocity after k steps."""
             row, went = np.where(k > 0, first + k - 1, first), (k > 0)[:, None]
             dw = (tracked[row] - lo[row]) / (zs[row] - z_lo[row])[:, None]
             now = (t, z, roots, gap, order, velocity)
-            then = (ts[row], zs[row], tracked[row], gaps[row], orders[row], dw)
+            then = (ts[row], zs[row], tracked[row], tracked_gaps[row], orders[row], dw)
             return [np.where(went if a.ndim > 1 else went[:, 0], b, a[pieces]) for a, b in zip(now, then)]
 
         def schedule(k):
@@ -322,14 +325,17 @@ def track_roots(
         under = np.flatnonzero((k < counts) & (0.5 * h[pieces] < STEP_UNDERFLOW))
         if under.size:
             i, p = under[0], pieces[under[0]]
+            move = np.abs(roots[p][:, None] - fibers[first[i] + k[i]]).min(axis=-1)
+            root = int(np.argmax(move / gap[p]))
             raise NumericalFailure(
                 "continuation step underflow: the path runs too close to the branch "
                 "locus or meets the crossing locus non-transversally",
                 diagnostics={
                     "t": float(t[p]),
                     "h": float(h[p]),
-                    "gap": float(gap[p]),
-                    "max_move": float(moves[first[i] + k[i]]),
+                    "root": root,
+                    "gap": float(gap[p][root]),
+                    "max_move": float(move[root]),
                     "primitive": loop._locate(float(t[p]))[0],
                     "rule": str(why[first[i] + k[i]]),
                 },
@@ -339,15 +345,16 @@ def track_roots(
     # Glue each piece's end to the fiber it ended on, and a closed loop's
     # last piece to the start fiber.
     meets = np.roll(start, -1, axis=0)[: len(t) - (not loop.closed)]
-    sel, moves, met = step(roots[: len(meets)], meets, min_gap(meets))
+    gaps = root_gaps(roots[: len(meets)])
+    sel, moves, met = step(roots[: len(meets)], meets, gaps)
     if not met.all():
         i = int(np.argmin(met))
         raise NumericalFailure(
             "could not match a piece's final fiber to the fiber it ends on",
             diagnostics={
                 "t": float(end[i]),
-                "max_move": float(moves[i]),
-                "gap": float(min_gap(meets[i])),
+                "max_move": float(moves[i].max()),
+                "gap": float(gaps[i].min()),
                 "bijective": bool(np.unique(sel[i]).size == n),
             },
         )
@@ -405,9 +412,9 @@ def _midpoint_check(
     move rule of :func:`step`, its second half does too keeping the strands'
     identity, and the halves' swaps add up to the step's own, so a swap and
     its inverse, a split swap or a shifted one break ``swaps``."""
-    sel, _, first = step(lo, raw, min_gap(lo))
+    sel, _, first = step(lo, raw, root_gaps(lo))
     mid = np.take_along_axis(raw, sel, axis=-1)
-    sel_out, _, second = step(mid, hi, min_gap(raw))
+    sel_out, _, second = step(mid, hi, root_gaps(mid))
     second &= (sel_out == np.arange(lo.shape[-1])).all(axis=-1)
     order_mid = strand_orders(mid, rot)
     valid_in, pairs_in = swaps(order_lo, order_mid)

@@ -352,11 +352,13 @@ def build_plan(
 
     Halves epsilon and rebuilds when either genericity or a generator-loop
     verification fails; with smaller epsilon the batch features shrink and
-    separate, which is what the templates need.
+    separate, which is what the templates need.  Failures are cached too.
     """
     _validate_curve_args(n, epsilon)
     key = (n, float(epsilon))
     cached = _PLAN_CACHE.get(key)
+    if isinstance(cached, NumericalFailure):
+        raise NumericalFailure(str(cached), cached.diagnostics)
     if cached is not None:
         return cached
     eps = float(epsilon)
@@ -391,13 +393,14 @@ def build_plan(
         except NumericalFailure as exc:
             last = exc
             eps /= 2.0
-    raise NumericalFailure(
+    failure = _PLAN_CACHE[key] = NumericalFailure(
         "no epsilon in the halving sequence produced verified generator loops",
         diagnostics={"start_epsilon": epsilon, "retries": EPSILON_RETRIES},
-    ) from last
+    )
+    raise NumericalFailure(str(failure), failure.diagnostics) from last
 
 
-_PLAN_CACHE: dict[tuple[int, float], RealizationPlan] = {}
+_PLAN_CACHE: dict[tuple[int, float], RealizationPlan | NumericalFailure] = {}
 
 
 def generator_loop(plan: RealizationPlan, k: int) -> LoopPath:

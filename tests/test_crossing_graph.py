@@ -9,6 +9,7 @@ known ray configurations with known labels.
 import dataclasses
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from quasibraid import (
     word_to_text,
 )
 from quasibraid.fibers import bisect_crossings, solve, sweep
-from tests.test_monodromy import circle, prepared
+from tests.test_monodromy import circle, prepared, wide_region_curve
 
 SQRT = prepared("w^2 - z")
 CUBIC = prepared("w^3 - 3*w + 2*z")
@@ -377,6 +378,18 @@ class TestReadingLoops:
             crossings_of(graph, circle(-1.0146 + 0.3996j, 1.0936, 1, 0.0))
 
 
+class TestWideRegions:
+    def test_a_wide_region_samples_quickly_with_no_flagged_cell(self):
+        # Lattice edges far from the closest root pair need no halving.
+        f, data = wide_region_curve()
+        bx0, by0, bx1, by1 = bounding_box(data.values())
+        px, py = 0.5 + 0.2 * (bx1 - bx0), 0.5 + 0.2 * (by1 - by0)
+        started = time.perf_counter()
+        graph = sample_crossing_graph(f, data, (bx0 - px, by0 - py, bx1 + px, by1 + py), 48)
+        assert time.perf_counter() - started < 10.0
+        assert graph.flagged == ()
+
+
 class TestReadingAgreesWithContinuation:
     """The graph and continuation are independent routes to a loop's braid
     word; on random curves and circles their freely reduced words agree."""
@@ -401,8 +414,6 @@ class TestReadingAgreesWithContinuation:
         points = branch.values()
         assume(points)
         bx0, by0, bx1, by1 = bounding_box(points)
-        # Wider boxes make lattices whose edge halving has run for minutes.
-        assume(max(bx1 - bx0, by1 - by0) <= 10.0)
         px, py = 0.5 + 0.2 * (bx1 - bx0), 0.5 + 0.2 * (by1 - by0)
         region = (bx0 - px, by0 - py, bx1 + px, by1 + py)
         graph = sample_crossing_graph(f, branch, region, self.RESOLUTION)

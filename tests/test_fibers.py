@@ -5,8 +5,9 @@ A corrected fiber must be the same set of roots that a solve gives, within
 the radii of its discs, whatever its guess; a fiber whose discs cannot
 certify it falls back to the solve, and which fibers certify does not change
 when w is scaled.  A sweep must give every lattice fiber as a solve does.
-The step rule and ``min_gap`` must give the bits of the full pairwise match
-they replaced, without building an (edges, n, n) array on a lattice.
+The step rule and ``root_gaps`` must give the bits of a full pairwise match
+that judges each root against its own nearest neighbour, without building an
+(edges, n, n) array on a lattice.
 
 Closing a batch of brackets must give exactly what closing each bracket alone
 gives, whatever positions the brackets swap.  The crossings it finds agree
@@ -39,7 +40,7 @@ from quasibraid.fibers import (
     bisect_crossings,
     correct,
     match,
-    min_gap,
+    root_gaps,
     solve,
     step,
     swaps,
@@ -73,8 +74,7 @@ def swap_brackets(f, rot):
     a = (xs[None, :] + 1j * xs[:, None]).ravel()
     b = a + (xs[1] - xs[0])
     fa, fb = sorted_fibers(f, rot, a), sorted_fibers(f, rot, b)
-    sel, move, bijective = match(fa, fb)
-    keep = bijective & (move < min_gap(fa) / 3.0)
+    sel, _, keep = step(fa, fb, root_gaps(fa))
     brackets = []
     for e in np.nonzero(keep)[0]:
         moved = np.nonzero(sel[e] != np.arange(f.w_degree))[0]
@@ -190,19 +190,19 @@ class TestSolveAndMatch:
             expected = np.roots(f.fiber(complex(z)).coefficients[::-1])
             sel, move, bijective = match(expected, fiber)
             assert bijective
-            assert move < 1e-10
+            assert move.max() < 1e-10
 
     def test_match_reports_the_nearest_bijection(self):
         old = np.array([[0j, 1 + 0j, 3j]])
         new = np.array([[3.1j, 0.1 + 0j, 1.05 + 0j]])
         sel, move, bijective = match(old, new)
         assert sel.tolist() == [[1, 2, 0]]
-        assert move[0] == pytest.approx(0.1)
+        assert move[0].tolist() == pytest.approx([0.1, 0.05, 0.1])
         assert bijective[0]
         assert not match(old, np.array([[0.1j, 0.2j, 3j]]))[2][0]
 
-    def test_min_gap_is_the_closest_pair(self):
-        assert min_gap(np.array([0j, 2 + 0j, 2.5 + 0j])) == pytest.approx(0.5)
+    def test_root_gaps_are_each_roots_nearest_distance(self):
+        assert root_gaps(np.array([0j, 2 + 0j, 2.5 + 0j])).tolist() == [2.0, 0.5, 0.5]
 
 
 class TestCorrect:
@@ -247,6 +247,16 @@ class TestCorrect:
         collapsed = kinds == 1
         assert not certified[collapsed].any()
         assert np.array_equal(roots[collapsed], solved[collapsed])
+
+    def test_a_guess_whose_steps_overflow_is_solved(self):
+        # Two roots 3e-224 apart pull the Weierstrass steps of a far guess to
+        # infinity, where an infinite radius must not pass for a small one.
+        f = parse_bivariate_text("w^2 + z*w")
+        zs = np.array([3.256173330631899e-224j])
+        guess = np.array([[1000 - 3.256173330631899e-222j, 1000 + 0j]])
+        roots, radius = correct(fibers.coefficients(f, zs), guess, DEFAULT_ROOT_TOL)
+        assert np.array_equal(np.sort_complex(roots), np.sort_complex(solve(f, zs)))
+        assert np.isinf(radius).all()
 
     @pytest.mark.parametrize("mu", [1e-3, 1e3])
     def test_certified_fibers_do_not_change_when_w_is_scaled(self, mu):
@@ -320,7 +330,7 @@ class TestSweep:
         scale = np.maximum(1.0, np.abs(solved).max(axis=-1))
         # Equal roots never match one to one; a vertex with them is solved.
         same = (np.sort_complex(swept) == np.sort_complex(solved)).all(axis=-1)
-        assert np.all(same | (bijective & (move <= 1e-12 * scale)))
+        assert np.all(same | (bijective & (move.max(axis=-1) <= 1e-12 * scale)))
 
     def test_a_vertex_on_a_branch_point_falls_back_to_the_solve(self, monkeypatch):
         f = parse_bivariate_text("w^2 - z")
@@ -384,21 +394,22 @@ def order_changes(rng, n):
             yield old, new
 
 
-def reference_min_gap(vals):
-    """The full (..., n, n) form of :func:`min_gap`, kept to check its bits."""
+def reference_root_gaps(vals):
+    """The full (..., n, n) form of :func:`root_gaps`, kept to check its bits."""
     d = np.abs(vals[..., :, None] - vals[..., None, :])
     diagonal = np.arange(vals.shape[-1])
     d[..., diagonal, diagonal] = np.inf
-    return d.min(axis=(-2, -1))
+    return d.min(axis=-1)
 
 
-def reference_step(old, new, gap):
-    """:func:`step` as a full nearest match of every fiber, kept to check its bits."""
+def reference_step(old, new, gaps):
+    """:func:`step` as a full nearest match of every fiber, each root judged
+    against its own gap, kept to check its bits."""
     d = np.abs(old[..., :, None] - new[..., None, :])
     sel = d.argmin(axis=-1)
-    move = d.min(axis=-1).max(axis=-1)
+    move = d.min(axis=-1)
     bijective = (np.sort(sel, axis=-1) == np.arange(old.shape[-1])).all(axis=-1)
-    return sel, move, bijective & (move < gap / 3.0)
+    return sel, move, bijective & (move < gaps / 3.0).all(axis=-1)
 
 
 def assert_same_bits(got, want):
@@ -413,11 +424,11 @@ def assert_same_bits(got, want):
 
 def step_rows(rng, n, count):
     """``count`` pairs of fibers on n roots, each of one of four kinds: every
-    root moved less than a third of the old gap in place, two roots exchanged,
+    root moved less than a third of its own old gap in place, two roots exchanged,
     two new roots on one old root (so the nearest match collapses), and a NaN."""
     old = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
     jitter = rng.random((count, n)) * np.exp(2j * np.pi * rng.random((count, n)))
-    new = old + 0.33 * reference_min_gap(old)[:, None] * jitter
+    new = old + 0.33 * reference_root_gaps(old) * jitter
     for row, kind in enumerate(rng.integers(4, size=count)):
         i, j = rng.choice(n, 2, replace=False)
         if kind == 1:
@@ -444,18 +455,19 @@ class TestStepAndSwaps:
         assert (~valid).any() == (n >= 3)
         assert (pairs.sum(axis=-1)[valid] > 1).any() == (n >= 4)
 
-    def test_step_rejects_a_move_of_a_third_of_the_gap(self):
-        old = np.array([[0j, 3 + 0j, 6 + 0j]] * 2)
-        new = old + np.array([[1.0], [0.999]])
-        gap = min_gap(old)
-        sel, move, ok = step(old, new, gap)
-        assert gap.tolist() == [3.0, 3.0] and move[0] == 1.0
+    def test_step_rejects_a_move_of_a_third_of_the_roots_own_gap(self):
+        # The far root may move nine times as far as the close pair.
+        old = np.array([[0j, 1 + 0j, 10 + 0j]] * 2)
+        new = old + np.array([[0.3, 0.3, 3.0], [0.3, 0.3, 2.999]])
+        gaps = root_gaps(old)
+        sel, move, ok = step(old, new, gaps)
+        assert gaps.tolist() == [[1.0, 1.0, 9.0]] * 2 and move[0, 2] == 3.0
         assert ok.tolist() == [False, True]
         assert (sel == np.arange(3)).all()
 
     def test_step_rejects_a_match_that_is_not_a_bijection(self):
         old = np.array([0j, 1 + 0j])
-        sel, move, ok = step(old, np.array([0.4 + 0j, 5 + 0j]), min_gap(old))
+        sel, move, ok = step(old, np.array([0.4 + 0j, 5 + 0j]), root_gaps(old))
         assert sel.tolist() == [0, 0]
         assert not ok
 
@@ -470,22 +482,22 @@ class TestStepAndSwaps:
         seed=st.integers(0, 2**32 - 1),
         gap_of_new=st.booleans(),
     )
-    def test_step_and_min_gap_keep_the_bits_of_the_full_match(self, n, shape, seed, gap_of_new):
+    def test_step_and_root_gaps_keep_the_bits_of_the_full_match(self, n, shape, seed, gap_of_new):
         rows = step_rows(np.random.default_rng(seed), n, int(np.prod(shape, dtype=int)))
         old, new = (side.reshape(shape + (n,)) for side in rows)
         for fiber in (old, new):
-            assert_same_bits(min_gap(fiber), reference_min_gap(fiber))
-        gap = reference_min_gap(new if gap_of_new else old)
-        got, want = step(old, new, gap), reference_step(old, new, gap)
+            assert_same_bits(root_gaps(fiber), reference_root_gaps(fiber))
+        gaps = reference_root_gaps(new if gap_of_new else old)
+        got, want = step(old, new, gaps), reference_step(old, new, gaps)
         for got_part, want_part in zip(got, want):
             assert_same_bits(got_part, want_part)
         assert got[0].flags.writeable
 
-    def test_min_gap_reads_a_lattice_in_blocks_as_one(self):
+    def test_root_gaps_read_a_lattice_in_blocks_as_one(self):
         rng = np.random.default_rng(7)
         vals = rng.normal(size=(2, 61, 70, 3)) + 1j * rng.normal(size=(2, 61, 70, 3))
         vals[1, 30, 5, 2] = np.nan
-        assert_same_bits(min_gap(vals), reference_min_gap(vals))
+        assert_same_bits(root_gaps(vals), reference_root_gaps(vals))
 
     def test_a_lattice_step_builds_no_per_edge_root_pair_array(self):
         # Under a pairwise (edges, 4, 4) difference this peaks near 25 MB.
@@ -494,7 +506,7 @@ class TestStepAndSwaps:
         fb = fa + 1e-3 * (rng.normal(size=fa.shape) + 1j * rng.normal(size=fa.shape))
         tracemalloc.start()
         try:
-            step(fa, fb, min_gap(fa))
+            step(fa, fb, root_gaps(fa))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

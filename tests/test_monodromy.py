@@ -316,6 +316,22 @@ def hidden_pair_case():
     return f, replace(data, rotation_theta=0.0), LoopPath((arc,), closed=True)
 
 
+def far_root_hidden_pair_case():
+    """The hidden-pair loop on (w^2 - z)(w - 10): the swap and its inverse
+    inside one step are the roots +-sqrt(z), while the third root stays at
+    10, some ten times further from both than they are from each other."""
+    f = parse_bivariate_text("w^3 - 10*w^2 - z*w + 10*z")
+    return f, replace(branch_points(f), rotation_theta=0.0), hidden_pair_case()[2]
+
+
+def wide_region_curve():
+    """A curve, made generic and rotated, whose 12 branch points span x in
+    [-2.07, 34.60] and one of whose roots reaches |w| of about 3,465."""
+    text = "w^4 - w^3 + z*w^3 + 2*z^2*w^3 + w^2 + z^2*w^2 + 3*w - 3*z^2*w - 3 - z - 2*z^2"
+    f, data = perturb_generic(parse_bivariate_text(text))
+    return f, replace(data, rotation_theta=select_rotation(f, data))
+
+
 def frozen_cases():
     """(name, f, branch data, loop) of every track in track_events.json."""
     f, data = QUARTIC
@@ -402,9 +418,29 @@ class TestHiddenPair:
 
     def test_a_displaced_fiber_breaks_the_first_half(self):
         def displace(fibers):
-            fibers[0] += monodromy.min_gap(fibers[0])
+            fibers[0] += monodromy.root_gaps(fibers[0]).min()
 
         assert self.midpoint_check_after(displace) == (0, "first half")
+
+    def test_a_far_root_does_not_hide_the_pair(self):
+        # The far root may take long steps on its own gap, but the pair still
+        # holds every step to its own, so the midpoint splits the step.
+        case = far_root_hidden_pair_case()
+        assert track_roots(*case, stabilize=False).events == ()
+        track = track_roots(*case)
+        assert [(e.position, e.sign) for e in track.events] == [(1, 1), (1, -1)]
+        assert [round(e.t, 3) for e in track.events] == [0.153, 0.156]
+
+
+class TestFarRoots:
+    def test_a_far_root_does_not_throttle_a_circle(self):
+        # One root reaches |w| of about 3,465; each root is judged against its
+        # own gap, so the closest pair does not set the pace of the far root.
+        f, data = wide_region_curve()
+        center = max(data.values(), key=lambda z: z.real)
+        track = track_roots(f, data, circle(center, 13.3))
+        assert letters(track) == [(2, 1)]
+        assert track.accepted_steps < 1000
 
 
 class TestChunking:
@@ -449,8 +485,22 @@ class TestFailureContext:
         assert diagnostics["t"] < 0.153 and 0.156 < diagnostics["t"] + diagnostics["h"]
         assert diagnostics["primitive"] == 0
         assert diagnostics["rule"] == "swaps"
+        assert diagnostics["root"] in (0, 1)
         # The roots of w^2 - z are two square roots of z apart.
         _, _, loop = hidden_pair_case()
+        gap = 2 * math.sqrt(abs(loop.point_at(diagnostics["t"])))
+        assert diagnostics["gap"] == pytest.approx(gap, rel=1e-12)
+
+    def test_a_far_root_underflow_reports_the_gap_of_a_root_of_the_pair(self, monkeypatch):
+        monkeypatch.setattr(monodromy, "STEP_UNDERFLOW", 1 / 256)
+        f, data, loop = far_root_hidden_pair_case()
+        with pytest.raises(NumericalFailure, match="underflow") as info:
+            track_roots(f, data, loop)
+        diagnostics = info.value.diagnostics
+        assert diagnostics["rule"] == "swaps"
+        # The named root is one of +-sqrt(z), not the root near 10.
+        start = solve(f, np.array([loop.point_at(0.0)]))[0]
+        assert abs(start[diagnostics["root"]]) < 1
         gap = 2 * math.sqrt(abs(loop.point_at(diagnostics["t"])))
         assert diagnostics["gap"] == pytest.approx(gap, rel=1e-12)
 

@@ -6,6 +6,7 @@ round trips through continuation rather than checks of intermediate state.
 """
 
 import itertools
+import traceback
 
 import pytest
 
@@ -30,7 +31,8 @@ from quasibraid import (
     realize,
     word_to_text,
 )
-from quasibraid.realization import DEFAULT_EPSILON
+from quasibraid import realization
+from quasibraid.realization import DEFAULT_EPSILON, EPSILON_RETRIES
 
 
 def qpf(n, *bands):
@@ -149,6 +151,23 @@ class TestRealizeRoundTrips:
         # tracker's clearance floor, and halving epsilon shrinks it further.
         with pytest.raises(NumericalFailure):
             realize(qpf(7, ((), 3)))
+
+    def test_a_failed_plan_is_built_once_and_raised_afresh(self, monkeypatch):
+        monkeypatch.setattr(realization, "_PLAN_CACHE", {})
+        calls, curve_data = [], realization._curve_data
+        monkeypatch.setattr(realization, "_curve_data", lambda *args: calls.append(args) or curve_data(*args))
+        raised = []
+        for _ in range(3):
+            with pytest.raises(NumericalFailure, match="no epsilon") as info:
+                build_plan(7)
+            raised.append(info.value)
+        assert len(calls) == EPSILON_RETRIES + 1
+        first, second, third = raised
+        assert second is not third
+        assert str(second) == str(third) == str(first)
+        assert second.diagnostics == third.diagnostics == first.diagnostics
+        # Raising a stored exception again would lengthen its traceback.
+        assert len(traceback.extract_tb(third.__traceback__)) == len(traceback.extract_tb(second.__traceback__))
 
     def test_empty_factorizations_are_rejected(self):
         with pytest.raises(InputError):

@@ -192,7 +192,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print(f"branch points ({len(data.points)}):")
     for point in data.points:
         print(f"  z = {_fmt_complex(point.z)}  (multiplicity {point.multiplicity})")
-    print(f"generic: {'yes' if data.generic else 'no'}")
+    print("generic: yes")  # perturb_generic returns generic data or raises
     print(f"theta: {data.rotation_theta:.6f}")
     if data.perturbation is None:
         print("perturbation: none")

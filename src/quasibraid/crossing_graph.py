@@ -14,13 +14,16 @@ Extraction is by continuation on grid edges, one subdivision level at a time.
 Lattice fibers come from :func:`quasibraid.fibers.sweep`, sorted by rotated
 real part; an edge whose end orders differ by one adjacent transposition
 carries a crossing, other edges are halved until their pieces do, and all the
-crossings on a level's edges of one direction are closed together by
-:func:`quasibraid.fibers.bisect_crossings`, to 2^-48 of the piece (or until
-the z of the midpoint repeats an end) in at most 3 * 48 evaluations, from
-fibers solved afresh at both ends.  Equal-label crossings on a cell's sides
-are joined by straight segments; cells that cannot be resolved that way form
-the next level, up to a bounded depth, and are then flagged.  Cells containing
-a branch point are excluded, so curve ends near them stop at the cell boundary.
+crossings on a level's edges of one direction are closed together by the
+crossing corrector :func:`quasibraid.fibers.bisect_crossings`, from fibers
+solved afresh at both ends of each piece, with z'(t) = b - a along the piece
+a -> b.  A piece closes within 2^-48 of its length, or at the first iterate
+where the rotated gap is rounding; its iterates correct the tracked pair by
+Newton and solve no fiber unless a certificate fails.  Equal-label
+crossings on a cell's sides are joined by straight segments; cells that
+cannot be resolved that way form the next level, up to a bounded depth, and
+are then flagged.  Cells containing a branch point are excluded, so curve
+ends near them stop at the cell boundary.
 A curve of the locus ends only there or at the lattice's sides; a chain that
 stops anywhere else shows cells that disagree about what crosses their shared
 side (an edge crossed twice shows no swap at its ends), so the lattice cells
@@ -63,7 +66,6 @@ _JITTER_X = (math.sqrt(2.0) - 1.0) / 4.0
 _JITTER_Y = (math.sqrt(3.0) - 1.0) / 4.0
 _MAX_CELL_DEPTH = 3
 _EDGE_SPLIT_DEPTH = 12
-_BISECT_ITERATIONS = 48
 
 
 @dataclass(frozen=True)
@@ -186,14 +188,13 @@ def _edge_events(
     _, z_star, _, _, sign = bisect_crossings(
         f,
         rot,
-        lambda ts, idx: a[idx] + (b[idx] - a[idx]) * ts,
+        lambda ts, idx: (a[idx] + (b[idx] - a[idx]) * ts, b[idx] - a[idx]),
         ref[rows, p],
         ref[rows, p + 1],
         far[rows, p + 1],
         far[rows, p],
         np.zeros(len(p)),
         np.ones(len(p)),
-        _BISECT_ITERATIONS,
     )
     events: dict[int, list[tuple[complex, int, int]]] = {}
     for e, z, label, s in zip(edge.tolist(), z_star, (p + 1).tolist(), sign.tolist()):

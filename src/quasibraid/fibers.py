@@ -10,25 +10,29 @@ the nearest other root of the old fiber (:func:`root_gaps`), and matches in
 place, without a search, a fiber whose roots all move less, so a far root
 keeps its own pace, :func:`orders` sorts strands by rotated real part, and
 :func:`swaps` reads the adjacent strand pairs that changed places.
-:func:`bisect_crossings` closes every bracket of a batch on the crossing
-inside it with one solve per iteration over the open brackets: a safeguarded
-regula falsi (Illinois) step, or a midpoint step whenever two evaluations in
-a row have not halved the bracket.  A bracket closes at its tolerance
-(``t_tol``, or 2^-``max_halvings`` of its width, the width fixed halving
-reached) after at most 3 * ``max_halvings`` evaluations, or earlier once its
-midpoint repeats the z of an end.
+:func:`bisect_crossings`, the one crossing corrector, closes every bracket
+of a batch on the point where two strands trade rotated real parts by
+safeguarded Newton steps on their rotated gap, with the Illinois and
+midpoint rules as fallback, within one budget of 2^-``_HALVINGS`` of the
+bracket.  Each iterate predicts the pair along dw/dz = -f_z / f_w, corrects
+it by Newton on the fiber and certifies it by a Pellet disc, solving only
+rows that fail.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable
 
 import numpy as np
 
-from .poly import DEFAULT_ROOT_TOL, BivariatePolynomial, _companion_roots, _monic_horner
+from .poly import _ROUNDING, DEFAULT_ROOT_TOL, BivariatePolynomial, _companion_roots, _monic_horner, _powers
 
 _SWEEP_STEPS = 6
+_SWEEP_BLOCK = 4  # lattice rows corrected per call
+_HALVINGS = 48  # the bracket budget: 2^-48 of its width, 3 * 48 evaluations
+_NEWTON_STEPS = 8
 
 
 @functools.lru_cache(maxsize=None)
@@ -39,12 +43,13 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, np.nonzero((i == roots) | (j == roots))[1].reshape(n, n - 1)
 
 
-def coefficients(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
-    """Ascending w-coefficients of every fiber f(z, .), shape (len(zs), n + 1)."""
+def coefficients(f: BivariatePolynomial, zs: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
+    """Ascending w-coefficients of every fiber f(z, .), shape (len(zs), n + 1),
+    or of the polynomials in z that form the columns of another ``table``."""
     zs = np.asarray(zs, dtype=complex)
     # Horner in z over every w-coefficient at once.
-    table = f.coefficient_table
-    coeffs = np.zeros((zs.shape[0], f.w_degree + 1), dtype=complex) + table[-1]
+    table = f.coefficient_table if table is None else table
+    coeffs = np.zeros((zs.shape[0], table.shape[1]), dtype=complex) + table[-1]
     column = zs[:, None]
     for row in table[-2::-1]:
         coeffs *= column
@@ -96,15 +101,20 @@ def correct(coeffs: np.ndarray, guess: np.ndarray, rtol: float) -> tuple[np.ndar
 
 def sweep(f: BivariatePolynomial, grid: np.ndarray) -> np.ndarray:
     """Roots of the fiber over every vertex of a lattice ``grid`` of z, shape
-    (ny, nx, n).  Row 0 is solved; each later row is predicted on the line
-    through the two rows before it (row 1 from row 0), then corrected and
-    certified by :func:`correct` at discs of ``DEFAULT_ROOT_TOL`` of the gap."""
+    (ny, nx, n).  Row 0 is solved; the others go ``_SWEEP_BLOCK`` at a time,
+    the k-th after row i predicted as f_i + k (f_i - f_(i-1)) (the first
+    block as f_0), then corrected and certified by :func:`correct` at discs
+    of ``DEFAULT_ROOT_TOL`` of the gap."""
     grid = np.asarray(grid, dtype=complex)
-    fibers = np.empty(grid.shape + (f.w_degree,), dtype=complex)
+    n = f.w_degree
+    fibers = np.empty(grid.shape + (n,), dtype=complex)
     fibers[0] = solve(f, grid[0])
-    for j in range(1, len(grid)):
-        guess = fibers[j - 1] if j == 1 else 2 * fibers[j - 1] - fibers[j - 2]
-        fibers[j] = correct(coefficients(f, grid[j]), guess, DEFAULT_ROOT_TOL)[0]
+    for j in range(1, len(grid), _SWEEP_BLOCK):
+        block = grid[j : j + _SWEEP_BLOCK]
+        k = np.arange(1, len(block) + 1)[:, None, None]
+        guess = fibers[j - 1] + k * (fibers[j - 1] - fibers[max(j - 2, 0)])
+        roots = correct(coefficients(f, block.ravel()), guess.reshape(-1, n), DEFAULT_ROOT_TOL)[0]
+        fibers[j : j + len(block)] = roots.reshape(block.shape + (n,))
     return fibers
 
 
@@ -187,108 +197,155 @@ def _rotated_im(rot: complex, w: np.ndarray) -> np.ndarray:
     return rot.real * w.imag + rot.imag * w.real
 
 
+def _nearest(refs: np.ndarray, fibers: np.ndarray) -> np.ndarray:
+    """The roots of ``fibers`` nearest to each of the values ``refs``."""
+    return np.take_along_axis(fibers, np.abs(refs[:, :, None] - fibers[:, None, :]).argmin(axis=2), axis=1)
+
+
 def _tracked(f: BivariatePolynomial, refs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """Roots of the fibers over zs nearest to each of the values ``refs``."""
-    fibers = solve(f, zs)
-    sel = np.abs(refs[:, :, None] - fibers[:, None, :]).argmin(axis=2)
-    return fibers[np.arange(len(zs))[:, None], sel]
+    return _nearest(refs, solve(f, zs))
 
 
 def _gap(rot: complex, pair: np.ndarray) -> np.ndarray:
-    return _rotated_re(rot, pair[:, 0] - pair[:, 1])
+    return _rotated_re(rot, pair[..., 0] - pair[..., 1])
+
+
+def _jet(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The fibers whose coefficients are ``coeffs`` (rows, k, n + 1) at
+    every ``w`` (rows, m), shape (rows, m, k)."""
+    return (_powers(w, coeffs.shape[-1])[:, :, None, :] * coeffs[:, None]).sum(axis=-1)
+
+
+def _jet_coefficients(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
+    """Coefficients of f_z and of the Taylor coefficients in w of f, each
+    w-derivative over its factorial, at every z, shape (len(zs), n + 2, n + 1)."""
+    n = f.w_degree
+    tables = f.derivative_tables(((1, 0),) + tuple((0, i) for i in range(n + 1)))[0]
+    tables = tables / np.array([1.0] + [math.factorial(i) for i in range(n + 1)])[:, None, None]
+    return coefficients(f, zs, np.concatenate(tables, axis=1)).reshape(len(zs), n + 2, n + 1)
+
+
+def _corrected(coeffs: np.ndarray, refs: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots that continue ``refs`` (rows, m) to fibers with
+    :func:`_jet_coefficients` ``coeffs``, from ``guess``, and dw/dz there.
+
+    Each root takes Newton steps on its fiber until the step is at most
+    2^-26 |w| + 2^-52, and one more without an evaluation.  It is certified
+    at its last evaluation w, if that came within ``_NEWTON_STEPS``, by the
+    Taylor coefficients a_k about w widened by their rounding bounds: when
+    |a_1| rho > |a_0| + sum_k>1 |a_k| rho^k, the disc of radius
+    rho = 2|w - ref| + 3n|a_0 / a_1| holds one root (Pellet), and it lies
+    within n|a_0 / a_1| of w, so no other root is as near to ``ref``.  Rows
+    with a root that fails are solved, and take the roots nearest ``refs``."""
+    w, size = guess, coeffs.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(_NEWTON_STEPS + 1):
+            jet = _jet(coeffs[:, :3], w)  # f_z, f, f_w
+            step = jet[..., 1] / jet[..., 2]
+            busy = np.abs(step) > 2.0**-26 * np.abs(w) + 2.0**-52
+            if k == _NEWTON_STEPS or not busy.any():
+                break
+            w = np.where(busy, w - step, w)
+        a, bound = _jet(coeffs[:, 1:], w), 2 * size * _ROUNDING * _jet(np.abs(coeffs[:, 1:]), np.abs(w))
+        terms, lead = np.abs(a) + bound, (np.abs(a) - bound)[..., 1]
+        rho = 2 * np.abs(w - refs) + 3 * (size - 1) * terms[..., 0] / lead
+        rest = (terms[..., 2:] * _powers(rho, size)[..., 2:]).sum(axis=-1)
+        certified = (~busy & (lead * rho > terms[..., 0] + rest)).all(axis=-1)
+        roots, velocity = w - step, -jet[..., 0] / jet[..., 2]
+        bad = np.flatnonzero(~certified)
+        if bad.size:
+            roots[bad] = _nearest(refs[bad], _companion_roots(coeffs[bad, 1]))
+            jet = _jet(coeffs[bad, :3], roots[bad])
+            velocity[bad] = -jet[..., 0] / jet[..., 2]
+    return roots, velocity
 
 
 def bisect_crossings(
     f: BivariatePolynomial,
     rot: complex,
-    point: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    point: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     ref_a: np.ndarray,
     ref_b: np.ndarray,
     far_a: np.ndarray,
     far_b: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    max_halvings: int,
     t_tol: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Locate the crossing inside every bracket of a batch.
 
-    Bracket i spans parameters ``lo[i]`` to ``hi[i]``, mapped to z by
-    ``point(ts, idx)`` for brackets ``idx``.  Along it the roots w_a, w_b
-    nearest to ``ref_a[i]``, ``ref_b[i]`` are tracked (valid while each root
-    moves less than a third of its distance to the nearest other root) and the gap
-    g = Re(rot * (w_a - w_b)) changes sign.  ``far_a``, ``far_b`` are the
-    tracked roots at ``hi``, which every caller already holds.
-
-    Brackets narrow by regula falsi with the Illinois modification, one
-    batched solve per iteration over the open brackets.  Every iterate lies
-    strictly inside its bracket, and a midpoint step is taken whenever the
-    two evaluations since the width last halved have not halved it, so the
-    width halves at least once every three evaluations.  A bracket closes
-    once its width is at most ``t_tol`` or at most 2^-``max_halvings`` of its
-    starting width, whichever is larger, so after at most
-    3 * ``max_halvings`` evaluations; it also closes once its midpoint maps
-    to the z of one of its ends.  Returns t* (the final midpoint), z*, w_a,
-    w_b at t*, and the letter sign: +1 when Im(rot * w_b) > Im(rot * w_a),
-    else -1.
+    Bracket i spans ``lo[i]`` to ``hi[i]``, mapped to z and dz/dt by
+    ``point(ts, idx)``; the roots continued from ``ref_a[i]``, ``ref_b[i]`` to
+    ``far_a[i]``, ``far_b[i]`` make g = Re(rot * (w_a - w_b)) change sign.
+    Iterates, kept half the tolerance and the spacing of z from the ends,
+    predict the pair from the nearer end along dw/dz and correct it by
+    :func:`_corrected`.  The first is the regula falsi point, later ones are
+    Newton steps on g from the newest end, with g' = Re(rot (w_a' - w_b') z'),
+    or Illinois steps where those leave the bracket, or midpoints once two
+    evaluations have not halved it.  A bracket closes at ``t_tol`` or
+    2^-``_HALVINGS`` of its width, within 3 * ``_HALVINGS`` evaluations; when
+    no iterate fits or one repeats an end's z; and at an iterate where
+    |g| <= 8 eps max(1, |w_a|, |w_b|), to which it shrinks.  Returns t* (the
+    final midpoint), z*, w_a and w_b there, and the sign: +1 when
+    Im(rot * (w_b - w_a)) > 0, else -1.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    pair = np.stack([ref_a, ref_b], axis=1)
-    every = np.arange(len(lo))
-    z_lo, z_hi = point(lo, every), point(hi, every)
-    g_lo, g_hi = _gap(rot, pair), _rotated_re(rot, far_a - far_b)
-    below = g_lo < 0
-    tol = np.maximum(t_tol, (hi - lo) * 0.5**max_halvings)
-    # No iterate comes nearer an end than half the tolerance, or than the
-    # parameter spacing of representable z, below which it repeats the end.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spacing = np.spacing(np.abs([z_lo, z_hi]).max(axis=0)) * (hi - lo) / np.abs(z_hi - z_lo)
-    margin = np.fmax(0.5 * tol, spacing)
-    mark = hi - lo  # the width when it last halved
-    stale = np.zeros(len(lo), dtype=int)  # evaluations since then
-    last = np.zeros(len(lo), dtype=int)  # end the last step replaced: -1 lo, 1 hi
-    open_ = hi - lo > tol
-    for _ in range(3 * max_halvings):
-        idx = np.flatnonzero(open_)
-        if idx.size == 0:
+    # Per open bracket: its ends (lo first) with their t, z, pair, dw/dz, g
+    # (the kept end's halved by Illinois) and g'; the sign of g at lo, the
+    # width at which it closes, the margin, the width when it last halved,
+    # the evaluations since, and the end the last step replaced (-1: none).
+    ids = np.arange(len(lo))
+    t = np.array([lo, hi], dtype=float)
+    z, dz = (part.reshape(t.shape) for part in point(t.ravel(), np.tile(ids, 2)))
+    w = np.stack([np.stack([ref_a, ref_b], axis=-1), np.stack([far_a, far_b], axis=-1)])
+    jet = _jet(_jet_coefficients(f, z.ravel())[:, :3], w.reshape(-1, 2)).reshape(w.shape + (3,))
+    width = t[1] - t[0]
+    tol = np.maximum(t_tol, width * 0.5**_HALVINGS)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dw = -jet[..., 0] / jet[..., 2]
+        margin = np.fmax(0.5 * tol, np.spacing(np.abs(z).max(axis=0)) * width / np.abs(z[1] - z[0]))
+    g, dg = _gap(rot, w), _gap(rot, dw * dz[..., None])
+    state = [ids, t, z, w, dw, g, dg, g[0] < 0, np.fmax(tol, 2 * margin), margin, width,
+             np.zeros_like(ids), np.full_like(ids, -1)]
+    ends = [np.copy(part) for part in state[1:5]]  # as each bracket closed
+    shut = width <= state[8]
+    for k in range(3 * _HALVINGS + 1):
+        shut |= k == 3 * _HALVINGS
+        if shut.any():
+            for full, part in zip(ends, state[1:5]):
+                full[:, state[0][shut]] = part[:, shut]
+            state = [part[:, ~shut] if part.ndim > 1 else part[~shut] for part in state]
+        ids, t, z, w, dw, g, dg, below, closing, margin, mark, stale, last = state
+        if not len(ids):
             break
-        mid = 0.5 * (lo[idx] + hi[idx])
-        z_mid = point(mid, idx)
-        # No representable point is left between the ends.
-        stuck = (z_mid == z_lo[idx]) | (z_mid == z_hi[idx])
-        open_[idx[stuck]] = False
-        idx, mid = idx[~stuck], mid[~stuck]
-        if idx.size == 0:
-            break
-        a, b, ga, gb = lo[idx], hi[idx], g_lo[idx], g_hi[idx]
-        # Kept off the ends, a secant point next to an end that has converged
-        # closes the bracket from the other side.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = ga / (ga - gb)
-            x = np.clip(a + frac * (b - a), a + margin[idx], b - margin[idx])
-        secant = (stale[idx] < 2) & (frac >= 0) & (frac <= 1) & (a < x) & (x < b)
-        x = np.where(secant, x, mid)
-        z = point(x, idx)
-        g = _gap(rot, _tracked(f, pair[idx], z))
-        left = (g < 0) == below[idx]
-        side = np.where(left, -1, 1)
-        # Illinois: the value of an end kept twice running is halved.
-        again = side == last[idx]
-        g_lo[idx] = np.where(left, g, np.where(again, 0.5 * ga, ga))
-        g_hi[idx] = np.where(left, np.where(again, 0.5 * gb, gb), g)
-        lo[idx] = np.where(left, x, a)
-        hi[idx] = np.where(left, b, x)
-        z_lo[idx] = np.where(left, z, z_lo[idx])
-        z_hi[idx] = np.where(left, z_hi[idx], z)
-        last[idx] = side
-        width = hi[idx] - lo[idx]
-        halved = ~secant | (width <= 0.5 * mark[idx])
-        mark[idx] = np.where(halved, width, mark[idx])
-        stale[idx] = np.where(halved, 0, stale[idx] + 1)
-        open_[idx] = width > tol[idx]
-    t = 0.5 * (lo + hi)
-    z = point(t, every)
-    w_a, w_b = _tracked(f, pair, z).T
+        (a, b), rows, newest = t, np.arange(len(ids)), np.maximum(last, 0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = t[newest, rows] - g[newest, rows] / dg[newest, rows]
+            frac = g[0] / (g[0] - g[1])
+        use_newton = (stale < 2) & (last >= 0) & (a < newton) & (newton < b)
+        use_secant = (stale < 2) & (frac >= 0) & (frac <= 1)
+        x = np.where(use_newton, newton, np.where(use_secant, a + frac * (b - a), 0.5 * (a + b)))
+        x = np.clip(x, a + margin, b - margin)
+        (z_x, dz_x), near = point(x, ids), (x - a > b - x).astype(int)
+        guess = w[near, rows] + dw[near, rows] * (z_x - z[near, rows])[:, None]
+        w_x, dw_x = _corrected(_jet_coefficients(f, z_x), w[near, rows], guess)
+        g_x, stuck = _gap(rot, w_x), (z_x == z[0]) | (z_x == z[1])
+        side = ((g_x < 0) != below).astype(int)
+        g[1 - side, rows] *= np.where(side == last, 0.5, 1.0)
+        t[side, rows], z[side, rows], w[side, rows], dw[side, rows] = x, z_x, w_x, dw_x
+        g[side, rows], dg[side, rows] = g_x, _gap(rot, dw_x * dz_x[:, None])
+        # A gap that is rounding is a crossing: the bracket shrinks to it.
+        zero = np.abs(g_x) <= 4 * _ROUNDING * np.maximum(1.0, np.abs(w_x).max(axis=-1))
+        for part, value in ((t, x), (z, z_x), (w, w_x), (dw, dw_x)):
+            part[:, zero] = value[zero]
+        width = t[1] - t[0]
+        halved = ~(use_newton | use_secant) | (width <= 0.5 * mark)
+        state[10:] = np.where(halved, width, mark), np.where(halved, 0, stale + 1), side
+        shut = (width <= closing) | stuck
+    t, z, w, dw = ends
+    t_star = 0.5 * (t[0] + t[1])
+    z_star = point(t_star, np.arange(len(t_star)))[0]
+    near, ids = (t_star - t[0] > t[1] - t_star).astype(int), np.arange(len(t_star))
+    w_a, w_b = (w[near, ids] + dw[near, ids] * (z_star - z[near, ids])[:, None]).T
     sign = np.where(_rotated_im(rot, w_b) - _rotated_im(rot, w_a) > 0, 1, -1)
-    return t, z, w_a, w_b, sign
+    return t_star, z_star, w_a, w_b, sign

@@ -25,9 +25,13 @@ disjoint adjacent swaps, and its midpoint agrees with it, so a swap and its
 inverse cannot hide inside one step.  The step regrows after ``_REGROW``
 accepted steps wherever chunks end, so answers do not depend on the batch
 size ``_CHUNK``.
-:func:`quasibraid.fibers.bisect_crossings` closes the bracket of every
-swap's step in one batch at the end, from the solve's roots at the step's
-ends, which a solve rounds the same in any batch.
+The crossing corrector :func:`quasibraid.fibers.bisect_crossings` closes
+the bracket of every swap's step in one batch at the end, along the loop's
+tangent z'(t) from :meth:`~quasibraid.paths.LoopPath.sample_points`.  It
+starts from the roots that a solve gives at the step's ends, which a solve
+rounds the same in any batch, and its iterates continue the swapping pair by
+Newton from the nearer end of each bracket, so they solve no fiber unless a
+certificate fails.
 
 The module also builds lollipop loops (per-target stick, counterclockwise
 circle, stick back) whose crossing events split into conjugator and band
@@ -84,7 +88,6 @@ __all__ = [
 
 STEP_CAP_FRACTION = 1.0 / 256.0
 BISECTION_T_TOL = 1e-10
-BISECTION_MAX_HALVINGS = 64
 STEP_UNDERFLOW = 1e-12
 CLEARANCE_FLOOR_FACTOR = 1e-3
 _CHUNK = 64
@@ -370,10 +373,9 @@ def track_roots(
         t_cross, _, w_a, w_b, sign = bisect_crossings(
             f,
             rot,
-            lambda ts, _: loop.sample_points(ts),
+            lambda ts, _: loop.sample_points(ts, tangents=True),
             *ends.transpose(1, 2, 0).reshape(4, -1),
             *t_ends.T,
-            BISECTION_MAX_HALVINGS,
             BISECTION_T_TOL,
         )
         # Each t lies strictly inside its own step, so one sort keeps step order.

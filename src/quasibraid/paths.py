@@ -207,8 +207,9 @@ class LoopPath:
         ]
         return (np.where(lengths == 0, 1.0, lengths), *map(np.array, zip(*rows)))
 
-    def sample_points(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`point_at` over an array of parameters."""
+    def sample_points(self, ts: np.ndarray, tangents: bool = False):
+        """Vectorized :meth:`point_at` over an array of parameters; with
+        ``tangents``, also dz/dt at each of them, as a second array."""
         ts = np.asarray(ts, dtype=float)
         targets = np.clip(ts, 0.0, 1.0) * self.length
         cum = self._cumulative
@@ -219,8 +220,12 @@ class LoopPath:
         )
         s = (targets - cum[idxs]) / lengths
         ang = angle_from + s * span
-        on_arc = origin + radius * (np.cos(ang) + 1j * np.sin(ang))
-        return np.where(arc, on_arc, origin + s * chord)
+        turn = np.cos(ang) + 1j * np.sin(ang)
+        points = np.where(arc, origin + radius * turn, origin + s * chord)
+        if not tangents:
+            return points
+        # ds/dt is the loop length over the primitive's.
+        return points, np.where(arc, 1j * (radius * span) * turn, chord) * (self.length / lengths)
 
 
 def _foot(seg: Segment, p: complex) -> float:

@@ -323,6 +323,18 @@ class BivariatePolynomial:
         ``z`` and ``w``: their shape is ``(len(orders),)`` followed by the
         broadcast shape of z and w.
         """
+        parts, magnitudes = self.derivative_tables(orders)
+        depth, width = parts.shape[1:]
+        z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+        terms = "ijk,...j,...k->i..."
+        values = np.einsum(terms, parts, _powers(z, depth), _powers(w, width))
+        scales = np.einsum(terms, magnitudes, _powers(np.abs(z), depth), _powers(np.abs(w), width))
+        return values, scales
+
+    def derivative_tables(self, orders) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficient tables, shaped like :attr:`coefficient_table`, of the
+        partials of f that :meth:`jet` evaluates for ``orders``, and their
+        absolute values, each stacked on a new first axis."""
         tables = self._derivative_tables.get(orders)
         if tables is None:
             table = self.coefficient_table
@@ -336,18 +348,11 @@ class BivariatePolynomial:
                 )
                 parts[i, : depth - a, : width - b] = table[a:, b:] * falling
             tables = self._derivative_tables[orders] = (parts, np.abs(parts))
-        parts, magnitudes = tables
-        depth, width = parts.shape[1:]
-        z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
-        terms = "ijk,...j,...k->i..."
-        values = np.einsum(terms, parts, _powers(z, depth), _powers(w, width))
-        scales = np.einsum(terms, magnitudes, _powers(np.abs(z), depth), _powers(np.abs(w), width))
-        return values, scales
+        return tables
 
     @cached_property
     def _derivative_tables(self) -> dict:
-        """Coefficient tables of the partials :meth:`jet` was asked for, and
-        their absolute values, by tuple of orders."""
+        """The :meth:`derivative_tables` built so far, by tuple of orders."""
         return {}
 
     @cached_property

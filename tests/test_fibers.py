@@ -11,10 +11,12 @@ that judges each root against its own nearest neighbour, without building an
 
 Closing a batch of brackets must give exactly what closing each bracket alone
 gives, whatever positions the brackets swap.  The crossings it finds agree
-with the fixed-halving bisection it replaced, within fewer evaluations.  The
-crossing points are checked against ``numpy.roots`` of the fiber there, and
-the crossing graph they build is checked against a frozen graph of the
-quartic.
+with the fixed-halving bisection it replaced, within fewer evaluations, and
+on ``w^2 - z`` with the closed form of its crossing locus.  The pair
+corrector must give a solve's roots with their dw/dz, and fall back to the
+solve where its certificate fails.  The crossing points are checked against
+``numpy.roots`` of the fiber there, and the crossing graph they build is
+checked against a frozen graph of the quartic.
 """
 
 import json
@@ -35,6 +37,7 @@ from quasibraid import (
     sample_crossing_graph,
 )
 from quasibraid.fibers import (
+    _corrected,
     _rotated_re,
     _tracked,
     bisect_crossings,
@@ -54,6 +57,9 @@ DATA_DIR = Path(__file__).parent / "data"
 QUARTIC = prepared("w^3 - 3*w + 2*z^4")
 FOUR_STRAND = prepared("w^4 - z*w^3 - w^2 + z*w + 0.05")
 HALVINGS = 48
+EPS = np.finfo(float).eps
+# The median evaluations per bracket on the quartic's lattice edges.
+MEDIAN_EVALUATIONS = 3
 
 
 def rotation(data):
@@ -93,6 +99,11 @@ def edge_map(a, b):
     return lambda ts, idx: a[idx] + (b[idx] - a[idx]) * ts
 
 
+def edge_path(a, b):
+    """The edge map with dz/dt, as the crossing corrector takes it."""
+    return lambda ts, idx: (a[idx] + (b[idx] - a[idx]) * ts, b[idx] - a[idx])
+
+
 def tracked_at(f, ref_a, ref_b, zs):
     """The roots over zs nearest to ``ref_a`` and to ``ref_b``."""
     return _tracked(f, np.stack([ref_a, ref_b], axis=1), zs).T
@@ -103,13 +114,12 @@ def bisect(f, rot, brackets):
     return bisect_crossings(
         f,
         rot,
-        edge_map(a, b),
+        edge_path(a, b),
         ref_a,
         ref_b,
         *tracked_at(f, ref_a, ref_b, b),
         np.zeros(len(a)),
         np.ones(len(a)),
-        HALVINGS,
     )
 
 
@@ -155,31 +165,30 @@ def crossing_tolerance(f, rot, brackets, width=1.0):
     return np.maximum(width * 0.5**HALVINGS, 1e-14 * scale / np.abs(g_b - g_a))
 
 
-def record_evaluations(monkeypatch, rot, point, ref_a, ref_b):
-    """Wrap ``point`` and patch the kernel's tracked solve so that every solve
-    is logged as (brackets, their t, their rotated gap); the brackets are found
-    by their references and t comes from the point call that gave the z."""
-    pair = np.stack([ref_a, ref_b], axis=1)
+def record_evaluations(monkeypatch, rot, path):
+    """Wrap ``path`` and patch the crossing corrector so that every
+    evaluation of a pair is logged as (brackets, their t, their rotated gap,
+    the pair's size max(1, |w_a|, |w_b|)); brackets and t come from the
+    path call before it, which gave the z."""
     calls, last = [], {}
 
-    def logged_point(ts, idx):
-        z = point(ts, idx)
-        last["t"], last["z"] = np.array(ts, dtype=float), z
-        return z
+    def logged_path(ts, idx):
+        last["t"], last["idx"] = np.array(ts, dtype=float), np.array(idx)
+        return path(ts, idx)
 
-    def tracked(f, refs, zs):
-        w = _tracked(f, refs, zs)
-        ids = np.array([np.flatnonzero((pair == r).all(axis=1))[0] for r in refs], dtype=int)
-        ts = last["t"] if zs is last["z"] else None
-        calls.append((ids, ts, _rotated_re(rot, w[:, 0] - w[:, 1])))
-        return w
+    def corrected(coeffs, refs, guess):
+        w, dw = _corrected(coeffs, refs, guess)
+        assert len(w) == len(last["idx"])
+        size = np.maximum(1.0, np.abs(w).max(axis=1))
+        calls.append((last["idx"], last["t"], _rotated_re(rot, w[:, 0] - w[:, 1]), size))
+        return w, dw
 
-    monkeypatch.setattr(fibers, "_tracked", tracked)
-    return logged_point, calls
+    monkeypatch.setattr(fibers, "_corrected", corrected)
+    return logged_path, calls
 
 
 def evaluations_per_bracket(calls, count):
-    return np.bincount(np.concatenate([ids for ids, _, _ in calls]), minlength=count)
+    return np.bincount(np.concatenate([ids for ids, *_ in calls]), minlength=count)
 
 
 class TestSolveAndMatch:
@@ -533,29 +542,30 @@ class TestBatchedBisection:
         edge = edge_map(a, b)
         hi = np.array([1.0, 0.5, 0.25])
         far_a, far_b = tracked_at(f, ref_a, ref_b, edge(hi, np.arange(3)))
-        point, calls = record_evaluations(monkeypatch, rot, edge, ref_a, ref_b)
+        point, calls = record_evaluations(monkeypatch, rot, edge_path(a, b))
         t, *_ = bisect_crossings(
-            f, rot, point, ref_a, ref_b, far_a, far_b, np.zeros(3), hi, 64, 1e-3
+            f, rot, point, ref_a, ref_b, far_a, far_b, np.zeros(3), hi, 1e-3
         )
-        # The last solve is of the final midpoints; the brackets are replayed
-        # from the evaluations before it.
-        evaluations = calls[:-1]
+        # The brackets are replayed from the evaluations.
+        evaluations = calls
         below = _rotated_re(rot, ref_a - ref_b) < 0
         lo, up = np.zeros(3), hi.copy()
         closed: set[int] = set()
-        for k, (ids, ts, g) in enumerate(evaluations):
+        for k, (ids, ts, g, size) in enumerate(evaluations):
             # Open brackets never rise; a closed one is not evaluated again.
             if k:
                 assert set(ids.tolist()) <= set(evaluations[k - 1][0].tolist())
             assert not closed & set(ids.tolist())
+            # Every iterate lies strictly inside its bracket.
             assert np.all((lo[ids] < ts) & (ts < up[ids]))
             left = (g < 0) == below[ids]
-            lo[ids] = np.where(left, ts, lo[ids])
-            up[ids] = np.where(left, up[ids], ts)
+            # A gap that is rounding shrinks the bracket to its iterate.
+            zero = np.abs(g) <= 8 * EPS * size
+            lo[ids] = np.where(left | zero, ts, lo[ids])
+            up[ids] = np.where(left & ~zero, up[ids], ts)
             closed |= set(np.flatnonzero(up - lo <= 1e-3).tolist())
         assert closed == {0, 1, 2}
         assert np.array_equal(t, 0.5 * (lo + up))
-        assert np.array_equal(calls[-1][1], t)
 
     @pytest.mark.parametrize("fixture", [QUARTIC, FOUR_STRAND], ids=["quartic", "four_strand"])
     def test_crossings_agree_with_fixed_halving(self, fixture):
@@ -574,13 +584,13 @@ class TestBatchedBisection:
         brackets = swap_brackets(f, rot)
         a, b, ref_a, ref_b = edge_points(brackets)
         far_a, far_b = tracked_at(f, ref_a, ref_b, b)
-        point, calls = record_evaluations(monkeypatch, rot, edge_map(a, b), ref_a, ref_b)
+        point, calls = record_evaluations(monkeypatch, rot, edge_path(a, b))
         bisect_crossings(
-            f, rot, point, ref_a, ref_b, far_a, far_b, np.zeros(len(a)), np.ones(len(a)), HALVINGS
+            f, rot, point, ref_a, ref_b, far_a, far_b, np.zeros(len(a)), np.ones(len(a))
         )
-        # The final solve included; halving took 48 + 1 and a far-end solve.
+        # Halving took 48 evaluations, a final solve and a far-end solve.
         per_bracket = evaluations_per_bracket(calls, len(a))
-        assert np.median(per_bracket) <= 12
+        assert np.median(per_bracket) <= MEDIAN_EVALUATIONS
         assert per_bracket.max() <= 3 * HALVINGS + 1
 
     def test_lopsided_brackets_close_within_the_bound(self, monkeypatch):
@@ -598,9 +608,9 @@ class TestBatchedBisection:
         lo = np.where(near_lo, crossing - 1e-6 * width, crossing + 1e-6 * width - width)
         lo_a, lo_b = tracked_at(f, ref_a, ref_b, edge(lo, every))
         far_a, far_b = tracked_at(f, lo_a, lo_b, edge(lo + width, every))
-        point, calls = record_evaluations(monkeypatch, rot, edge, lo_a, lo_b)
+        point, calls = record_evaluations(monkeypatch, rot, edge_path(a, b))
         t, *_ = bisect_crossings(
-            f, rot, point, lo_a, lo_b, far_a, far_b, lo, lo + width, HALVINGS
+            f, rot, point, lo_a, lo_b, far_a, far_b, lo, lo + width
         )
         assert near_lo.any() and not near_lo.all()
         assert evaluations_per_bracket(calls, len(a)).max() <= 3 * HALVINGS + 1
@@ -608,8 +618,9 @@ class TestBatchedBisection:
 
     def test_brackets_narrower_than_z_resolution_close(self, monkeypatch):
         # A bracket 1e-9 of an edge wide near t = 0.5 cannot narrow to 2^-48
-        # of that in representable t; it closes once its midpoint repeats the
-        # z of an end instead of running to the evaluation cap.
+        # of that in representable t; it closes once its gap is rounding or
+        # an iterate repeats the z of an end, instead of running to the
+        # evaluation cap.
         f, data = QUARTIC
         rot = rotation(data)
         brackets = untied(f, rot, swap_brackets(f, rot))
@@ -620,11 +631,86 @@ class TestBatchedBisection:
         every = np.arange(len(a))
         lo_a, lo_b = tracked_at(f, ref_a, ref_b, edge(lo, every))
         far_a, far_b = tracked_at(f, lo_a, lo_b, edge(lo + width, every))
-        point, calls = record_evaluations(monkeypatch, rot, edge, lo_a, lo_b)
-        bisect_crossings(f, rot, point, lo_a, lo_b, far_a, far_b, lo, lo + width, HALVINGS)
+        point, calls = record_evaluations(monkeypatch, rot, edge_path(a, b))
+        bisect_crossings(f, rot, point, lo_a, lo_b, far_a, far_b, lo, lo + width)
         per_bracket = evaluations_per_bracket(calls, len(a))
-        assert np.median(per_bracket) <= 12
+        assert np.median(per_bracket) <= MEDIAN_EVALUATIONS
         assert per_bracket.max() < 3 * HALVINGS
+
+
+class TestCrossingCorrector:
+    """The pair corrector behind every bracket iterate: Newton on the fiber,
+    certified by a Pellet disc, with the solve only where that fails."""
+
+    @staticmethod
+    def fibers_at(f, zs):
+        return fibers._jet_coefficients(f, zs), solve(f, zs)
+
+    def test_corrected_roots_are_the_solve_s_roots_with_their_derivatives(self, monkeypatch):
+        f, _ = FOUR_STRAND
+        rng = np.random.default_rng(5)
+        zs = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
+        coeffs, roots = self.fibers_at(f, zs)
+        refs = roots[:, :2]
+        guess = refs + 1e-4 * (rng.normal(size=refs.shape) + 1j * rng.normal(size=refs.shape))
+        solved = []
+        monkeypatch.setattr(fibers, "_companion_roots", lambda c: solved.append(len(c)) or solve(f, zs[:0]))
+        w, dw = _corrected(coeffs, refs, guess)
+        assert solved == []
+        scale = np.maximum(1.0, np.abs(roots).max(axis=1, keepdims=True))
+        assert np.all(np.abs(w - refs) <= 1e-12 * scale)
+        # dw/dz is taken at the last Newton iterate, within 2^-26 of the root.
+        (f_z, f_w), _ = f.jet(zs[:, None], refs, ((1, 0), (0, 1)))
+        assert np.allclose(dw, -f_z / f_w, rtol=2.0**-20, atol=2.0**-20)
+
+    def test_a_guess_that_runs_to_another_root_falls_back_to_the_solve(self, monkeypatch):
+        f, _ = FOUR_STRAND
+        zs = np.array([0.3 + 0.2j, -1.1 + 0.7j])
+        coeffs, roots = self.fibers_at(f, zs)
+        # Newton from next to root 1 finds root 1, which no disc can claim
+        # for a reference at root 0.
+        refs, guess = roots[:, :1], roots[:, 1:2] + 1e-9
+        solved, companion = [], fibers._companion_roots
+        monkeypatch.setattr(fibers, "_companion_roots", lambda c: solved.append(len(c)) or companion(c))
+        w, _ = _corrected(coeffs, refs, guess)
+        assert solved == [2]
+        assert np.array_equal(w, refs)
+
+
+class TestClosedFormCrossings:
+    """On w^2 - z at theta = 0 the rotated gap 2 Re sqrt(z) vanishes exactly
+    on the negative real axis, so crossings have closed forms."""
+
+    F = parse_bivariate_text("w^2 - z")
+
+    def test_a_bracket_across_the_negative_axis_closes_on_it(self):
+        a, b = np.array([-1.0 + 0.3j]), np.array([-0.8 - 0.5j])
+        ref, far = sorted_fibers(self.F, 1.0, a), sorted_fibers(self.F, 1.0, b)
+        t, z, *_ = bisect_crossings(
+            self.F, 1.0, edge_path(a, b), ref[:, 0], ref[:, 1], far[:, 1], far[:, 0], np.zeros(1), np.ones(1)
+        )
+        want = -a.imag / (b - a).imag
+        crossing = a + want * (b - a)
+        # g = 2 Re sqrt(z) has g' = Im(b - a) / sqrt|z| on the axis; a bracket
+        # closes within 2^-48 of the edge, or where g is 8 eps of the roots.
+        slope = np.abs((b - a).imag) / np.sqrt(np.abs(crossing))
+        tol = 0.5**HALVINGS + 8 * EPS * np.maximum(1.0, np.sqrt(np.abs(crossing))) / slope
+        assert np.all(np.abs(t - want) <= tol)
+        assert np.all(np.abs(z.imag) <= np.abs(b - a) * tol)
+
+    @pytest.mark.parametrize("start", [0.0, 0.4, 2.5, 3.5, 5.9])
+    def test_a_circle_about_the_branch_point_crosses_once_at_the_axis(self, start):
+        from dataclasses import replace
+
+        from quasibraid import branch_points
+        from quasibraid.paths import Arc, LoopPath
+
+        data = replace(branch_points(self.F), generic=True, rotation_theta=0.0)
+        loop = LoopPath((Arc(0j, 1.3, start, start + 2 * math.pi),), closed=True)
+        track = monodromy.track_roots(self.F, data, loop)
+        want = ((math.pi - start) % (2 * math.pi)) / (2 * math.pi)
+        assert [(e.position, e.sign) for e in track.events] == [(1, 1)]
+        assert abs(track.events[0].t - want) <= monodromy.BISECTION_T_TOL
 
 
 class TestCrossingPoints:

@@ -172,6 +172,24 @@ class TestLoopConstruction:
         assert np.allclose(sampled, individual, rtol=0, atol=1e-12)
         assert sampled[-3] == mixed.point_at(1.0) == 100 + 0j
 
+    def test_sample_tangents_are_the_direction_times_the_length(self):
+        # t is normalized arc length, so dz/dt has the loop's length as its
+        # size, on segments and on arcs of either orientation.
+        loop = LoopPath(
+            (
+                Segment(0j, 1 + 1j),
+                Arc(1.5 + 1j, 0.5, math.pi, 0.0),
+                Segment(2 + 1j, 2 - 1j),
+                Arc(1.5 - 1j, 0.5, 0.0, -3 * math.pi),
+            ),
+            closed=False,
+        )
+        ts = np.linspace(0.0005, 0.9995, 1000)
+        points, tangents = loop.sample_points(ts, tangents=True)
+        assert np.array_equal(points, loop.sample_points(ts))
+        directions = np.array([loop.direction_at(float(t)) for t in ts])
+        assert np.allclose(tangents, loop.length * directions, rtol=0, atol=1e-12 * loop.length)
+
     def test_primitive_spans_cover_the_unit_interval(self):
         loop = square()
         spans = loop.primitive_spans()

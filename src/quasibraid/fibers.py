@@ -307,10 +307,10 @@ def bisect_crossings(
     g, dg = _gap(rot, w), _gap(rot, dw * dz[..., None])
     state = [ids, t, z, w, dw, g, dg, g[0] < 0, np.fmax(tol, 2 * margin), margin, width,
              np.zeros_like(ids), np.full_like(ids, -1)]
-    ends = [np.copy(part) for part in state[1:5]]  # as each bracket closed
+    ends = [np.copy(part) for part in state[1:5]]  # t, z, pair and dw/dz as each closed
     shut = width <= state[8]
     for k in range(3 * _HALVINGS + 1):
-        shut |= k == 3 * _HALVINGS
+        shut |= k == 3 * _HALVINGS  # the budget is spent
         if shut.any():
             for full, part in zip(ends, state[1:5]):
                 full[:, state[0][shut]] = part[:, shut]
@@ -331,6 +331,7 @@ def bisect_crossings(
         w_x, dw_x = _corrected(_jet_coefficients(f, z_x), w[near, rows], guess)
         g_x, stuck = _gap(rot, w_x), (z_x == z[0]) | (z_x == z[1])
         side = ((g_x < 0) != below).astype(int)
+        # Illinois: the value of an end kept twice running is halved.
         g[1 - side, rows] *= np.where(side == last, 0.5, 1.0)
         t[side, rows], z[side, rows], w[side, rows], dw[side, rows] = x, z_x, w_x, dw_x
         g[side, rows], dg[side, rows] = g_x, _gap(rot, dw_x * dz_x[:, None])

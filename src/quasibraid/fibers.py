@@ -22,7 +22,6 @@ rows that fail.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable
 
 import numpy as np
@@ -45,12 +44,12 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def coefficients(f: BivariatePolynomial, zs: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
     """Ascending w-coefficients of every fiber f(z, .), shape (len(zs), n + 1),
-    or of the polynomials in z that form the columns of another ``table``."""
+    or those of the polynomials that another ``table`` (z-power first) holds."""
     zs = np.asarray(zs, dtype=complex)
     # Horner in z over every w-coefficient at once.
     table = f.coefficient_table if table is None else table
-    coeffs = np.zeros((zs.shape[0], table.shape[1]), dtype=complex) + table[-1]
-    column = zs[:, None]
+    coeffs = np.zeros(zs.shape + table.shape[1:], dtype=complex) + table[-1]
+    column = zs.reshape(zs.shape + (1,) * (table.ndim - 1))
     for row in table[-2::-1]:
         coeffs *= column
         coeffs += row
@@ -218,12 +217,10 @@ def _jet(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _jet_coefficients(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
-    """Coefficients of f_z and of the Taylor coefficients in w of f, each
-    w-derivative over its factorial, at every z, shape (len(zs), n + 2, n + 1)."""
-    n = f.w_degree
-    tables = f.derivative_tables(((1, 0),) + tuple((0, i) for i in range(n + 1)))[0]
-    tables = tables / np.array([1.0] + [math.factorial(i) for i in range(n + 1)])[:, None, None]
-    return coefficients(f, zs, np.concatenate(tables, axis=1)).reshape(len(zs), n + 2, n + 1)
+    """Coefficients in w of f_z, f and every w-derivative of f, in that
+    order, at every z, shape (len(zs), n + 2, n + 1)."""
+    tables = f.derivative_tables(((1, 0),) + tuple((0, i) for i in range(f.w_degree + 1)))[0]
+    return coefficients(f, zs, tables.transpose(1, 0, 2))
 
 
 def _corrected(coeffs: np.ndarray, refs: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +244,9 @@ def _corrected(coeffs: np.ndarray, refs: np.ndarray, guess: np.ndarray) -> tuple
             if k == _NEWTON_STEPS or not busy.any():
                 break
             w = np.where(busy, w - step, w)
-        a, bound = _jet(coeffs[:, 1:], w), 2 * size * _ROUNDING * _jet(np.abs(coeffs[:, 1:]), np.abs(w))
+        factorials = np.cumprod(np.maximum(np.arange(size), 1.0))
+        a = _jet(coeffs[:, 1:], w) / factorials
+        bound = 2 * size * _ROUNDING * _jet(np.abs(coeffs[:, 1:]), np.abs(w)) / factorials
         terms, lead = np.abs(a) + bound, (np.abs(a) - bound)[..., 1]
         rho = 2 * np.abs(w - refs) + 3 * (size - 1) * terms[..., 0] / lead
         rest = (terms[..., 2:] * _powers(rho, size)[..., 2:]).sum(axis=-1)

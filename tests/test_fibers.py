@@ -22,6 +22,7 @@ checked against a frozen graph of the quartic.
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasibraid import (
+    branch_points,
     fibers,
     graph_to_json,
     monodromy,
@@ -49,6 +51,7 @@ from quasibraid.fibers import (
     swaps,
     sweep,
 )
+from quasibraid.paths import Arc, LoopPath
 from quasibraid.poly import DEFAULT_ROOT_TOL
 from quasibraid.realization import build_plan
 from tests.test_monodromy import monic_curve, prepared
@@ -701,11 +704,6 @@ class TestClosedFormCrossings:
 
     @pytest.mark.parametrize("start", [0.0, 0.4, 2.5, 3.5, 5.9])
     def test_a_circle_about_the_branch_point_crosses_once_at_the_axis(self, start):
-        from dataclasses import replace
-
-        from quasibraid import branch_points
-        from quasibraid.paths import Arc, LoopPath
-
         data = replace(branch_points(self.F), generic=True, rotation_theta=0.0)
         loop = LoopPath((Arc(0j, 1.3, start, start + 2 * math.pi),), closed=True)
         track = monodromy.track_roots(self.F, data, loop)

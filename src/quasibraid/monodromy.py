@@ -22,9 +22,10 @@ step, which is then halved in place.  A step stands when nearest matching
 moves each root less than a third of its distance to the nearest other root,
 which makes the matching provably bijective, its strand orders differ by
 disjoint adjacent swaps, and its midpoint agrees with it, so a swap and its
-inverse cannot hide inside one step.  The step regrows after ``_REGROW``
-accepted steps wherever chunks end, so answers do not depend on the batch
-size ``_CHUNK``.
+inverse cannot hide across the midpoint, and no adjacent pair's gap, fitted
+by a parabola through the step's ends and midpoint, dips below zero.  The
+step regrows after ``_REGROW`` accepted steps wherever chunks end, so
+answers do not depend on the batch size ``_CHUNK``.
 The crossing corrector :func:`quasibraid.fibers.bisect_crossings` closes
 the bracket of every swap's step in one batch at the end, along the loop's
 tangent z'(t) from :meth:`~quasibraid.paths.LoopPath.sample_points`.  It
@@ -223,7 +224,7 @@ def track_roots(
     own gap over that step (its index among the piece's tracked roots), that
     root's gap and move, the primitive index at t and the ``rule`` that
     rejected the step: ``move`` or ``order`` at the step's end, or the
-    midpoint's ``first half``, ``second half`` or ``swaps``.
+    midpoint's ``first half``, ``second half``, ``swaps`` or ``dip``.
     """
     if not 0.0 < step_cap_fraction <= 1.0:
         raise InputError(f"the step cap must lie in (0, 1], not {step_cap_fraction!r}")
@@ -413,7 +414,10 @@ def _midpoint_check(
     at its parameter midpoint.  A step stands when its first half passes the
     move rule of :func:`step`, its second half does too keeping the strands'
     identity, and the halves' swaps add up to the step's own, so a swap and
-    its inverse, a split swap or a shifted one break ``swaps``."""
+    its inverse, a split swap or a shifted one break ``swaps``.  A swap and
+    its inverse inside one half leave all three orders equal; they break
+    ``dip`` when the parabola through a position-adjacent pair's gaps in
+    rotated real part at the step's start, midpoint and end dips below zero."""
     sel, _, first = step(lo, raw, root_gaps(lo))
     mid = np.take_along_axis(raw, sel, axis=-1)
     sel_out, _, second = step(mid, hi, root_gaps(mid))
@@ -423,7 +427,14 @@ def _midpoint_check(
     valid_out, pairs_out = swaps(order_mid, order_hi)
     _, pairs_whole = swaps(order_lo, order_hi)
     joined = valid_in & valid_out & (pairs_in.astype(int) + pairs_out == pairs_whole).all(axis=-1)
-    return np.where(~first, "first half", np.where(~second, "second half", np.where(joined, "", "swaps")))
+    # p(s) = g0 + b s + 2a s^2 through a pair's gaps g0, gm, g1 at s = 0,
+    # 1/2, 1 has its minimum g0 - b^2 / 8a at s = -b / 4a.
+    x = (rot * np.stack([lo, mid, hi])).real
+    g0, gm, g1 = np.diff(np.take_along_axis(x, np.broadcast_to(order_lo, x.shape), axis=-1), axis=-1)
+    a, b = g0 - 2 * gm + g1, 4 * gm - 3 * g0 - g1
+    dips = ((np.minimum(gm, g1) > 0) & (b < 0) & (-b < 4 * a) & (b * b > 8 * a * g0)).any(axis=-1)
+    rule = np.where(joined, np.where(dips, "dip", ""), "swaps")
+    return np.where(~first, "first half", np.where(~second, "second half", rule))
 
 
 def braid_along(

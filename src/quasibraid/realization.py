@@ -9,14 +9,16 @@ generator, and a loop encircling the right feature of batch k reads exactly
 the generator k.  Conjugates and products are then concatenations of these
 generator loops through a common basepoint.
 
-Loop candidates come from a small family of waypoint templates.  Templates
-are heuristics only: every candidate is verified by tracking the fiber
-monodromy along it, and a loop is accepted only when its freely reduced word
-is exactly the target generator.
+Each generator loop comes from one waypoint template at one epsilon.  The
+template is a heuristic only: its loop is verified by tracking the fiber
+monodromy along it, and accepted only when its freely reduced word is exactly
+the target generator; otherwise the plan fails with a ``NumericalFailure``
+naming the generator.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,7 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 0.05
-EPSILON_RETRIES = 6
 
 # Lane half-width around each batch center.  P's roots are consecutive
 # integers and every branch point sits within 2*sqrt(|eps|) <= 0.45 of its
@@ -122,11 +123,11 @@ def _curve_data(n: int, epsilon: float) -> tuple[BivariatePolynomial, BranchData
 
 
 def _validate_curve_args(n: int, epsilon: float) -> None:
-    if n < 2:
-        raise InputError(f"need at least 2 strands, got {n}")
-    if not (0.0 < abs(epsilon) <= 0.1) or epsilon != epsilon.real:
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise InputError(f"need an integral number of at least 2 strands, got {n!r}")
+    if not isinstance(epsilon, numbers.Real) or not 0.0 < abs(epsilon) <= 0.1:
         raise InputError(
-            f"epsilon must be real with 0 < |epsilon| <= 0.1, got {epsilon}"
+            f"epsilon must be real with 0 < |epsilon| <= 0.1, got {epsilon!r}"
         )
 
 
@@ -135,23 +136,10 @@ def realization_curve(
 ) -> BivariatePolynomial:
     """The curve P(w)(w - z) + epsilon with a certified generic branch locus.
 
-    Retries with epsilon/2 (a bounded number of times) when genericity fails
-    at the requested epsilon.
+    Raises ``NumericalFailure`` when genericity fails at this epsilon.
     """
     _validate_curve_args(n, epsilon)
-    eps = float(epsilon)
-    last: NumericalFailure | None = None
-    for _ in range(EPSILON_RETRIES + 1):
-        try:
-            f, _ = _curve_data(n, eps)
-            return f
-        except NumericalFailure as exc:
-            last = exc
-            eps /= 2.0
-    raise NumericalFailure(
-        "no epsilon in the halving sequence made the curve generic",
-        diagnostics={"start_epsilon": epsilon, "retries": EPSILON_RETRIES},
-    ) from last
+    return _curve_data(n, float(epsilon))[0]
 
 
 def _classify_batches(n: int, data: BranchData) -> tuple[BatchFeature, ...]:
@@ -217,23 +205,19 @@ def _corridor_height(batches: tuple[BatchFeature, ...]) -> float:
     return min(h, 0.35)
 
 
-def _pass_points(
-    batch: BatchFeature, h: float, dive_east: bool
-) -> list[complex]:
+def _pass_points(batch: BatchFeature, h: float) -> list[complex]:
     """Waypoints that carry the corridor past one intermediate batch.
 
     A ray batch is passed by doing nothing: the corridor height is below the
     gap half-height, so the straight segment goes through the free gap.  A
     cross batch blocks every height with its vertical line, so the corridor
     crosses it and immediately cancels the letter by diving through the real
-    arm on one side of the junction and resurfacing past the batch.
+    arm east of the junction and resurfacing past the batch.
     """
     if batch.kind == "ray":
         return []
     c = batch.center
-    east = batch.points[1].real
-    west = batch.points[0].real
-    x_dive = 0.5 * (c + east) if dive_east else 0.5 * (west + c)
+    x_dive = 0.5 * (c + batch.points[1].real)
     return [
         complex(c - _LANE, h),
         complex(x_dive, h),
@@ -243,42 +227,30 @@ def _pass_points(
     ]
 
 
-def _target_approach(
-    batch: BatchFeature, h: float, side: float
-) -> tuple[list[complex], Arc]:
+def _target_approach(batch: BatchFeature, h: float) -> tuple[list[complex], Arc]:
     """Stick waypoints to the target circle, and the circle itself.
 
     For a cross batch the circle runs counterclockwise around the east real
     branch point; its one letter per lap comes from crossing the real arm.
-    For a ray batch it runs counterclockwise around the branch point on the
-    corridor's side of the axis; the letter comes from crossing the ray, and
-    the opposite circle crossing falls in the free gap.
+    For a ray batch it runs counterclockwise around the upper branch point,
+    on the corridor's side of the axis; the letter comes from crossing the
+    ray, and the opposite circle crossing falls in the free gap.
     """
     c = batch.center
     if batch.kind == "cross":
         east = batch.points[1].real
         radius = 0.3 * batch.span
-        circle = Arc(
-            complex(east, 0.0),
-            radius,
-            side * np.pi / 2.0,
-            side * np.pi / 2.0 + 2.0 * np.pi,
-        )
-        pts = [
-            complex(c - _LANE, h),
-            complex(east, h),
-            complex(east, side * radius),
-        ]
+        circle = Arc(complex(east, 0.0), radius, np.pi / 2.0, np.pi / 2.0 + 2.0 * np.pi)
+        pts = [complex(c - _LANE, h), complex(east, h), complex(east, radius)]
         return pts, circle
     gap = batch.span
     radius = 0.3 * gap
-    anchor = complex(c, side * gap)
-    circle = Arc(anchor, radius, np.pi, 3.0 * np.pi)
+    circle = Arc(complex(c, gap), radius, np.pi, 3.0 * np.pi)
     pts = [
         complex(c - _LANE, h),
         complex(c - 0.7 * gap, h),
-        complex(c - 0.7 * gap, side * gap),
-        complex(c - radius, side * gap),
+        complex(c - 0.7 * gap, gap),
+        complex(c - radius, gap),
     ]
     return pts, circle
 
@@ -292,18 +264,13 @@ def _polyline(points: list[complex]) -> list[Segment]:
 
 
 def _candidate_loop(
-    batches: tuple[BatchFeature, ...],
-    basepoint: complex,
-    k: int,
-    side: float,
-    dive_east: bool,
-    scale: float,
+    batches: tuple[BatchFeature, ...], basepoint: complex, k: int
 ) -> LoopPath:
-    h = side * scale * _corridor_height(batches)
+    h = _corridor_height(batches)
     out: list[complex] = [basepoint, complex(basepoint.real, h)]
     for batch in batches[: k - 1]:
-        out.extend(_pass_points(batch, h, dive_east))
-    stick, circle = _target_approach(batches[k - 1], h, side)
+        out.extend(_pass_points(batch, h))
+    stick, circle = _target_approach(batches[k - 1], h)
     out.extend(stick)
     prims: list[Segment | Arc] = _polyline(out)
     prims.append(circle)
@@ -318,86 +285,69 @@ def _verified_generator(
     basepoint: complex,
     k: int,
 ) -> tuple[LoopPath, BraidWord]:
-    target = ((k, 1),)
-    attempts: list[str] = []
-    for scale in (1.0, 0.5):
-        for side in (1.0, -1.0):
-            for dive_east in (True, False):
-                try:
-                    loop = _candidate_loop(
-                        batches, basepoint, k, side, dive_east, scale
-                    )
-                    word = braid_along(f, branch, loop)
-                except (InputError, NumericalFailure) as exc:
-                    attempts.append(f"error: {exc}")
-                    continue
-                reduced = free_reduce(word)
-                got = tuple(
-                    (letter.index, letter.sign) for letter in reduced.letters
-                )
-                if got == target:
-                    return loop, word
-                attempts.append(word_to_text(reduced) or "(empty)")
-    raise NumericalFailure(
-        f"no loop template realized generator {k}",
-        diagnostics={"generator": k, "verification_words": attempts},
-    )
+    loop = _candidate_loop(batches, basepoint, k)
+    message = f"the template loop for generator {k} did not verify"
+    try:
+        word = braid_along(f, branch, loop)
+    except (InputError, NumericalFailure) as exc:
+        # This module built the loop, so even the clearance InputError is a
+        # failure of the construction, not of any input.
+        raise NumericalFailure(
+            message, diagnostics={"generator": k, "refusal": str(exc)}
+        ) from exc
+    reduced = free_reduce(word)
+    if tuple((letter.index, letter.sign) for letter in reduced.letters) != ((k, 1),):
+        raise NumericalFailure(
+            message,
+            diagnostics={
+                "generator": k,
+                "verification_word": word_to_text(reduced) or "(empty)",
+            },
+        )
+    return loop, word
 
 
-def build_plan(
-    n: int,
-    epsilon: float = DEFAULT_EPSILON,
-) -> RealizationPlan:
+def build_plan(n: int, epsilon: float = DEFAULT_EPSILON) -> RealizationPlan:
     """Curve, batches, basepoint, and verified loops for every generator.
 
-    Halves epsilon and rebuilds when either genericity or a generator-loop
-    verification fails; with smaller epsilon the batch features shrink and
-    separate, which is what the templates need.  Failures are cached too.
+    Built at this one epsilon; a genericity or generator-loop verification
+    failure raises ``NumericalFailure``.  Failures are cached too, and a cached
+    one is raised afresh.
     """
     _validate_curve_args(n, epsilon)
-    key = (n, float(epsilon))
+    eps = float(epsilon)
+    key = (n, eps)
     cached = _PLAN_CACHE.get(key)
     if isinstance(cached, NumericalFailure):
         raise NumericalFailure(str(cached), cached.diagnostics)
     if cached is not None:
         return cached
-    eps = float(epsilon)
-    last: NumericalFailure | None = None
-    for _ in range(EPSILON_RETRIES + 1):
-        try:
-            f, data = _curve_data(n, eps)
-            batches = _classify_batches(n, data)
-            values = data.values()
-            lo = min(z.real for z in values)
-            hi = max(z.real for z in values)
-            spread = max(hi - lo, 0.5)
-            basepoint = complex(lo - 2.0 * spread, 0.0)
-            loops = []
-            words = []
-            for k in range(1, n):
-                loop, word = _verified_generator(f, data, batches, basepoint, k)
-                loops.append(loop)
-                words.append(word)
-            plan = RealizationPlan(
-                n=n,
-                epsilon=eps,
-                f=f,
-                branch=data,
-                basepoint=basepoint,
-                batches=batches,
-                generator_loops=tuple(loops),
-                verification_words=tuple(words),
-            )
-            _PLAN_CACHE[key] = plan
-            return plan
-        except NumericalFailure as exc:
-            last = exc
-            eps /= 2.0
-    failure = _PLAN_CACHE[key] = NumericalFailure(
-        "no epsilon in the halving sequence produced verified generator loops",
-        diagnostics={"start_epsilon": epsilon, "retries": EPSILON_RETRIES},
+    try:
+        f, data = _curve_data(n, eps)
+        batches = _classify_batches(n, data)
+        values = data.values()
+        lo = min(z.real for z in values)
+        hi = max(z.real for z in values)
+        spread = max(hi - lo, 0.5)
+        basepoint = complex(lo - 2.0 * spread, 0.0)
+        loops, words = zip(
+            *(_verified_generator(f, data, batches, basepoint, k) for k in range(1, n))
+        )
+    except NumericalFailure as exc:
+        # A fresh copy is cached, so the cache holds no traceback frames.
+        _PLAN_CACHE[key] = NumericalFailure(str(exc), exc.diagnostics)
+        raise NumericalFailure(str(exc), exc.diagnostics) from exc
+    _PLAN_CACHE[key] = plan = RealizationPlan(
+        n=n,
+        epsilon=eps,
+        f=f,
+        branch=data,
+        basepoint=basepoint,
+        batches=batches,
+        generator_loops=loops,
+        verification_words=words,
     )
-    raise NumericalFailure(str(failure), failure.diagnostics) from last
+    return plan
 
 
 _PLAN_CACHE: dict[tuple[int, float], RealizationPlan | NumericalFailure] = {}

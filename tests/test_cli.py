@@ -258,6 +258,18 @@ class TestRealize:
         capsys.readouterr()
         assert main(["--validate", str(bundle)]) == 0
 
+    def test_a_seven_strand_template_refusal_is_numerical(self, capsys, tmp_path):
+        # The clearance floor refuses the template loop that the plan built
+        # itself, which is no fault of the input.
+        qpf_file = tmp_path / "qpf.json"
+        factors = [{"conjugator": [], "k": 3}]
+        qpf_file.write_text(json.dumps({"n": 7, "factors": factors}))
+        rc = main(["realize", "--qpf", str(qpf_file)])
+        report = json.loads(capsys.readouterr().err.strip())
+        assert rc == 3
+        assert report["error"] == "numerical"
+        assert report["diagnostics"]["generator"] == 1
+
     def test_malformed_factorization_is_an_input_error(self, capsys, tmp_path):
         qpf_file = tmp_path / "bad.json"
         qpf_file.write_text(json.dumps({"n": 3}))

@@ -316,6 +316,17 @@ def hidden_pair_case():
     return f, replace(data, rotation_theta=0.0), LoopPath((arc,), closed=True)
 
 
+def half_step_pair_case():
+    """A circle about the branch point near -5.66 of w^2 + (z^2 + 2z - 1) w
+    + 3z^2 + 1 (made generic and rotated) along which the two roots, some 12
+    apart, swap and swap back at t = 0.9814 and 0.9821 with a real-part gap
+    of at most 2.6e-6 between: both inside the first half of the cap step
+    from t = 251/256 to 252/256."""
+    f, data = perturb_generic(parse_bivariate_text("w^2 + z^2*w + 2*z*w - w + 3*z^2 + 1"))
+    data = replace(data, rotation_theta=select_rotation(f, data))
+    return f, data, circle(-5.256456866420475 + 0.125j, 1.1166265077947355, 1, 0.0)
+
+
 def far_root_hidden_pair_case():
     """The hidden-pair loop on (w^2 - z)(w - 10): the swap and its inverse
     inside one step are the roots +-sqrt(z), while the third root stays at
@@ -387,6 +398,22 @@ class TestHiddenPair:
         assert track.accepted_steps < 512
         assert [(e.position, e.sign) for e in track.events] == [(1, 1), (1, -1)]
         assert [round(e.t, 3) for e in track.events] == [0.153, 0.156]
+
+    def test_a_pair_inside_one_half_of_a_step_breaks_the_dip_rule(self):
+        f, data, loop = half_step_pair_case()
+        rot = complex(math.cos(data.rotation_theta), math.sin(data.rotation_theta))
+        ts = np.array([251, 251.5, 252]) / 256
+        fibers = solve(f, loop.sample_points(ts))
+        lo, mid, hi = (fibers[i][None] for i in range(3))
+        mid, hi = mid[:, match(lo[0], mid[0])[0]], hi[:, match(lo[0], hi[0])[0]]
+        orders = monodromy.strand_orders(np.concatenate([lo, mid, hi]), rot)
+        assert (orders == orders[0]).all()
+        assert list(monodromy._midpoint_check(rot, lo, hi, mid, orders[:1], orders[2:])) == ["dip"]
+
+    def test_a_pair_inside_one_half_of_a_step_is_read(self):
+        track = track_roots(*half_step_pair_case())
+        assert letters(track) == [(1, 1), (1, 1), (1, -1)]
+        assert [round(e.t, 4) for e in track.events[1:]] == [0.9814, 0.9821]
 
     @staticmethod
     def midpoint_check_after(edit):

@@ -32,7 +32,7 @@ from quasibraid import (
     word_to_text,
 )
 from quasibraid import realization
-from quasibraid.realization import DEFAULT_EPSILON, EPSILON_RETRIES
+from quasibraid.realization import DEFAULT_EPSILON
 
 
 def qpf(n, *bands):
@@ -91,6 +91,16 @@ class TestCurveFamily:
         with pytest.raises(InputError):
             realization_curve(3, epsilon=0.5)
 
+    @pytest.mark.parametrize("construct", [realization_curve, build_plan])
+    def test_a_complex_epsilon_is_an_input_error(self, construct):
+        with pytest.raises(InputError, match="epsilon must be real"):
+            construct(3, 0.05 + 0j)
+
+    @pytest.mark.parametrize("construct", [realization_curve, build_plan])
+    def test_a_float_strand_count_is_an_input_error(self, construct):
+        with pytest.raises(InputError, match="integral number"):
+            construct(3.0)
+
 
 class TestGeneratorLoops:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -112,6 +122,33 @@ class TestGeneratorLoops:
         plan = build_plan(4)
         for k in range(1, 4):
             assert generator_loop(plan, k).basepoint == plan.basepoint
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Empties the plan cache and counts tracked loops and curve builds."""
+        monkeypatch.setattr(realization, "_PLAN_CACHE", {})
+        calls = {"braid_along": 0, "_curve_data": 0}
+        for name in calls:
+            original = getattr(realization, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(realization, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_each_generator_is_tracked_once_at_one_epsilon(self, counted, n):
+        plan = build_plan(n)
+        assert plan.epsilon == DEFAULT_EPSILON
+        assert counted == {"braid_along": n - 1, "_curve_data": 1}
+
+    def test_seven_strands_fail_at_the_first_generator_loop(self, counted):
+        with pytest.raises(NumericalFailure, match="generator 1") as info:
+            build_plan(7)
+        assert info.value.diagnostics["generator"] == 1
+        assert counted == {"braid_along": 1, "_curve_data": 1}
 
     def test_plan_reports_one_batch_per_generator(self):
         plan = build_plan(4)
@@ -148,7 +185,7 @@ class TestRealizeRoundTrips:
     def test_seven_strands_fail_as_a_numerical_problem(self):
         # The branch points are right at n = 7, but the template circle
         # around the first batch passes closer to its branch points than the
-        # tracker's clearance floor, and halving epsilon shrinks it further.
+        # tracker's clearance floor allows.
         with pytest.raises(NumericalFailure):
             realize(qpf(7, ((), 3)))
 
@@ -158,10 +195,10 @@ class TestRealizeRoundTrips:
         monkeypatch.setattr(realization, "_curve_data", lambda *args: calls.append(args) or curve_data(*args))
         raised = []
         for _ in range(3):
-            with pytest.raises(NumericalFailure, match="no epsilon") as info:
+            with pytest.raises(NumericalFailure, match="generator 1") as info:
                 build_plan(7)
             raised.append(info.value)
-        assert len(calls) == EPSILON_RETRIES + 1
+        assert len(calls) == 1
         first, second, third = raised
         assert second is not third
         assert str(second) == str(third) == str(first)

@@ -363,19 +363,15 @@ def _quantize(z: complex, unit: float) -> tuple[int, int]:
     return (int(round(z.real / unit)), int(round(z.imag / unit)))
 
 
-def _segment_key(seg: LabeledSegment) -> tuple[int, float, float, float, float]:
-    return (seg.label, seg.start.real, seg.start.imag, seg.end.real, seg.end.imag)
-
-
-def _chain_segments(
-    segments: tuple[LabeledSegment, ...], join_tol: float
-) -> tuple[GraphEdge, ...]:
+def _chain_segments(segments: Iterable[LabeledSegment], join_tol: float) -> tuple[GraphEdge, ...]:
     """Join segments of equal label head to tail into polylines.
 
     A segment continues the one ending where it starts when exactly one
     segment of the label ends and exactly one starts there; any other node
-    ends a chain.  Open chains are walked from their first segment, then
-    closed ones from their lowest-indexed segment.
+    ends a chain.  Each label's segments are ordered by their ends on the
+    ``join_tol`` grid, so a point that moves by rounding reorders nothing;
+    open chains are walked from their first segment, then closed ones from
+    their first segment.
     """
     by_label: dict[int, list[LabeledSegment]] = {}
     for seg in segments:
@@ -383,6 +379,7 @@ def _chain_segments(
 
     edges: list[GraphEdge] = []
     for label, group in sorted(by_label.items()):
+        group.sort(key=lambda seg: (_quantize(seg.start, join_tol), _quantize(seg.end, join_tol)))
         starting: dict[tuple[int, int], list[int]] = {}
         ending: dict[tuple[int, int], list[int]] = {}
         for idx, seg in enumerate(group):
@@ -410,12 +407,11 @@ def _chain_segments(
 
 
 def _edge_segments(edges: Iterable[GraphEdge]) -> tuple[LabeledSegment, ...]:
-    """Every consecutive point pair of every edge, in canonical order.  The
+    """Every consecutive point pair of every edge, in edge order.  The
     graph's segments are read off its edges, so a chain joint is one point."""
-    steps = (
+    return tuple(
         LabeledSegment(a, b, e.label) for e in edges for a, b in zip(e.points, e.points[1:])
     )
-    return tuple(sorted(steps, key=_segment_key))
 
 
 def sample_crossing_graph(
@@ -454,7 +450,7 @@ def sample_crossing_graph(
     _extract(f, rot, values, xs, ys, segments, flagged, excluded)
 
     join_tol = 1e-7 * min(dx, dy)
-    edges = _chain_segments(tuple(sorted(segments, key=_segment_key)), join_tol)
+    edges = _chain_segments(segments, join_tol)
     torn = _torn_cells(edges, xs, ys, flagged + excluded, join_tol)
     if torn:
         # A torn cell replaces the segments and the flagged cells inside it.
@@ -462,7 +458,7 @@ def sample_crossing_graph(
             s for s in segments if not any(_inside(0.5 * (s.start + s.end), t) for t in torn)
         ]
         flagged = [r for r in flagged if not any(_inside(_centre(r), t) for t in torn)] + torn
-        edges = _chain_segments(tuple(sorted(segments, key=_segment_key)), join_tol)
+        edges = _chain_segments(segments, join_tol)
     vertices = tuple(values) + tuple(_centre(r) for r in flagged)
     return CrossingGraph(
         segments=_edge_segments(edges),

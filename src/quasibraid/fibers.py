@@ -16,7 +16,9 @@ safeguarded Newton steps on their rotated gap, with the Illinois and
 midpoint rules as fallback, within one budget of 2^-``_HALVINGS`` of the
 bracket.  Each iterate predicts the pair along dw/dz = -f_z / f_w, corrects
 it by Newton on the fiber and certifies it by a Pellet disc, solving only
-rows that fail.
+rows that fail.  Fibers and their derivatives are evaluated by Horner's rule
+(:func:`quasibraid.poly._horner`), whose run on absolute values bounds each
+value's rounding error.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .poly import _ROUNDING, DEFAULT_ROOT_TOL, BivariatePolynomial, _companion_roots, _monic_horner, _powers
+from .poly import _ROUNDING, DEFAULT_ROOT_TOL, BivariatePolynomial, _companion_roots, _horner
 
 _SWEEP_STEPS = 6
 _SWEEP_BLOCK = 4  # lattice rows corrected per call
@@ -48,12 +50,7 @@ def coefficients(f: BivariatePolynomial, zs: np.ndarray, table: np.ndarray | Non
     zs = np.asarray(zs, dtype=complex)
     # Horner in z over every w-coefficient at once.
     table = f.coefficient_table if table is None else table
-    coeffs = np.zeros(zs.shape + table.shape[1:], dtype=complex) + table[-1]
-    column = zs.reshape(zs.shape + (1,) * (table.ndim - 1))
-    for row in table[-2::-1]:
-        coeffs *= column
-        coeffs += row
-    return coeffs
+    return _horner(table, zs.reshape(zs.shape + (1,) * (table.ndim - 1)))
 
 
 def solve(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
@@ -74,10 +71,12 @@ def correct(coeffs: np.ndarray, guess: np.ndarray, rtol: float) -> tuple[np.ndar
     n = coeffs.shape[-1] - 1
     # Rows are transposed to (n, rows); entry [j, i] of a difference is w_i - w_j.
     c, w = (coeffs / coeffs[:, -1:]).T, guess.T.copy()
+    c[-1] = 1.0  # the division can round it
+    size = np.abs(c)
     diff = np.empty((n, n, len(guess)), dtype=complex)  # one buffer for every difference
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_SWEEP_STEPS):
-            value, bound = _monic_horner(c, w)
+            value, bound = _horner(c, w), _ROUNDING * n * _horner(size, np.abs(w))
             np.subtract(w[None], w[:, None], out=diff)
             diff[np.diag_indices(n)] = 1.0
             product = diff.prod(axis=0)
@@ -210,17 +209,19 @@ def _gap(rot: complex, pair: np.ndarray) -> np.ndarray:
     return _rotated_re(rot, pair[..., 0] - pair[..., 1])
 
 
-def _jet(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The fibers whose coefficients are ``coeffs`` (rows, k, n + 1) at
-    every ``w`` (rows, m), shape (rows, m, k)."""
-    return (_powers(w, coeffs.shape[-1])[:, :, None, :] * coeffs[:, None]).sum(axis=-1)
-
-
 def _jet_coefficients(f: BivariatePolynomial, zs: np.ndarray) -> np.ndarray:
     """Coefficients in w of f_z, f and every w-derivative of f, in that
-    order, at every z, shape (len(zs), n + 2, n + 1)."""
+    order, at every z, shape (n + 1, n + 2, len(zs)): entry [k, i, r] is the
+    coefficient of w^k in the i-th of them at ``zs[r]``."""
     tables = f.derivative_tables(((1, 0),) + tuple((0, i) for i in range(f.w_degree + 1)))[0]
-    return coefficients(f, zs, tables.transpose(1, 0, 2))
+    return _horner(tables.transpose(1, 2, 0)[..., None], zs)
+
+
+def _velocity(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """dw/dz = -f_z / f_w at every ``w`` (rows, m) on the fibers whose
+    :func:`_jet_coefficients` are ``coeffs``."""
+    f_z, f_w = _horner(coeffs[:, 0:3:2, :, None], w)
+    return -f_z / f_w
 
 
 def _corrected(coeffs: np.ndarray, refs: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,28 +236,29 @@ def _corrected(coeffs: np.ndarray, refs: np.ndarray, guess: np.ndarray) -> tuple
     rho = 2|w - ref| + 3n|a_0 / a_1| holds one root (Pellet), and it lies
     within n|a_0 / a_1| of w, so no other root is as near to ``ref``.  Rows
     with a root that fails are solved, and take the roots nearest ``refs``."""
-    w, size = guess, coeffs.shape[-1]
+    w, n, c = guess, len(coeffs) - 1, coeffs[..., None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(_NEWTON_STEPS + 1):
-            jet = _jet(coeffs[:, :3], w)  # f_z, f, f_w
-            step = jet[..., 1] / jet[..., 2]
+            value, slope = _horner(c[:, 1:3], w)  # f, f_w
+            step = value / slope
             busy = np.abs(step) > 2.0**-26 * np.abs(w) + 2.0**-52
             if k == _NEWTON_STEPS or not busy.any():
                 break
             w = np.where(busy, w - step, w)
-        factorials = np.cumprod(np.maximum(np.arange(size), 1.0))
-        a = _jet(coeffs[:, 1:], w) / factorials
-        bound = 2 * size * _ROUNDING * _jet(np.abs(coeffs[:, 1:]), np.abs(w)) / factorials
-        terms, lead = np.abs(a) + bound, (np.abs(a) - bound)[..., 1]
-        rho = 2 * np.abs(w - refs) + 3 * (size - 1) * terms[..., 0] / lead
-        rest = (terms[..., 2:] * _powers(rho, size)[..., 2:]).sum(axis=-1)
-        certified = (~busy & (lead * rho > terms[..., 0] + rest)).all(axis=-1)
-        roots, velocity = w - step, -jet[..., 0] / jet[..., 2]
+        # The whole jet once, at the last iterate: f_z, then a_k times k!.
+        jet = _horner(c, w)
+        factorials = np.cumprod(np.maximum(np.arange(n + 1), 1.0))[:, None, None]
+        a = jet[1:] / factorials
+        bound = 2 * (n + 1) * _ROUNDING * _horner(np.abs(c[:, 1:]), np.abs(w)) / factorials
+        terms, lead = np.abs(a) + bound, np.abs(a[1]) - bound[1]
+        rho = 2 * np.abs(w - refs) + 3 * n * terms[0] / lead
+        rest = _horner(terms[2:], rho) * rho**2
+        certified = (~busy & (lead * rho > terms[0] + rest)).all(axis=-1)
+        roots, velocity = w - step, -jet[0] / jet[2]
         bad = np.flatnonzero(~certified)
         if bad.size:
-            roots[bad] = _nearest(refs[bad], _companion_roots(coeffs[bad, 1]))
-            jet = _jet(coeffs[bad, :3], roots[bad])
-            velocity[bad] = -jet[..., 0] / jet[..., 2]
+            roots[bad] = _nearest(refs[bad], _companion_roots(coeffs[:, 1, bad].T))
+            velocity[bad] = _velocity(coeffs[..., bad], roots[bad])
     return roots, velocity
 
 
@@ -297,11 +299,10 @@ def bisect_crossings(
     t = np.array([lo, hi], dtype=float)
     z, dz = (part.reshape(t.shape) for part in point(t.ravel(), np.tile(ids, 2)))
     w = np.stack([np.stack([ref_a, ref_b], axis=-1), np.stack([far_a, far_b], axis=-1)])
-    jet = _jet(_jet_coefficients(f, z.ravel())[:, :3], w.reshape(-1, 2)).reshape(w.shape + (3,))
     width = t[1] - t[0]
     tol = np.maximum(t_tol, width * 0.5**_HALVINGS)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dw = -jet[..., 0] / jet[..., 2]
+        dw = _velocity(_jet_coefficients(f, z.ravel()), w.reshape(-1, 2)).reshape(w.shape)
         margin = np.fmax(0.5 * tol, np.spacing(np.abs(z).max(axis=0)) * width / np.abs(z[1] - z[0]))
     g, dg = _gap(rot, w), _gap(rot, dw * dz[..., None])
     state = [ids, t, z, w, dw, g, dg, g[0] < 0, np.fmax(tol, 2 * margin), margin, width,

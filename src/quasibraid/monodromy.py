@@ -379,10 +379,12 @@ def track_roots(
             *t_ends.T,
             BISECTION_T_TOL,
         )
-        # Each t lies strictly inside its own step, so one sort keeps step order.
-        pairs = zip(w_a.tolist(), w_b.tolist())
-        found = map(CrossingEvent, t_cross.tolist(), positions.tolist(), sign.tolist(), pairs)
-        events = sorted(found, key=lambda e: (e.t, e.position))
+        # Steps in order, and the letters of one step, disjoint swaps that
+        # commute, by position: an order that the rounding of t cannot change.
+        order = np.lexsort((positions, t_ends[:, 0]))
+        pairs = zip(w_a[order].tolist(), w_b[order].tolist())
+        found = (t_cross[order].tolist(), positions[order].tolist(), sign[order].tolist(), pairs)
+        events = list(map(CrossingEvent, *found))
 
     permutation: tuple[int, ...] | None = None
     if loop.closed:

@@ -11,8 +11,10 @@ coefficients, or root finding raises.  Multiplicities come from Weierstrass
 inclusion discs: approximate roots whose discs overlap form one root, of
 multiplicity the number of discs, for the roots of a fiber and of the
 discriminant alike.
-Values and partial derivatives of ``f`` are all read off one coefficient
-table by :meth:`BivariatePolynomial.jet`.
+Every polynomial here and in the fiber kernel is evaluated by one Horner
+routine over a coefficient table; run on absolute values, it gives the scale
+against which a value is rounding.  :meth:`BivariatePolynomial.jet` reads any
+partial derivative of ``f`` and its scale that way, in z and then in w.
 
 The discriminant with respect to ``w`` vanishes where the Sylvester matrix
 ``S(z)`` of ``f`` and its ``w``-derivative is singular.  Its multiplicity
@@ -74,12 +76,8 @@ class UnivariatePolynomial:
 
     def __call__(self, z):
         """Horner evaluation; accepts scalars or numpy arrays."""
-        if not self.coefficients:
-            return np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0j
-        acc = np.zeros_like(np.asarray(z, dtype=complex)) + self.coefficients[-1]
-        for c in reversed(self.coefficients[:-1]):
-            acc = acc * z + c
-        return acc if np.ndim(z) else complex(acc)
+        value = _horner(np.array(self.coefficients or (0j,)), z)
+        return value if np.ndim(z) else complex(value)
 
     def derivative(self) -> UnivariatePolynomial:
         return UnivariatePolynomial(
@@ -128,17 +126,19 @@ class RootSet:
         return sum(self.multiplicities)
 
 
-def _monic_horner(c: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The monic polynomial with ascending coefficients ``c`` over the first
-    axis at every ``w``, by Horner, and a bound on its rounding error:
-    ``_ROUNDING`` times the degree times the Horner sum of absolute terms."""
-    n = len(c) - 1
-    size_w = np.abs(w)
-    value, size = w + c[n - 1], size_w + np.abs(c[n - 1])
-    for k in range(n - 2, -1, -1):
-        value = value * w + c[k]
-        size = size * size_w + np.abs(c[k])
-    return value, _ROUNDING * n * size
+def _horner(c: np.ndarray, x):
+    """The polynomial with ascending coefficients ``c`` over the first axis at
+    ``x``, by Horner's rule; every ``c[k]`` broadcasts against ``x``.  Its
+    rounding error is below ``_ROUNDING`` times the degree times
+    ``_horner(abs(c), abs(x))`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, section 5.1)."""
+    if len(c) == 1:
+        return c[0] + np.zeros_like(x)
+    value = c[-1] * x + c[-2]
+    for coeff in c[-3::-1]:
+        value *= x
+        value += coeff
+    return value
 
 
 def _inclusion_radii(values: np.ndarray, residuals: np.ndarray) -> np.ndarray:
@@ -231,7 +231,9 @@ def _monic_roots(p: UnivariatePolynomial) -> tuple[np.ndarray, np.ndarray]:
     if p.degree < 1:
         raise InputError("root finding needs a polynomial of degree >= 1")
     coeffs = np.array(p.coefficients, dtype=complex)
-    return coeffs / coeffs[-1], _companion_roots(coeffs[None])[0]
+    monic = coeffs / coeffs[-1]
+    monic[-1] = 1.0  # the division can round it
+    return monic, _companion_roots(coeffs[None])[0]
 
 
 def raw_roots(p: UnivariatePolynomial, tol: float = DEFAULT_ROOT_TOL) -> tuple[complex, ...]:
@@ -260,8 +262,9 @@ def roots(p: UnivariatePolynomial, tol: float = DEFAULT_ROOT_TOL) -> RootSet:
     """
     monic, found = _monic_roots(p)
     err = _certify(monic, found, 8 * p.degree * math.sqrt(tol))
-    value, bound = _monic_horner(monic, found)
-    values, mults = _cluster_values(found, _inclusion_radii(found, np.abs(value) + bound))
+    value, size = _horner(monic, found), _horner(np.abs(monic), np.abs(found))
+    radii = _inclusion_radii(found, np.abs(value) + _ROUNDING * p.degree * size)
+    values, mults = _cluster_values(found, radii)
     return RootSet(values, mults, err)
 
 
@@ -307,14 +310,14 @@ class BivariatePolynomial:
 
     def fiber(self, z: complex) -> UnivariatePolynomial:
         """The univariate polynomial w -> f(z, w)."""
-        return UnivariatePolynomial(tuple(c(z) for c in self.w_coefficients))
+        return UnivariatePolynomial(tuple(_horner(self.coefficient_table, complex(z))))
 
     def evaluate(self, z: complex, w: complex) -> complex:
         """f(z, w); broadcasts over arrays of z and w."""
         return self.jet(z, w, ((0, 0),))[0][0]
 
     def jet(self, z, w, orders) -> tuple[np.ndarray, np.ndarray]:
-        """Partial derivatives of f with their scales, read off the coefficient table.
+        """Partial derivatives of f with their scales, by Horner in z, then in w.
 
         ``orders`` is a tuple of pairs (a, b).  Entry i of the first array is
         the partial derivative of f taken a times in z and b times in w, for
@@ -324,11 +327,11 @@ class BivariatePolynomial:
         broadcast shape of z and w.
         """
         parts, magnitudes = self.derivative_tables(orders)
-        depth, width = parts.shape[1:]
-        z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
-        terms = "ijk,...j,...k->i..."
-        values = np.einsum(terms, parts, _powers(z, depth), _powers(w, width))
-        scales = np.einsum(terms, magnitudes, _powers(np.abs(z), depth), _powers(np.abs(w), width))
+        z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+        # Horner in z, then in w, with the orders after the two table axes.
+        axes = (...,) + (None,) * max(z.ndim, w.ndim)
+        values = _horner(_horner(parts.transpose(1, 2, 0)[axes], z), w)
+        scales = _horner(_horner(magnitudes.transpose(1, 2, 0)[axes], np.abs(z)), np.abs(w))
         return values, scales
 
     def derivative_tables(self, orders) -> tuple[np.ndarray, np.ndarray]:
@@ -389,13 +392,6 @@ class BivariatePolynomial:
         coeffs = list(self.w_coefficients)
         coeffs[1] = coeffs[1] + UnivariatePolynomial((epsilon,))
         return BivariatePolynomial(tuple(coeffs))
-
-
-def _powers(x: np.ndarray, count: int) -> np.ndarray:
-    """x^0, ..., x^(count - 1) over a new last axis."""
-    powers = np.ones(x.shape + (count,), dtype=x.dtype)
-    powers[..., 1:] = x[..., None]
-    return np.cumprod(powers, axis=-1)
 
 
 # The primes modulo which the discriminant's structure is computed.  Both
@@ -527,14 +523,6 @@ def _sylvester_pencil(f: BivariatePolynomial) -> tuple[np.ndarray, np.ndarray]:
     return stack / scale[:, None], scale
 
 
-def _pencil_at(stack: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """The matrix polynomial with coefficients ``stack`` at every point, by Horner."""
-    at = np.zeros((len(points),) + stack.shape[1:], dtype=complex) + stack[-1]
-    for coeff in stack[-2::-1]:
-        at = at * points[:, None, None] + coeff
-    return at
-
-
 def _discriminant_roots(f: BivariatePolynomial) -> tuple[np.ndarray, complex, np.ndarray]:
     """Roots of the w-discriminant, ungrouped, its leading coefficient, and
     the absolute value of the monic discriminant at every root.
@@ -552,7 +540,7 @@ def _discriminant_roots(f: BivariatePolynomial) -> tuple[np.ndarray, complex, np
     stack, scale = _sylvester_pencil(f)
     d = len(stack) - 1
     size = stack.shape[1]
-    at = _pencil_at(stack, _SHIFTS)
+    at = _horner(stack, _SHIFTS[:, None, None])
     sing = np.linalg.svd(at, compute_uv=False)
     best = int(np.argmax(sing[:, -1] / np.maximum(sing[:, 0], 1e-300)))
     # A one-element array: numpy's scalar power can round differently in the
@@ -574,7 +562,8 @@ def _discriminant_roots(f: BivariatePolynomial) -> tuple[np.ndarray, complex, np
         order = np.argsort(-np.abs(mu), kind="stable")
         values = sigma + 1.0 / mu[np.sort(order[:degree])]
     # The determinant of S, times the row scales, is the discriminant.
-    det = np.linalg.det(np.concatenate([at[best : best + 1], _pencil_at(stack, values)]))
+    at_values = _horner(stack, values[:, None, None])
+    det = np.linalg.det(np.concatenate([at[best : best + 1], at_values]))
     det *= np.prod(scale)
     lead = det[0] / np.prod(sigma - values)
     return values, complex(lead), np.abs(det[1:] / lead)

@@ -165,15 +165,31 @@ class TestBranchPoints:
             found = branch_points(f)
         except InputError:
             assume(False)
-        # A branch point off by dz splits the double root by about
-        # sqrt(dz |f_z / f_ww|) and a triple root by dz^(1/3): simple points
-        # within 1e-13 have shown pairs 3e-6 apart where f_ww is small.
-        for p in found.points:
-            vals = np.roots(f.fiber(p.z).coefficients[::-1])
-            scale = max(1.0, float(np.abs(vals).max()))
-            gaps = np.abs(vals[:, None] - vals[None, :])
-            np.fill_diagonal(gaps, np.inf)
-            assert gaps.min() <= (1e-5 if p.multiplicity == 1 else 1e-3) * scale
+        assert_fibers_have_double_roots(f, found)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 3: the 4-fold point splits the 5-fold root 1.02e-3 and 1.07e-3 apart",
+    )
+    @pytest.mark.parametrize("text", ["w^5 - z - 2", "w^5 + z*w + z"])
+    def test_every_branch_fiber_has_a_double_root_at_a_four_fold_point(self, text):
+        # Counterexamples that the property above has found, kept here
+        # rather than only in a local example database.
+        f = parse_bivariate_text(text)
+        assert_fibers_have_double_roots(f, branch_points(f))
+
+
+def assert_fibers_have_double_roots(f, found):
+    # A branch point off by dz splits the double root by about
+    # sqrt(dz |f_z / f_ww|) and a triple root by dz^(1/3): simple points
+    # within 1e-13 have shown pairs 3e-6 apart where f_ww is small.
+    for p in found.points:
+        vals = np.roots(f.fiber(p.z).coefficients[::-1])
+        scale = max(1.0, float(np.abs(vals).max()))
+        gaps = np.abs(vals[:, None] - vals[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min() <= (1e-5 if p.multiplicity == 1 else 1e-3) * scale
 
 
 def relative_fiber_gap(f, z):

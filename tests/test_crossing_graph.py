@@ -162,6 +162,17 @@ class TestEdges:
         graph = sample_crossing_graph(f, data, SQUARE, 64)
         assert len(graph.edges) == 1
 
+    @pytest.mark.parametrize("upper_x, lower_x", [(-1.4e-17, 6.9e-18), (6.9e-18, -1.4e-17)])
+    def test_edges_starting_on_one_vertical_line_chain_by_height(self, upper_x, lower_x):
+        # Two label-2 edges of the quartic start on the imaginary axis, at
+        # real parts that only rounding sets: their order must not follow
+        # the sign of those real parts.
+        upper = crossing_graph.LabeledSegment(complex(upper_x, 1.0569), 0.0066 + 1.1403j, 2)
+        lower = crossing_graph.LabeledSegment(complex(lower_x, -1.0264), 0.0066 - 1.1097j, 2)
+        for segments in ([upper, lower], [lower, upper]):
+            edges = crossing_graph._chain_segments(segments, 1e-9)
+            assert [e.points[0] for e in edges] == [lower.start, upper.start]
+
     @pytest.mark.parametrize("fixture, region", FIXTURES, ids=FIXTURE_IDS)
     def test_each_segment_is_one_step_of_one_edge_in_its_direction(self, fixture, region):
         f, data = fixture
@@ -199,14 +210,19 @@ class TestSweptLattice:
         assert swept == graph_to_json(sample_crossing_graph(f, data, region, resolution))
 
 
+def four_strand_record():
+    """The record frozen in four_strand_graph_res64.json."""
+    f, data = FOUR
+    return graph_to_json(sample_crossing_graph(f, data, (-3, -3, 3, 3), 64))
+
+
 class TestLevelByLevelBuild:
     """The subdividing four-strand graph, frozen bitwise with its flag order,
     and the batching that builds it one cell depth at a time."""
 
     def test_four_strand_graph_matches_the_frozen_graph(self):
-        f, data = FOUR
         frozen = json.loads((DATA_DIR / "four_strand_graph_res64.json").read_text())
-        payload = graph_to_json(sample_crossing_graph(f, data, (-3, -3, 3, 3), 64))
+        payload = four_strand_record()
         assert (len(payload["edges"]), len(payload["flagged"])) == (14, 10)
         assert payload == frozen
 
@@ -532,3 +548,9 @@ class TestValidationAndSerialization:
         payload["edges"][0]["side"] = -1
         with pytest.raises(InputError, match="re-sample"):
             graph_from_json(payload)
+
+
+if __name__ == "__main__":
+    # Regenerates the frozen four-strand graph; run only when a change of the
+    # graph is intended: PYTHONPATH=src python -m tests.test_crossing_graph
+    (DATA_DIR / "four_strand_graph_res64.json").write_text(json.dumps(four_strand_record()) + "\n")

@@ -54,7 +54,7 @@ from quasibraid.fibers import (
 from quasibraid.paths import Arc, LoopPath
 from quasibraid.poly import DEFAULT_ROOT_TOL
 from quasibraid.realization import build_plan
-from tests.test_monodromy import monic_curve, prepared
+from tests.test_monodromy import _pair, monic_curve, prepared
 
 DATA_DIR = Path(__file__).parent / "data"
 QUARTIC = prepared("w^3 - 3*w + 2*z^4")
@@ -741,3 +741,17 @@ class TestCrossingPoints:
         ends = [[s.start.real, s.start.imag, s.end.real, s.end.imag] for s in graph.segments]
         want_ends = [s["start"] + s["end"] for s in frozen["segments"]]
         assert np.allclose(ends, want_ends, rtol=0, atol=1e-12)
+
+
+def quartic_record():
+    """The record frozen in quartic_graph_res48.json: the graph's JSON and its segments."""
+    f, data = QUARTIC
+    graph = sample_crossing_graph(f, data, (-2, -2, 2, 2), 48)
+    segments = [{"start": _pair(s.start), "end": _pair(s.end), "label": s.label} for s in graph.segments]
+    return {**graph_to_json(graph), "segments": segments}
+
+
+if __name__ == "__main__":
+    # Regenerates the frozen quartic graph; run only when a change of the
+    # graph is intended: PYTHONPATH=src python -m tests.test_fibers
+    (DATA_DIR / "quartic_graph_res48.json").write_text(json.dumps(quartic_record()) + "\n")

@@ -379,6 +379,25 @@ def frozen_records():
     }
 
 
+class TestLetterOrder:
+    """The letters of one step are disjoint swaps, which commute, so they
+    come in position order, whatever the rounding of their t."""
+
+    # (w^2 - z)((w - 5)^2 - z): each factor swaps its pair, at positions 1
+    # and 3, where the circle crosses the negative real axis.
+    TEXT = "w^4 - 10*w^3 - 2*z*w^2 + 25*w^2 + 10*z*w - 25*z + z^2"
+
+    @pytest.mark.parametrize("start", [0.3, 2.0, -0.7, 1.0, 2.5])
+    def test_simultaneous_letters_read_by_position(self, start):
+        f = parse_bivariate_text(self.TEXT)
+        data = replace(branch_points(f), rotation_theta=0.0)
+        loop = LoopPath((Arc(0j, 1.0, start, start + 2 * math.pi),), closed=True)
+        track = track_roots(f, data, loop)
+        assert word_to_text(monodromy.word_of_events(4, track.events)) == "s1 s3"
+        want = ((math.pi - start) % (2 * math.pi)) / (2 * math.pi)
+        assert all(abs(e.t - want) <= monodromy.BISECTION_T_TOL for e in track.events)
+
+
 class TestFrozenTracks:
     def test_tracks_equal_the_frozen_tracks_exactly(self):
         # Written by running this module as a script; JSON floats round-trip,

@@ -21,7 +21,7 @@ from quasibraid import (
     raw_roots,
     roots,
 )
-from quasibraid import poly
+from quasibraid import fibers, poly
 
 Z = UnivariatePolynomial((0, 1))
 ONE = UnivariatePolynomial((1,))
@@ -415,3 +415,42 @@ class TestJet:
         z = np.array([0.3, 1j, -2.0])
         assert np.array_equal(f.evaluate(z, 1.5), f.jet(z, 1.5, ((0, 0),))[0][0])
         assert f.evaluate(1, 1) == 1 - 3 + 2
+
+
+class TestHorner:
+    """The one evaluator of the package, also on a table of a single row: a
+    curve constant in z, whose Horner pass in z takes no step."""
+
+    # w^2 - 1, and w^2 as TestCorrect's property draws it with every entry 0.
+    CURVES = [
+        parse_bivariate_text("w^2 - 1"),
+        BivariatePolynomial((UnivariatePolynomial((0, 0)),) * 2 + (ONE,)),
+    ]
+
+    def test_a_single_row_broadcasts_against_the_points(self):
+        x = np.array([[0.5], [2.0], [-1j]])
+        got = poly._horner(np.array([[1.0, -2j]]), x)
+        assert np.array_equal(got, np.broadcast_to([1.0, -2j], (3, 2)))
+
+    @pytest.mark.parametrize("f", CURVES, ids=["w^2 - 1", "w^2"])
+    def test_a_z_constant_curve_broadcasts_over_a_batch(self, f):
+        zs = np.array([0.3, 1j, -2.0, 5 + 5j])
+        (row,) = f.coefficient_table
+        assert np.array_equal(fibers.coefficients(f, zs), np.broadcast_to(row, (4, 3)))
+        w = np.array([[0.5], [1.5j]])
+        values, scales = f.jet(zs, w, ((0, 0), (1, 0), (0, 1)))
+        assert values.shape == scales.shape == (3, 2, 4)
+        expect = np.broadcast_to(np.array([row[0] + w**2, 0 * w, 2 * w]), values.shape)
+        assert np.array_equal(values, expect)
+        r = np.abs(w)
+        assert np.array_equal(scales, np.broadcast_to(np.array([abs(row[0]) + r**2, 0 * r, 2 * r]), scales.shape))
+        solved = fibers.solve(f, zs)
+        roots, _ = fibers.correct(fibers.coefficients(f, zs), solved + 1e-3, poly.DEFAULT_ROOT_TOL)
+        assert np.allclose(np.sort_complex(roots), np.sort_complex(solved), rtol=0, atol=1e-12)
+
+    def test_a_fiber_is_the_kernel_s_coefficient_row(self):
+        f = parse_bivariate_text("w^3 - 3*z*w + 2*z^4 + 0.3*z")
+        zs = [0.7 - 0.2j, 2.0, -1.1j]
+        for z, row in zip(zs, fibers.coefficients(f, np.array(zs))):
+            assert f.fiber(z).coefficients == tuple(row)
+

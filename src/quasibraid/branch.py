@@ -16,7 +16,8 @@ Teissier's lemma every branch point is a simple vertical tangent exactly when
 the discriminant is square-free.  The fibers over the branch points, which
 the rotation separates, are solved in one batch by the companion eigensolve
 of the fiber kernel and certified by the coefficients rebuilt from their
-roots.
+roots.  Their worst rotated real-part gap is a minimum of rectified sinusoids,
+one per root pair, so its maximum is found in closed form near a grid sample.
 """
 
 from __future__ import annotations
@@ -235,44 +236,54 @@ def select_rotation(f: BivariatePolynomial, data: BranchData) -> float:
     """Angle theta making the rotated real parts distinct over every branch fiber.
 
     The double root of each branch fiber counts once, at its pair midpoint.
-    Maximizes the worst real-part gap over a uniform grid, refines the best
-    bracket by golden-section search, and keeps theta = 0 whenever its gap is
-    at least half the optimum.  Ties prefer the smaller angle.
+    The worst gap, the least |Re(e^{i theta} d)| over the root pairs d, has
+    period pi and never exceeds the least |d|; theta = 0 when its gap is at
+    least half that bound, or half the maximum found.  The pair form screens
+    half of a 720-angle grid, the sorted real parts re-score what it keeps
+    and its images shifted by pi, and the maximum is the best pair peak or
+    crossing near the best sample of a 64 times finer grid.  The first best
+    grid index wins, so rounding, not size, picks among the tied images
+    -theta, pi - theta and pi + theta of a real curve's theta.
     """
     if not data.points or f.w_degree < 3:
         return 0.0
     merged = _merge_double_roots(_certified_fibers(f, data.values()))
+    i, j = np.triu_indices(merged.shape[1], 1)
+    pairs = (merged[:, i] - merged[:, j]).ravel()
 
     def gaps(thetas: np.ndarray) -> np.ndarray:
         rot = np.exp(1j * thetas)
         re = np.sort((rot[:, None, None] * merged[None]).real, axis=-1)
         return np.diff(re, axis=-1).min(axis=(1, 2))
 
-    def gap(theta: float) -> float:
-        return float(gaps(np.array([theta]))[0])
-
-    thetas = np.arange(ROTATION_SAMPLES) * (2.0 * math.pi / ROTATION_SAMPLES)
-    best_idx = int(np.argmax(gaps(thetas)))
-
-    lo = thetas[best_idx] - 2.0 * math.pi / ROTATION_SAMPLES
-    hi = thetas[best_idx] + 2.0 * math.pi / ROTATION_SAMPLES
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = gap(c), gap(d)
-    for _ in range(60):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = gap(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = gap(d)
-    theta_best = (c if fc >= fd else d) % (2.0 * math.pi)
-    gap_best = max(gap(theta_best), 0.0)
-    gap_zero = gap(0.0)
+    gap_zero = float(gaps(np.zeros(1))[0])
+    if gap_zero > 0.0 and gap_zero >= 0.5 * np.abs(pairs).min():
+        return 0.0
+    step, half = 2.0 * math.pi / ROTATION_SAMPLES, ROTATION_SAMPLES // 2
+    thetas = np.arange(ROTATION_SAMPLES) * step
+    # The pair form over half a turn, 45 angles at a time.
+    screen = np.concatenate([
+        np.abs((np.exp(1j * block)[:, None] * pairs).real).min(axis=1)
+        for block in np.array_split(thetas[:half], 8)
+    ])
+    kept = np.flatnonzero(screen >= screen.max() - 1e-9 * np.abs(merged).max())
+    kept = np.concatenate([kept, kept + half])
+    best = thetas[kept[np.argmax(gaps(thetas[kept]))]]
+    fine = step / 64
+    samples = best + np.arange(-64, 65) * fine
+    peak = samples[np.argmax(gaps(samples))]
+    # Peaks and crossings of the pairs whose Lipschitz bound |d| lets them be least.
+    value, slack = np.abs((np.exp(1j * peak) * pairs).real), np.abs(pairs) * fine
+    near = pairs[value - slack <= (value + slack).min()]
+    x, y = near.real, near.imag
+    a, b = np.triu_indices(len(near), 1)
+    angles = np.concatenate([
+        np.arctan2(-y, x), np.arctan2(x[a] - x[b], y[a] - y[b]), np.arctan2(x[a] + x[b], y[a] + y[b])
+    ])
+    angles = (angles - peak + 0.5 * math.pi) % math.pi - 0.5 * math.pi
+    candidates = np.append(peak + angles[np.abs(angles) <= fine], peak) % (2.0 * math.pi)
+    scores = gaps(candidates)
+    theta_best, gap_best = float(candidates[scores.argmax()]), max(float(scores.max()), 0.0)
     if gap_zero >= 0.5 * gap_best and gap_zero > 0.0:
         return 0.0
     if gap_best <= 0.0:
@@ -280,7 +291,7 @@ def select_rotation(f: BivariatePolynomial, data: BranchData) -> float:
             "no rotation separates the branch-fiber real parts",
             diagnostics={"best_theta": theta_best, "best_gap": gap_best},
         )
-    return float(theta_best)
+    return theta_best
 
 
 def branch_data_to_json(data: BranchData) -> dict:

@@ -49,7 +49,8 @@ import numpy as np
 
 from .branch import BranchData
 from .errors import InputError, NumericalFailure
-from .fibers import _tracked, bisect_crossings, coefficients, correct, root_gaps, solve, step, swaps
+from .fibers import _jet_coefficients, _tracked, _velocity, bisect_crossings, coefficients, correct
+from .fibers import root_gaps, solve, step, swaps
 from .fibers import orders as strand_orders
 from .paths import (
     Arc,
@@ -232,8 +233,8 @@ def track_roots(
     rot, n, cap = _cis(branch.rotation_theta), f.w_degree, step_cap_fraction
     t, end, z_start, start = _pieces(f, rot, loop, cap)
     z, roots, gap, order = z_start.copy(), start.copy(), root_gaps(start), strand_orders(start, rot)
-    (f_z, f_w), _ = f.jet(z_start[:, None], start, ((1, 0), (0, 1)))
-    velocity, h, streak = -f_z / f_w, np.full(len(t), cap), np.zeros(len(t), int)
+    velocity = _velocity(_jet_coefficients(f, z_start), start)
+    h, streak = np.full(len(t), cap), np.zeros(len(t), int)
 
     def glued(ts, zs, fibers, owner):
         """Chunk rows, where a row at a cut takes the solved fiber there."""

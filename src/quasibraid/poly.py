@@ -314,7 +314,8 @@ class BivariatePolynomial:
 
     def evaluate(self, z: complex, w: complex) -> complex:
         """f(z, w); broadcasts over arrays of z and w."""
-        return self.jet(z, w, ((0, 0),))[0][0]
+        axes = (...,) + (None,) * max(np.ndim(z), np.ndim(w))
+        return _horner(_horner(self.coefficient_table[axes], z), w)
 
     def jet(self, z, w, orders) -> tuple[np.ndarray, np.ndarray]:
         """Partial derivatives of f with their scales, by Horner in z, then in w.

@@ -7,6 +7,7 @@ cubic family w^3 - 3w + 2z^k branches at the 2k-th roots of unity.
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from quasibraid import (
     perturb_generic,
     select_rotation,
 )
+from quasibraid.branch import _certified_fibers, _merge_double_roots
 
 
 def distinct_fiber_values(f, z, merge_tol=1e-3):
@@ -433,6 +435,128 @@ class TestRotation:
             scale = max(1.0, max(abs(v) for v in distinct))
             for a, b in zip(rotated, rotated[1:]):
                 assert b - a > 1e-9 * scale
+
+
+def merged_fibers(f, data):
+    """The branch fibers with their double roots merged, as the search sees them."""
+    return _merge_double_roots(_certified_fibers(f, data.values()))
+
+
+def worst_gaps(merged, thetas):
+    """Least gap between sorted rotated real parts over all fibers, per angle."""
+    rot = np.exp(1j * np.asarray(thetas, dtype=float))
+    re = np.sort((rot[:, None, None] * merged[None]).real, axis=-1)
+    return np.diff(re, axis=-1).min(axis=(1, 2))
+
+
+def reference_rotation(f, data):
+    """The search by a 720-angle grid of sorted real parts, then 60 steps of
+    golden section over the best sample and its two neighbours."""
+    if not data.points or f.w_degree < 3:
+        return 0.0
+    merged = merged_fibers(f, data)
+
+    def gap(theta):
+        return float(worst_gaps(merged, [theta])[0])
+
+    step = 2.0 * math.pi / 720
+    thetas = np.arange(720) * step
+    best = thetas[int(np.argmax(worst_gaps(merged, thetas)))]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = best - step, best + step
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = gap(c), gap(d)
+    for _ in range(60):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = gap(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = gap(d)
+    theta = (c if fc >= fd else d) % (2.0 * math.pi)
+    gap_best, gap_zero = max(gap(theta), 0.0), gap(0.0)
+    if gap_zero >= 0.5 * gap_best and gap_zero > 0.0:
+        return 0.0
+    if gap_best <= 0.0:
+        raise NumericalFailure("no rotation separates the branch-fiber real parts")
+    return float(theta)
+
+
+def dense_curve(seed):
+    """A monic curve of w-degree 3..7 and z-degree 1..3 with integer
+    coefficients in [-3, 3] and a non-zero z^e constant term."""
+    rng = random.Random(seed)
+    d, e = rng.randint(3, 7), rng.randint(1, 3)
+    rows = [[rng.randint(-3, 3) for _ in range(e + 1)] for _ in range(d)] + [[1] + [0] * e]
+    rows[0][e] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return BivariatePolynomial(tuple(UnivariatePolynomial(tuple(map(complex, r))) for r in rows))
+
+
+ROTATION_ORACLE_CURVES = (
+    [pytest.param(dense_curve(seed), id=f"dense-{seed}") for seed in range(60)]
+    + [pytest.param(family_curve(n), id=f"family-n{n}") for n in range(3, 11)]
+    + [
+        pytest.param(parse_bivariate_text(text), id=text)
+        for text in (
+            "w^2 - z",
+            "w^3 - 3*w + 2*z^4",
+            "w^4 - z*w^3 - w^2 + z*w + 0.05",
+            "w^3 - z*w^2 + w - z + 0.01",
+            "w^3 + 2*w^2 - 2*z*w^2 + 2*z*w + z^2 - 3*z",
+        )
+    ]
+)
+
+# A real curve whose θ is not the smallest of its tied images θ, -θ, π - θ and π + θ.
+TIED_IMAGES = (
+    "w^4 + 3*w^3 - 2*z*w^3 - 3*z^2*w^3 + 2*w^2 - z*w^2 - 2*z^2*w^2 - w - 3*z*w"
+    " - z^2*w + 1 + 3*z - 3*z^2"
+)
+
+
+def images(theta):
+    return sorted(t % (2.0 * math.pi) for t in (theta, -theta, math.pi - theta, math.pi + theta))
+
+
+class TestRotationOracle:
+    """The search against the grid and golden-section reference."""
+
+    @pytest.mark.parametrize("f", ROTATION_ORACLE_CURVES)
+    def test_matches_the_golden_section_reference(self, f):
+        data = branch_points(f)
+        theta, expected = select_rotation(f, data), reference_rotation(f, data)
+        if expected == 0.0 or theta == 0.0:
+            assert theta == expected
+            return
+        merged = merged_fibers(f, data)
+        margin = 64 * np.finfo(float).eps * np.abs(merged[:, :, None] - merged[:, None, :]).max()
+        step = 2.0 * math.pi / 720
+        moved = abs((theta - expected + math.pi) % (2.0 * math.pi) - math.pi)
+        if moved > 1e-12:
+            # A flat maximum: the two angles are equally good.
+            got, want = worst_gaps(merged, [theta, expected])
+            assert abs(got - want) <= margin
+            assert moved <= step
+        window = theta + np.linspace(-step, step, 4001)
+        assert worst_gaps(merged, [theta])[0] >= worst_gaps(merged, window).max() - margin
+
+    def test_the_images_of_theta_tie(self):
+        f = parse_bivariate_text(TIED_IMAGES)
+        data = branch_points(f)
+        gaps = worst_gaps(merged_fibers(f, data), images(select_rotation(f, data)))
+        assert gaps.max() - gaps.min() <= 1e-12 * gaps.max()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="rounding, not the angle's size, picks among the tied images of theta;"
+        " ROADMAP item 4",
+    )
+    def test_ties_prefer_the_smallest_image(self):
+        f = parse_bivariate_text(TIED_IMAGES)
+        theta = select_rotation(f, branch_points(f))
+        assert theta == pytest.approx(images(theta)[0], abs=1e-12)
 
 
 class TestSerialization:

@@ -12,6 +12,7 @@ from .branch import (
     branch_points,
     check_genericity,
     perturb_generic,
+    prepare,
     select_rotation,
 )
 from .crossing_graph import (

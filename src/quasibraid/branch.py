@@ -49,6 +49,7 @@ __all__ = [
     "check_genericity",
     "perturb_generic",
     "select_rotation",
+    "prepare",
     "branch_data_to_json",
     "branch_data_from_json",
 ]
@@ -71,10 +72,11 @@ class BranchPoint:
 class BranchData:
     """Branch points plus the analysis state attached to them.
 
-    ``generic`` records whether :func:`check_genericity` passed, ``rotation_theta``
-    is the w-rotation separating real parts over branch fibers, and
-    ``perturbation`` is the epsilon of the ``f + epsilon*w`` replacement (None
-    when f was used unchanged).
+    ``generic`` records whether :func:`check_genericity` passed; :func:`prepare`
+    sets it, ``realization`` refuses a curve without it and ``analyze`` prints
+    it.  ``rotation_theta`` is the w-rotation separating real parts over branch
+    fibers, and ``perturbation`` is the epsilon of the ``f + epsilon*w``
+    replacement (None when f was used unchanged).
     """
 
     points: tuple[BranchPoint, ...]
@@ -292,6 +294,24 @@ def select_rotation(f: BivariatePolynomial, data: BranchData) -> float:
             diagnostics={"best_theta": theta_best, "best_gap": gap_best},
         )
     return theta_best
+
+
+def prepare(
+    f: BivariatePolynomial, theta: float | None = None, budget: float | None = None
+) -> tuple[BivariatePolynomial, BranchData]:
+    """The curve and branch data that tracking and graph sampling read.
+
+    With a ``budget``, f is made generic by :func:`perturb_generic`; without
+    one, f is kept and ``generic`` records :func:`check_genericity`.  The
+    rotation is ``theta`` when given, else :func:`select_rotation`'s.
+    """
+    if budget is not None:
+        f, data = perturb_generic(f, budget=budget)
+    else:
+        data = branch_points(f)
+        data = replace(data, generic=check_genericity(f, data).ok)
+    angle = select_rotation(f, data) if theta is None else float(theta)
+    return f, replace(data, rotation_theta=angle)
 
 
 def branch_data_to_json(data: BranchData) -> dict:

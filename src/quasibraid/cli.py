@@ -18,18 +18,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
-from .branch import (
-    BranchData,
-    branch_data_from_json,
-    branch_data_to_json,
-    branch_points,
-    check_genericity,
-    perturb_generic,
-    select_rotation,
-)
+from .branch import branch_data_from_json, branch_data_to_json, prepare
 from .crossing_graph import (
     graph_from_json,
     graph_to_json,
@@ -56,6 +47,7 @@ from .words import (
     closure_components,
     expand_factorization,
     exponent_sum,
+    foata_form,
     free_reduce,
     qpf_from_json,
     qpf_to_json,
@@ -175,24 +167,14 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.6f} {sign} {abs(z.imag):.6f}i"
 
 
-def _prepared_branch(f: BivariatePolynomial, theta: float | None) -> BranchData:
-    data = branch_points(f)
-    generic = check_genericity(f, data).ok
-    angle = select_rotation(f, data) if theta is None else float(theta)
-    return replace(data, generic=generic, rotation_theta=angle)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    f = _load_poly(args.poly)
     budget = DEFAULT_PERTURB_BUDGET if args.budget is None else args.budget
-    f_out, data = perturb_generic(f, budget=budget)
-    angle = select_rotation(f_out, data) if args.theta is None else args.theta
-    data = replace(data, rotation_theta=float(angle))
-    print(f"w-degree: {f_out.w_degree}")
+    f, data = prepare(_load_poly(args.poly), args.theta, budget)
+    print(f"w-degree: {f.w_degree}")
     print(f"branch points ({len(data.points)}):")
     for point in data.points:
         print(f"  z = {_fmt_complex(point.z)}  (multiplicity {point.multiplicity})")
-    print("generic: yes")  # perturb_generic returns generic data or raises
+    print(f"generic: {'yes' if data.generic else 'no'}")
     print(f"theta: {data.rotation_theta:.6f}")
     if data.perturbation is None:
         print("perturbation: none")
@@ -230,8 +212,7 @@ def _cmd_braid(args: argparse.Namespace) -> int:
         raise InputError("--qp builds its own lollipop loop; drop --loop")
     if not args.qp and args.loop is None:
         raise InputError("braid needs --loop, or --qp with a lollipop spec")
-    f = _load_poly(args.poly)
-    data = _prepared_branch(f, args.theta)
+    f, data = prepare(_load_poly(args.poly), args.theta)
     if args.qp:
         spec = _parse_lollipop(args)
         qpf = qp_factorization(f, data, spec)
@@ -258,8 +239,7 @@ def _cmd_braid(args: argparse.Namespace) -> int:
 
 
 def _cmd_bplus(args: argparse.Namespace) -> int:
-    f = _load_poly(args.poly)
-    data = _prepared_branch(f, args.theta)
+    f, data = prepare(_load_poly(args.poly), args.theta)
     try:
         region = tuple(float(part) for part in args.region.split(","))
     except ValueError as exc:
@@ -293,7 +273,7 @@ def _cmd_realize(args: argparse.Namespace) -> int:
         args.json_out,
     )
     if args.svg:
-        data = _prepared_branch(f, args.theta)
+        _, data = prepare(f, args.theta)
         box = bounding_box(
             tuple(data.values()) + tuple(loop.primitives)
         )
@@ -306,14 +286,11 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    f = _load_poly(args.poly)
-    data = _prepared_branch(f, args.theta)
+    f, data = prepare(_load_poly(args.poly), args.theta)
     loop = loop_from_json(_load_json_file(args.loop))
     coarse = braid_along(f, data, loop)
     fine = braid_along(f, data, loop, step_cap_fraction=1.0 / 512.0)
-    same = tuple((l.index, l.sign) for l in coarse.letters) == tuple(
-        (l.index, l.sign) for l in fine.letters
-    )
+    same = foata_form(coarse) == foata_form(fine)
     print(
         "refinement invariance: "
         + ("PASS" if same else

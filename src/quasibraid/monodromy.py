@@ -72,6 +72,7 @@ from .words import (
     expand_factorization,
     free_reduce,
     invert,
+    trace_form,
 )
 
 __all__ = [
@@ -649,12 +650,21 @@ def qp_factorization(
 ) -> QuasipositiveFactorization:
     """Read a quasipositive factorization off a lollipop loop.
 
-    Each circle must contribute exactly one crossing event (the radius is
-    halved and the loop rebuilt when it does not), that event must be
-    positive, and each stick's return letters must be the reverse-inverse of
-    its outgoing letters up to free reduction.  The expanded factorization is
-    verified to equal the loop's full braid word after free reduction.
+    A target that is not a simple branch point, about which no circle reads
+    one band, is an ``InputError`` before any track.  Each circle must
+    contribute exactly one crossing event (the radius is halved and the loop
+    rebuilt when it does not), that event must be positive, and each stick's
+    return letters must be the reverse-inverse of its outgoing letters, as
+    the expanded factorization must be the loop's braid word, both up to
+    :func:`~quasibraid.words.trace_form`.
     """
+    for idx in spec.targets:
+        if 0 <= idx < len(branch.points) and branch.points[idx].multiplicity != 1:
+            raise InputError(
+                f"lollipop target {idx} at z = {branch.points[idx].z:.6g} has multiplicity "
+                f"{branch.points[idx].multiplicity}; a circle reads one band only around a "
+                "simple branch point, and analyze --budget perturbs the curve into one"
+            )
     n = f.w_degree
     current = spec
     lol: LollipopLoop | None = None
@@ -704,7 +714,7 @@ def qp_factorization(
             )
         out_word = word_of_events(n, tuple(outs))
         back_word = word_of_events(n, tuple(backs))
-        if free_reduce(back_word).letters != free_reduce(invert(out_word)).letters:
+        if trace_form(back_word) != trace_form(invert(out_word)):
             raise NumericalFailure(
                 "a stick's return letters are not the reverse-inverse of its "
                 "outgoing letters",
@@ -714,10 +724,8 @@ def qp_factorization(
 
     qpf = QuasipositiveFactorization(n, tuple(bands))
     whole = word_of_events(n, track.events)
-    if free_reduce(expand_factorization(qpf)).letters != free_reduce(whole).letters:
-        raise NumericalFailure(
-            "expanded factorization does not freely match the loop's braid word"
-        )
+    if trace_form(expand_factorization(qpf)) != trace_form(whole):
+        raise NumericalFailure("expanded factorization does not match the loop's braid word")
     return qpf
 
 

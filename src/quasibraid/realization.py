@@ -19,16 +19,11 @@ naming the generator.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import (
-    BranchData,
-    branch_points,
-    check_genericity,
-    select_rotation,
-)
+from .branch import BranchData, check_genericity, prepare
 from .errors import InputError, NumericalFailure
 from .monodromy import braid_along
 from .paths import Arc, LoopPath, Segment, concat_loops, reverse_loop
@@ -107,19 +102,16 @@ def _curve_polynomial(n: int, epsilon: float) -> BivariatePolynomial:
 
 
 def _curve_data(n: int, epsilon: float) -> tuple[BivariatePolynomial, BranchData]:
-    f = _curve_polynomial(n, epsilon)
-    data = branch_points(f)
-    report = check_genericity(f, data)
-    if not report.ok:
+    f, data = prepare(_curve_polynomial(n, epsilon))
+    if not data.generic:
         raise NumericalFailure(
             "curve is not generic at this epsilon",
             diagnostics={
                 "epsilon": epsilon,
-                "issues": [issue.reason for issue in report.issues],
+                "issues": [issue.reason for issue in check_genericity(f, data).issues],
             },
         )
-    theta = select_rotation(f, data)
-    return f, replace(data, generic=True, rotation_theta=theta)
+    return f, data
 
 
 def _validate_curve_args(n: int, epsilon: float) -> None:

@@ -10,8 +10,8 @@ that the band structure (and the Euler characteristic of the surface it spans)
 stays available.
 
 None of these operations attempt to solve the word problem: two words are
-compared letter by letter, possibly after free or cyclic reduction, never up to
-braid relations.
+compared letter by letter after free or cyclic reduction, or up to the far
+commutations s_i s_j = s_j s_i (|i - j| >= 2), never up to s_i s_j s_i = s_j s_i s_j.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ __all__ = [
     "PositivityReport",
     "free_reduce",
     "cyclic_reduce",
+    "foata_form",
+    "trace_form",
     "exponent_sum",
     "permutation_of",
     "cycle_count",
@@ -170,6 +172,35 @@ def cyclic_reduce(word: BraidWord) -> BraidWord:
         else:
             break
     return BraidWord(word.strands, tuple(reduced))
+
+
+def foata_form(word: BraidWord) -> BraidWord:
+    """Foata normal form under the far commutations: each letter joins the
+    step after the last earlier letter within one index of its own, and
+    each step is sorted by index.  Two words have one form exactly when
+    far commutations turn one into the other."""
+    top: dict[int, int] = {}
+    placed: list[tuple[int, int, int]] = []
+    for let in word.letters:
+        top[let.index] = level = 1 + max(top.get(let.index + d, -1) for d in (-1, 0, 1))
+        placed.append((level, let.index, let.sign))
+    return BraidWord(word.strands, letters_from_pairs(p[1:] for p in sorted(placed)))
+
+
+def trace_form(word: BraidWord) -> BraidWord:
+    """The Foata form after cancelling each letter against the nearest
+    earlier inverse that only far-commuting letters separate from it.  It
+    is one form per element of the group where just the far commutations
+    hold, so words with equal forms are equal braids."""
+    kept: list[BraidLetter] = []
+    for let in word.letters:
+        # The nearest kept letter that does not commute with this one.
+        k = next((k for k in reversed(range(len(kept))) if abs(kept[k].index - let.index) < 2), -1)
+        if k >= 0 and kept[k] == let.inverse():
+            del kept[k]
+        else:
+            kept.append(let)
+    return foata_form(BraidWord(word.strands, tuple(kept)))
 
 
 def exponent_sum(word: BraidWord) -> int:

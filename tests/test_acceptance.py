@@ -32,8 +32,6 @@ from quasibraid import (
     UnivariatePolynomial,
     band_euler_characteristic,
     braid_along,
-    branch_points,
-    check_genericity,
     closure_components,
     concat,
     crossings_of,
@@ -48,11 +46,10 @@ from quasibraid import (
     loop_from_json,
     parse_bivariate_text,
     permutation_of,
-    perturb_generic,
+    prepare,
     qp_factorization,
     realize,
     sample_crossing_graph,
-    select_rotation,
     track_roots,
     word_from_text,
 )
@@ -81,11 +78,9 @@ def circle_loop(center, radius, turns=1, start_angle=math.pi / 2):
 
 
 def prepared(text):
-    f = parse_bivariate_text(text)
-    data = branch_points(f)
-    assert check_genericity(f, data).ok
-    theta = select_rotation(f, data)
-    return f, replace(data, generic=True, rotation_theta=theta)
+    f, data = prepare(parse_bivariate_text(text))
+    assert data.generic
+    return f, data
 
 
 def cyclically_equal(a, b):
@@ -142,7 +137,7 @@ def randomized_cases():
         coeffs.append(UnivariatePolynomial((1,)))
         try:
             f = BivariatePolynomial(tuple(coeffs))
-            g, data = perturb_generic(f, budget=1e-2)
+            g, data = prepare(f, budget=1e-2)
             if not data.points:
                 continue
             values = data.values()
@@ -154,8 +149,7 @@ def randomized_cases():
             # honors it.
             if max(gaps) > 10.0 or min(gaps) < 0.02 * max(gaps):
                 continue
-            theta = select_rotation(g, data)
-            polys.append((g, replace(data, rotation_theta=theta)))
+            polys.append((g, data))
         except (InputError, NumericalFailure):
             continue
     assert len(polys) == 10

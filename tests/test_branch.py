@@ -8,6 +8,7 @@ cubic family w^3 - 3w + 2z^k branches at the 2k-th roots of unity.
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from quasibraid import (
     check_genericity,
     parse_bivariate_text,
     perturb_generic,
+    prepare,
     select_rotation,
 )
+from quasibraid import branch
 from quasibraid.branch import _certified_fibers, _merge_double_roots
 
 
@@ -384,6 +387,65 @@ class TestPerturbation:
     def test_a_non_finite_budget_is_rejected(self, budget):
         with pytest.raises(InputError, match="budget"):
             perturb_generic(parse_bivariate_text("w^3 - z^2*w"), budget=budget)
+
+
+def hand_prepared(f, theta=None, budget=None):
+    """The sequences that ``prepare`` replaced, written out: with a budget
+    the analyze subcommand's, and otherwise the other subcommands'."""
+    if budget is not None:
+        g, data = perturb_generic(f, budget=budget)
+        angle = select_rotation(g, data) if theta is None else theta
+        return g, replace(data, rotation_theta=float(angle))
+    data = branch_points(f)
+    generic = check_genericity(f, data).ok
+    angle = select_rotation(f, data) if theta is None else float(theta)
+    return f, replace(data, generic=generic, rotation_theta=angle)
+
+
+GRAPH_FIXTURES = ("w^2 - z", "w^3 - 3*w + 2*z^4", "w^4 - z*w^3 - w^2 + z*w + 0.05")
+
+
+class TestPrepare:
+    @pytest.mark.parametrize(
+        "f",
+        [family_curve(n) for n in range(2, 11)]
+        + [parse_bivariate_text(text) for text in (*GRAPH_FIXTURES, "w^2 - z^3")],
+    )
+    def test_matches_the_hand_written_sequence(self, f):
+        g, data = prepare(f)
+        want_f, want = hand_prepared(f)
+        assert g is f is want_f
+        assert repr(data) == repr(want)
+
+    @pytest.mark.parametrize("text", ["w^2 - z^3", "w^3 - z", "w^3 - 3*w + 2*z^4"])
+    def test_a_budget_matches_the_analyze_sequence(self, text):
+        f = parse_bivariate_text(text)
+        g, data = prepare(f, budget=1e-2)
+        want_f, want = hand_prepared(f, budget=1e-2)
+        assert g == want_f
+        assert repr(data) == repr(want)
+
+    def test_a_multiple_point_is_kept_and_marked_not_generic(self):
+        f, data = prepare(parse_bivariate_text("w^2 - z^3"))
+        assert [p.multiplicity for p in data.points] == [3]
+        assert not data.generic
+        assert data.perturbation is None
+
+    def test_a_budget_records_the_perturbation(self):
+        f = parse_bivariate_text("w^2 - z^3")
+        g, data = prepare(f, budget=1e-2)
+        assert data.generic
+        assert data.perturbation is not None and 0 < abs(data.perturbation) <= 1e-2
+        assert g == f.add_w_linear(data.perturbation)
+
+    @pytest.mark.parametrize("budget", [None, 1e-2])
+    def test_a_given_theta_skips_the_rotation(self, monkeypatch, budget):
+        def refuse(*args):
+            raise AssertionError("select_rotation was called")
+
+        monkeypatch.setattr(branch, "select_rotation", refuse)
+        f, data = prepare(parse_bivariate_text("w^3 - 3*w + 2*z^4"), theta=0.25, budget=budget)
+        assert data.rotation_theta == 0.25
 
 
 class TestRotation:

@@ -10,8 +10,9 @@ import math
 
 import pytest
 
-from quasibraid import Arc, LoopPath, loop_to_json
+from quasibraid import Arc, LoopPath, bivariate_to_json, loop_to_json, monodromy
 from quasibraid.cli import main
+from tests.test_monodromy import SHEETS, expanded
 
 
 def write_loop(tmp_path, name="loop.json", turns=1, radius=1.0, center=0j):
@@ -148,6 +149,22 @@ class TestBraid:
         assert "factors (2):" in out
         capsys.readouterr()
         assert main(["--validate", str(out_file)]) == 0
+
+    @pytest.mark.parametrize("text", ["w^2 - z^3", "w^3 - z^2"])
+    def test_a_multiple_target_is_refused_before_any_track(self, capsys, monkeypatch, text):
+        # A 3-fold and a 4-fold point: no circle around either reads one band.
+        calls = []
+        track_roots = monodromy.track_roots
+        monkeypatch.setattr(
+            monodromy, "track_roots", lambda *args, **kw: calls.append(args) or track_roots(*args, **kw)
+        )
+        argv = ["braid", "--poly", text, "--qp", "--targets", "0", "--basepoint=-2,0.5", "--radius", "0.3"]
+        rc = main(argv)
+        report = json.loads(capsys.readouterr().err.strip())
+        assert rc == 2
+        assert report["error"] == "input"
+        assert "multiplicity" in report["message"]
+        assert calls == []
 
     def test_qp_and_loop_conflict(self, capsys, tmp_path):
         rc = main(
@@ -286,6 +303,19 @@ class TestVerify:
         assert rc == 0
         assert "refinement invariance: PASS" in out
         assert "exponent sum: PASS" in out
+
+    def test_letters_of_one_step_may_come_in_either_order(self, capsys, tmp_path):
+        # On (w^2 - z)((w - 5)^2 - z + 0.005i) this circle's coarse track reads
+        # s1 and s3 in one step and its fine track in two: the same braid.
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps(bivariate_to_json(expanded(SHEETS[:2]))))
+        arc = Arc(0j, 1.0, -0.8, -0.8 + 2 * math.pi)
+        loop = tmp_path / "loop.json"
+        loop.write_text(json.dumps(loop_to_json(LoopPath((arc,)))))
+        rc = main(["--theta", "0", "verify", "--poly", str(poly), "--loop", str(loop)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "refinement invariance: PASS" in out
 
     def test_a_five_fold_point_counts_five_times(self, capsys, tmp_path):
         rc = main(["verify", "--poly", "w^2 - z^5", "--loop", write_loop(tmp_path)])

@@ -33,9 +33,8 @@ from quasibraid import (
     free_reduce,
     graph_from_json,
     graph_to_json,
-    perturb_generic,
+    prepare,
     sample_crossing_graph,
-    select_rotation,
     word_to_text,
 )
 from quasibraid.fibers import bisect_crossings, solve, sweep
@@ -423,8 +422,7 @@ class TestReadingAgreesWithContinuation:
         ]
         f = BivariatePolynomial(tuple(coeffs) + (UnivariatePolynomial((1,)),))
         try:
-            f, branch = perturb_generic(f)
-            branch = dataclasses.replace(branch, rotation_theta=select_rotation(f, branch))
+            f, branch = prepare(f, budget=1e-2)
         except (InputError, NumericalFailure):
             assume(False)
         points = branch.values()

@@ -29,7 +29,6 @@ from quasibraid import (
     UnivariatePolynomial,
     braid_along,
     branch_points,
-    check_genericity,
     concat,
     concat_loops,
     enclosed_count,
@@ -41,31 +40,26 @@ from quasibraid import (
     loop_from_json,
     parse_bivariate_text,
     permutation_of,
-    perturb_generic,
+    prepare,
     qp_factorization,
     realize,
     reverse_loop,
-    select_rotation,
     track_roots,
     word_to_text,
 )
 from quasibraid import monodromy
 from quasibraid.fibers import match, solve
-from quasibraid.monodromy import events_to_jsonl
+from quasibraid.monodromy import RadiusInfeasible, events_to_jsonl
 from quasibraid.realization import build_plan
+from quasibraid.words import trace_form
 
 DATA_DIR = Path(__file__).parent / "data"
 
 
 def prepared(text):
-    f = parse_bivariate_text(text)
-    data = branch_points(f)
-    report = check_genericity(f, data)
-    assert report.ok, report.issues
-    theta = select_rotation(f, data)
-    from dataclasses import replace
-
-    return f, replace(data, generic=True, rotation_theta=theta)
+    f, data = prepare(parse_bivariate_text(text))
+    assert data.generic
+    return f, data
 
 
 def monic_curve(data, w_degree, z_degree):
@@ -87,6 +81,33 @@ def circle(center=0j, radius=1.0, turns=1, start_angle=math.pi / 2):
 SQRT = prepared("w^2 - z")
 CUBIC = prepared("w^3 - 3*w + 2*z")
 QUARTIC = prepared("w^3 - 3*w + 2*z^4")
+
+
+def expanded(factors, extra=()):
+    """The product of ``factors`` plus the terms ``extra``, each factor a
+    {(z degree, w degree): coefficient} map and each term such a pair."""
+    terms = {(0, 0): 1 + 0j}
+    for factor in factors:
+        product = {}
+        for (a, b), c in terms.items():
+            for (d, e), g in factor.items():
+                product[a + d, b + e] = product.get((a + d, b + e), 0j) + c * g
+        terms = product
+    for key, c in extra:
+        terms[key] = terms.get(key, 0j) + c
+    rows = [[0j] * (1 + max(z for z, _ in terms)) for _ in range(1 + max(w for _, w in terms))]
+    for (z, w), c in terms.items():
+        rows[w][z] = c
+    return BivariatePolynomial(tuple(UnivariatePolynomial(tuple(row)) for row in rows))
+
+
+# w^2 - z, (w - 5)^2 - z + 0.005i and (w + 5)^2 - z - 1 - 2i: three pairs of
+# sheets far apart in w, whose disjoint swaps often fall in one step.
+SHEETS = (
+    {(0, 2): 1, (1, 0): -1},
+    {(0, 2): 1, (0, 1): -10, (0, 0): 25 + 0.005j, (1, 0): -1},
+    {(0, 2): 1, (0, 1): 10, (0, 0): 24 - 2j, (1, 0): -1},
+)
 
 
 class TestCalibration:
@@ -268,6 +289,16 @@ class TestLollipops:
         assert free_reduce(expand_factorization(qpf)) == free_reduce(word)
         assert exponent_sum(word) == len(qpf.bands) == 2
 
+    @pytest.mark.parametrize("text, multiplicity", [("w^2 - z^3", 3), ("w^3 - z^2", 4)])
+    def test_a_multiple_target_is_an_input_error(self, text, multiplicity):
+        f, data = prepare(parse_bivariate_text(text))
+        assert not data.generic
+        spec = LollipopSpec(basepoint=-2 + 0.5j, targets=(0,), circle_radius=0.3)
+        with pytest.raises(InputError, match=f"target 0 .* multiplicity {multiplicity}") as info:
+            qp_factorization(f, data, spec)
+        assert not isinstance(info.value, RadiusInfeasible)
+        assert "analyze --budget" in str(info.value)
+
     def test_radius_retry_shrinks_until_circles_fit(self):
         # 0.9 is infeasible for adjacent branch points two apart only when
         # circles must stay pairwise disjoint; the retry ladder must land on
@@ -322,8 +353,7 @@ def half_step_pair_case():
     apart, swap and swap back at t = 0.9814 and 0.9821 with a real-part gap
     of at most 2.6e-6 between: both inside the first half of the cap step
     from t = 251/256 to 252/256."""
-    f, data = perturb_generic(parse_bivariate_text("w^2 + z^2*w + 2*z*w - w + 3*z^2 + 1"))
-    data = replace(data, rotation_theta=select_rotation(f, data))
+    f, data = prepare(parse_bivariate_text("w^2 + z^2*w + 2*z*w - w + 3*z^2 + 1"), budget=1e-2)
     return f, data, circle(-5.256456866420475 + 0.125j, 1.1166265077947355, 1, 0.0)
 
 
@@ -339,8 +369,7 @@ def wide_region_curve():
     """A curve, made generic and rotated, whose 12 branch points span x in
     [-2.07, 34.60] and one of whose roots reaches |w| of about 3,465."""
     text = "w^4 - w^3 + z*w^3 + 2*z^2*w^3 + w^2 + z^2*w^2 + 3*w - 3*z^2*w - 3 - z - 2*z^2"
-    f, data = perturb_generic(parse_bivariate_text(text))
-    return f, replace(data, rotation_theta=select_rotation(f, data))
+    return prepare(parse_bivariate_text(text), budget=1e-2)
 
 
 def frozen_cases():
@@ -396,6 +425,34 @@ class TestLetterOrder:
         assert word_to_text(monodromy.word_of_events(4, track.events)) == "s1 s3"
         want = ((math.pi - start) % (2 * math.pi)) / (2 * math.pi)
         assert all(abs(e.t - want) <= monodromy.BISECTION_T_TOL for e in track.events)
+
+
+class TestSwapsThatShareAStep:
+    """On the three sheet pairs of ``SHEETS`` plus 0.01w, a step often holds
+    two disjoint swaps, whose letters come by position.  A path and its
+    reverse then read words that are inverse up to those commutations, not
+    as texts, and words are compared by ``trace_form``."""
+
+    @staticmethod
+    def curve():
+        f, data = prepare(expanded(SHEETS, [((0, 1), 0.01)]))
+        assert data.generic and data.rotation_theta == 0.0
+        return f, data
+
+    @pytest.mark.parametrize("x", [-1.6, -1.0, -0.4])
+    def test_a_stick_back_reads_the_trace_inverse_of_the_stick_out(self, x):
+        f, data = self.curve()
+        target = min(range(len(data.points)), key=lambda i: abs(data.points[i].z + 1 + 2j))
+        spec = LollipopSpec(basepoint=complex(x, 1.0), targets=(target,), circle_radius=0.2)
+        assert len(qp_factorization(f, data, spec).bands) == 1
+
+    @pytest.mark.parametrize("start", [-2.2, -0.8, 0.4, 1.0, 2.9])
+    def test_the_reverse_circle_reads_the_trace_inverse(self, start):
+        f, data = self.curve()
+        loop = circle(radius=1.0, start_angle=start)
+        word = braid_along(f, data, loop)
+        assert word.letters
+        assert trace_form(braid_along(f, data, reverse_loop(loop))) == trace_form(invert(word))
 
 
 class TestFrozenTracks:
@@ -589,8 +646,7 @@ class TestPieces:
     def test_random_circles_read_as_their_arcs(self, w_degree, z_degree, data):
         f = monic_curve(data, w_degree, z_degree)
         try:
-            f, branch = perturb_generic(f)
-            branch = replace(branch, rotation_theta=select_rotation(f, branch))
+            f, branch = prepare(f, budget=1e-2)
         except (InputError, NumericalFailure):
             assume(False)
         points = branch.values()

@@ -36,6 +36,7 @@ from quasibraid import (
     word_to_json,
     word_to_text,
 )
+from quasibraid.words import foata_form, trace_form
 
 
 def matrix_permutation(word):
@@ -186,6 +187,84 @@ class TestFreeReduction:
     @given(small_words())
     def test_word_times_inverse_reduces_to_identity(self, word):
         assert free_reduce(concat(word, invert(word))).letters == ()
+
+
+def random_commute(word, rng, swaps=20):
+    """The word after ``swaps`` tries at exchanging a random adjacent pair
+    of letters, each done when their indices differ by at least 2."""
+    letters = list(word.letters)
+    for _ in range(swaps if len(letters) > 1 else 0):
+        i = rng.randrange(len(letters) - 1)
+        if abs(letters[i].index - letters[i + 1].index) >= 2:
+            letters[i], letters[i + 1] = letters[i + 1], letters[i]
+    return BraidWord(word.strands, tuple(letters))
+
+
+def projections(word):
+    """The word's letters with indices in {k, k + 1}, for every k: two words
+    are equal up to far commutations exactly when all of these agree
+    (Cori and Perrin's projection lemma)."""
+    return [
+        [(let.index, let.sign) for let in word.letters if let.index in (k, k + 1)]
+        for k in range(1, max(word.strands - 1, 2))
+    ]
+
+
+class TestCommutingLetters:
+    def test_far_letters_sort_by_index(self):
+        assert word_to_text(foata_form(word_from_text("s3 s1", strands=4))) == "s1 s3"
+
+    def test_adjacent_letters_keep_their_order(self):
+        word = word_from_text("s2 s1 s3 s2^-1", strands=4)
+        assert foata_form(word) == word
+
+    def test_steps_follow_the_last_letter_in_reach(self):
+        word = word_from_text("s4 s1 s2 s5 s3", strands=6)
+        assert word_to_text(foata_form(word)) == "s1 s4 s2 s5 s3"
+
+    def test_an_inverse_cancels_across_far_letters(self):
+        word = word_from_text("s3 s5 s3^-1 s5^-1", strands=6)
+        assert trace_form(word).letters == ()
+        assert free_reduce(word) == word
+
+    def test_an_adjacent_letter_blocks_cancellation(self):
+        word = word_from_text("s1 s2 s1^-1", strands=3)
+        assert trace_form(word) == word
+
+    def test_cancellation_then_sorting(self):
+        word = word_from_text("s1 s4 s3 s4^-1 s1^-1 s1", strands=5)
+        assert word_to_text(trace_form(word)) == "s1 s4 s3 s4^-1"
+
+    @settings(max_examples=300)
+    @given(small_words(max_strands=7), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_far_commutations_keep_the_forms(self, word, seed):
+        moved = random_commute(word, random.Random(seed))
+        assert foata_form(moved) == foata_form(word)
+        assert trace_form(moved) == trace_form(word)
+
+    @settings(max_examples=300)
+    @given(small_words(max_strands=4, max_letters=6), small_words(max_strands=4, max_letters=6))
+    def test_equal_forms_are_equal_projections(self, a, b):
+        b = BraidWord(a.strands, tuple(l for l in b.letters if l.index < a.strands))
+        assert (foata_form(a) == foata_form(b)) == (projections(a) == projections(b))
+
+    @settings(max_examples=300)
+    @given(small_words(max_strands=7), small_words(max_strands=7), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_the_trace_form_is_one_per_element(self, word, other, seed):
+        # Inserting u u^-1 anywhere and commuting far letters keeps the
+        # element of the group where only far letters commute.
+        rng = random.Random(seed)
+        other = BraidWord(word.strands, tuple(l for l in other.letters if l.index < word.strands))
+        cut = rng.randint(0, len(word))
+        padded = concat(
+            BraidWord(word.strands, word.letters[:cut]),
+            other,
+            invert(other),
+            BraidWord(word.strands, word.letters[cut:]),
+        )
+        assert trace_form(random_commute(padded, rng, swaps=60)) == trace_form(word)
+        assert trace_form(concat(word, invert(word))).letters == ()
+        assert trace_form(trace_form(word)) == trace_form(word)
 
 
 class TestCyclicReduction:

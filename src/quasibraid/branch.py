@@ -15,9 +15,10 @@ That structure checks the located points and alone decides genericity: by
 Teissier's lemma every branch point is a simple vertical tangent exactly when
 the discriminant is square-free.  The fibers over the branch points, which
 the rotation separates, are solved in one batch by the companion eigensolve
-of the fiber kernel and certified by the coefficients rebuilt from their
-roots.  Their worst rotated real-part gap is a minimum of rectified sinusoids,
-one per root pair, so its maximum is found in closed form near a grid sample.
+of the fiber kernel and certified by Weierstrass inclusion discs: over a
+simple branch point, only the discs of the double root may meet.  Their
+worst rotated real-part gap is a minimum of rectified sinusoids, one per
+root pair, so its maximum is found in closed form near a grid sample.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ from .fibers import coefficients as fiber_coefficients
 from .paths import bbox_diameter, bounding_box
 from .poly import (
     BivariatePolynomial,
-    _companion_roots,
+    _certified_roots,
     _cluster_values,
     _discriminant_roots,
     _inclusion_radii,
-    _rebuilt_residual,
 )
 
 __all__ = [
@@ -57,9 +57,6 @@ __all__ = [
 SEPARATION_FLOOR_FACTOR = 1e-4
 ROTATION_SAMPLES = 720
 PERTURB_TRIALS = 24
-# Accepted coefficient residual of a branch fiber rebuilt from its roots; a
-# fiber over a branch point carries a near-double root.
-FIBER_CERTIFY_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -134,32 +131,30 @@ def branch_points(f: BivariatePolynomial) -> BranchData:
     return BranchData(points=tuple(ordered))
 
 
-def _certified_fibers(f: BivariatePolynomial, zs) -> np.ndarray:
-    """Roots of the fibers over ``zs`` from one kernel solve, certified by
-    the coefficient residual of each fiber rebuilt from its roots."""
-    zs = np.asarray(zs, dtype=complex)
-    coeffs = fiber_coefficients(f, zs)
-    vals = _companion_roots(coeffs)
-    residual = _rebuilt_residual(coeffs / coeffs[:, -1:], vals)
-    worst = float(residual.max(initial=0.0))
-    if worst > FIBER_CERTIFY_TOL:
-        raise NumericalFailure(
-            f"branch fiber roots did not certify: coefficient residual {worst:.3e}"
-            f" > {FIBER_CERTIFY_TOL:.3e}",
-            diagnostics={"residual": worst, "z": repr(complex(zs[int(residual.argmax())]))},
-        )
-    return vals
+def _branch_fibers(f: BivariatePolynomial, data: BranchData) -> np.ndarray:
+    """The fibers over the points of ``data`` from one kernel solve, each with
+    its closest root pair replaced by the pair midpoint, which goes last:
+    shape (count, n - 1).
 
-
-def _merge_double_roots(vals: np.ndarray) -> np.ndarray:
-    """Every fiber with its closest root pair replaced by the pair midpoint,
-    which goes last: shape (count, n - 1)."""
+    Over a point of multiplicity 1 the fiber is one double root and n - 2
+    simple ones (Teissier), so the inclusion discs outside the closest pair
+    must meet no other disc, or this raises :class:`NumericalFailure` naming
+    z.  Points of higher multiplicity are merged with no such claim.
+    """
+    vals, radii = _certified_roots(fiber_coefficients(f, data.values()))
     count, n = vals.shape
+    rows, cols = np.arange(count), np.arange(n)
     d = np.abs(vals[:, :, None] - vals[:, None, :])
-    d[:, np.arange(n), np.arange(n)] = np.inf
+    d[:, cols, cols] = np.inf
     i, j = np.divmod(d.reshape(count, n * n).argmin(axis=1), n)
-    rows = np.arange(count)
-    cols = np.arange(n)
+    d[rows, i, j] = d[rows, j, i] = np.inf  # the double root's discs may meet
+    for k in np.flatnonzero((d <= radii[:, :, None] + radii[:, None, :]).any(axis=(1, 2))):
+        if data.points[k].multiplicity == 1:
+            z = data.points[k].z
+            raise NumericalFailure(
+                f"inclusion discs meet off the double root over the simple branch point z = {z!r}",
+                diagnostics={"z": repr(z), "values": [repr(complex(v)) for v in vals[k]]},
+            )
     keep = (cols != i[:, None]) & (cols != j[:, None])
     mid = 0.5 * (vals[rows, i] + vals[rows, j])
     return np.concatenate([vals[keep].reshape(count, n - 2), mid[:, None]], axis=1)
@@ -207,17 +202,20 @@ def perturb_generic(
     ``budget * 2^-k``.  The scan keeps decreasing while trials pass (so the
     returned epsilon is the smallest passing one before a failure) and a trial
     passes when the branch locus is generic and pairwise branch separation
-    stays above the floor.
+    stays above the floor.  A zero budget tries epsilon 0 alone: its errors
+    propagate, and a curve that does not pass is an :class:`InputError`.
     """
     if not math.isfinite(budget):
         raise InputError(f"the perturbation budget must be finite, not {budget!r}")
     best: tuple[BivariatePolynomial, BranchData, complex | None] | None = None
-    for eps in [None] + [budget * 2.0 ** (-k) for k in range(PERTURB_TRIALS)]:
+    for eps in [None] + [budget * 2.0 ** (-k) for k in range(PERTURB_TRIALS) if budget]:
         candidate = f if eps is None else f.add_w_linear(eps)
         try:
             data = branch_points(candidate)
             ok = check_genericity(candidate, data).ok and _separation_ok(data.values())
         except (InputError, NumericalFailure):
+            if not budget:
+                raise
             ok = False
         if ok:
             best = (candidate, data, eps)
@@ -225,6 +223,8 @@ def perturb_generic(
                 break
         elif best is not None:
             break
+    if best is None and not budget:
+        raise InputError("f is not generic, and a perturbation budget of 0 allows no epsilon")
     if best is None:
         raise NumericalFailure(
             "no epsilon in the trial sequence produced a generic branch locus",
@@ -249,7 +249,7 @@ def select_rotation(f: BivariatePolynomial, data: BranchData) -> float:
     """
     if not data.points or f.w_degree < 3:
         return 0.0
-    merged = _merge_double_roots(_certified_fibers(f, data.values()))
+    merged = _branch_fibers(f, data)
     i, j = np.triu_indices(merged.shape[1], 1)
     pairs = (merged[:, i] - merged[:, j]).ravel()
 
@@ -266,7 +266,7 @@ def select_rotation(f: BivariatePolynomial, data: BranchData) -> float:
     # The pair form over half a turn, 45 angles at a time.
     screen = np.concatenate([
         np.abs((np.exp(1j * block)[:, None] * pairs).real).min(axis=1)
-        for block in np.array_split(thetas[:half], 8)
+        for block in thetas[:half].reshape(8, -1)
     ])
     kept = np.flatnonzero(screen >= screen.max() - 1e-9 * np.abs(merged).max())
     kept = np.concatenate([kept, kept + half])

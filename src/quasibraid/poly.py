@@ -6,11 +6,11 @@ whose ``w``-leading coefficient is a nonzero constant, so every fiber
 to infinity.  Roots are the eigenvalues of companion matrices, a
 backward-stable root finder solved for a whole batch of polynomials in one
 call; the same solve serves single polynomials and every fiber of the fiber
-kernel.  The monic polynomial rebuilt from the roots must match the input
-coefficients, or root finding raises.  Multiplicities come from Weierstrass
-inclusion discs: approximate roots whose discs overlap form one root, of
-multiplicity the number of discs, for the roots of a fiber and of the
-discriminant alike.
+kernel.  Roots are certified by Weierstrass inclusion discs, of radii from
+each root's Horner residual and its rounding bound; a radius that is not
+finite makes root finding raise.  A connected component of k discs holds
+exactly k roots and is one root of multiplicity k, for the roots of a fiber
+and of the discriminant alike.
 Every polynomial here and in the fiber kernel is evaluated by one Horner
 routine over a coefficient table; run on absolute values, it gives the scale
 against which a value is rounding.  :meth:`BivariatePolynomial.jet` reads any
@@ -110,8 +110,7 @@ class UnivariatePolynomial:
 @dataclass(frozen=True)
 class RootSet:
     """Roots grouped by multiplicity: one value per connected component of
-    inclusion discs, the number of discs in it, and the coefficient residual
-    of the monic polynomial rebuilt from the ungrouped roots."""
+    inclusion discs, the number of discs in it, and the largest disc radius."""
 
     values: tuple[complex, ...]
     multiplicities: tuple[int, ...]
@@ -143,19 +142,21 @@ def _horner(c: np.ndarray, x):
 
 def _inclusion_radii(values: np.ndarray, residuals: np.ndarray) -> np.ndarray:
     """Radii of the Weierstrass inclusion discs about ``values``, approximate
-    roots of a monic polynomial of degree ``d = len(values)`` that is at most
-    ``residuals`` there in absolute value.
+    roots of a monic polynomial of degree ``d``, the length of the last axis,
+    that is at most ``residuals`` there in absolute value; rows of a batch
+    are independent.
 
     The disc of v_i has radius (d + 1)|W_i| with W_i = residual_i divided by
     the product of v_i - v_j over the other values.  Values within
     8 sqrt(eps) max|v| of each other count as one m-fold value: they leave
     each other out of the product, and their |W_i| takes the m-th root.
     """
-    diff = values[:, None] - values[None, :]
-    near = np.abs(diff) <= 8 * math.sqrt(np.finfo(float).eps) * np.abs(values).max()
+    diff = values[..., :, None] - values[..., None, :]
+    reach = 8 * math.sqrt(np.finfo(float).eps) * np.abs(values).max(axis=-1)
+    near = np.abs(diff) <= reach[..., None, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = residuals / np.abs(np.where(near, 1.0, diff).prod(axis=1))
-        return (len(values) + 1) * w ** (1.0 / near.sum(axis=1))
+        w = residuals / np.abs(np.where(near, 1.0, diff).prod(axis=-1))
+        return (values.shape[-1] + 1) * w ** (1.0 / near.sum(axis=-1))
 
 
 def _cluster_values(
@@ -181,25 +182,6 @@ def _cluster_values(
     return tuple(r for r, _ in reps), tuple(c for _, c in reps)
 
 
-def _rebuilt_residual(monic: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Coefficient error of the monic polynomial rebuilt from ``values``.
-
-    Rows of a batch are independent: ``monic`` holds ascending coefficients
-    over its last axis and ``values`` the claimed roots.  The error is the
-    largest coefficient difference relative to the largest input coefficient
-    (at least 1).  Per-root backward error degenerates on monomial-like
-    fibers (for w^2 it is 1 at every nonzero point); this does not.
-    """
-    rebuilt = np.ones(values.shape[:-1] + (1,), dtype=complex)
-    pad = np.zeros_like(rebuilt)
-    for v in np.moveaxis(values, -1, 0):
-        rebuilt = np.concatenate([pad, rebuilt], axis=-1) - v[..., None] * np.concatenate(
-            [rebuilt, pad], axis=-1
-        )
-    err = np.abs(rebuilt - monic).max(axis=-1)
-    return err / np.maximum(1.0, np.abs(monic).max(axis=-1))
-
-
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     """Roots of every row of ascending coefficients, shape (rows, degree).
 
@@ -216,56 +198,51 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
         raise NumericalFailure(f"companion eigenvalue solve failed: {exc}") from exc
 
 
-def _certify(monic: np.ndarray, iterates: np.ndarray, certify: float) -> float:
-    err = float(_rebuilt_residual(monic, iterates))
-    if err > certify:
-        raise NumericalFailure(
-            f"root finding did not certify: coefficient residual {err:.3e} > {certify:.3e}",
-            diagnostics={"values": [repr(complex(v)) for v in iterates], "residual": err},
-        )
-    return err
+def _certified_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of every row of ascending ``coeffs`` from :func:`_companion_roots`,
+    and the radii of their inclusion discs, both of shape (rows, degree).
 
-
-def _monic_roots(p: UnivariatePolynomial) -> tuple[np.ndarray, np.ndarray]:
-    """The monic ascending coefficients of ``p`` and its uncertified roots."""
-    if p.degree < 1:
-        raise InputError("root finding needs a polynomial of degree >= 1")
-    coeffs = np.array(p.coefficients, dtype=complex)
-    monic = coeffs / coeffs[-1]
-    monic[-1] = 1.0  # the division can round it
-    return monic, _companion_roots(coeffs[None])[0]
-
-
-def raw_roots(p: UnivariatePolynomial, tol: float = DEFAULT_ROOT_TOL) -> tuple[complex, ...]:
-    """All complex roots without multiplicity clustering.
-
-    Near-coincident values are returned as they are, which is what structural
-    checks on nearly-degenerate fibers need.  Rebuilding coefficients from n
-    roots amplifies per-root error by about a factor of n, so the roots are
-    certified to a coefficient residual of ``8 * degree * tol``.
+    Each root's residual is the Horner value of its monic row there plus
+    that value's rounding bound.  Raises :class:`NumericalFailure`, with the
+    roots attached, when a radius is not finite.
     """
-    monic, values = _monic_roots(p)
-    _certify(monic, values, 8 * p.degree * tol)
-    return tuple(sorted((complex(v) for v in values), key=lambda c: (c.real, c.imag)))
+    if coeffs.shape[-1] < 2:
+        raise InputError("root finding needs a polynomial of degree >= 1")
+    values = _companion_roots(coeffs)
+    rows, n = values.shape
+    monic = coeffs / coeffs[:, -1:]
+    monic[:, -1] = 1.0  # the division can round it
+    # One Horner pass: the values in the first rows, their scales after them.
+    table = np.concatenate([monic, np.abs(monic)]).T[:, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        both = _horner(table, np.concatenate([values, np.abs(values)]))
+    radii = _inclusion_radii(values, np.abs(both[:rows]) + _ROUNDING * n * both[rows:].real)
+    if not np.isfinite(radii).all():
+        raise NumericalFailure(
+            "root finding did not certify: an inclusion radius is not finite",
+            diagnostics={"values": [repr(complex(v)) for v in values.ravel()]},
+        )
+    return values, radii
 
 
-def roots(p: UnivariatePolynomial, tol: float = DEFAULT_ROOT_TOL) -> RootSet:
+def raw_roots(p: UnivariatePolynomial) -> tuple[complex, ...]:
+    """All complex roots, certified as by :func:`roots` but not clustered:
+    near-coincident values are returned as they are, which is what structural
+    checks on nearly-degenerate fibers need."""
+    found, _ = _certified_roots(np.array([p.coefficients], dtype=complex))
+    return tuple(sorted((complex(v) for v in found[0]), key=lambda c: (c.real, c.imag)))
+
+
+def roots(p: UnivariatePolynomial) -> RootSet:
     """All complex roots of ``p``, grouped by multiplicity.
 
-    Raises :class:`NumericalFailure` with the roots attached when the monic
-    polynomial rebuilt from them misses the input coefficients by more than
-    ``8 * degree * sqrt(tol)``, the certificate of :func:`raw_roots` at the
-    accuracy to which a double root can be located.  Each root gets the
-    Weierstrass inclusion disc of its Horner value plus that value's rounding
-    bound, and every connected component of k discs is one root of
-    multiplicity k at the mean of its values.
+    Each root gets the inclusion disc of :func:`_certified_roots`, and every
+    connected component of k discs is one root of multiplicity k at the mean
+    of its values.  A radius that is not finite raises there.
     """
-    monic, found = _monic_roots(p)
-    err = _certify(monic, found, 8 * p.degree * math.sqrt(tol))
-    value, size = _horner(monic, found), _horner(np.abs(monic), np.abs(found))
-    radii = _inclusion_radii(found, np.abs(value) + _ROUNDING * p.degree * size)
-    values, mults = _cluster_values(found, radii)
-    return RootSet(values, mults, err)
+    found, radii = _certified_roots(np.array([p.coefficients], dtype=complex))
+    values, mults = _cluster_values(found[0], radii[0])
+    return RootSet(values, mults, float(radii.max()))
 
 
 @dataclass(frozen=True)
@@ -583,11 +560,9 @@ def discriminant_w(f: BivariatePolynomial) -> UnivariatePolynomial:
     return UnivariatePolynomial(tuple(lead * np.atleast_1d(np.poly(values))[::-1]))
 
 
-def fiber_roots(
-    f: BivariatePolynomial, z: complex, tol: float = DEFAULT_ROOT_TOL
-) -> RootSet:
+def fiber_roots(f: BivariatePolynomial, z: complex) -> RootSet:
     """Roots in w of f(z, .), grouped by multiplicity as by :func:`roots`."""
-    return roots(f.fiber(z), tol=tol)
+    return roots(f.fiber(z))
 
 
 _TOKEN_RE = re.compile(

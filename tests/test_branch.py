@@ -32,7 +32,7 @@ from quasibraid import (
     select_rotation,
 )
 from quasibraid import branch
-from quasibraid.branch import _certified_fibers, _merge_double_roots
+from quasibraid.branch import _branch_fibers
 
 
 def distinct_fiber_values(f, z, merge_tol=1e-3):
@@ -175,7 +175,7 @@ class TestBranchPoints:
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
-        reason="ROADMAP item 3: the 4-fold point splits the 5-fold root 1.02e-3 and 1.07e-3 apart",
+        reason="ROADMAP item 5: the 4-fold point splits the 5-fold root 1.02e-3 and 1.07e-3 apart",
     )
     @pytest.mark.parametrize("text", ["w^5 - z - 2", "w^5 + z*w + z"])
     def test_every_branch_fiber_has_a_double_root_at_a_four_fold_point(self, text):
@@ -296,14 +296,23 @@ class TestUnitsAndRefusals:
         ]
         assert_same_point_set(scaled.values(), expected.values(), tol=1e-9)
 
-    def test_an_unresolved_pencil_is_a_numerical_failure(self):
-        # The four-strand curve under z -> z + 100 has six simple branch
-        # points, which the pencil eigenvalues merge into one cluster.
-        f = parse_bivariate_text("w^4 - z*w^3 - 100*w^3 - w^2 + z*w + 100*w + 0.05")
-        assert f.discriminant_multiplicities == (1,) * 6
+    @pytest.mark.parametrize(
+        "text, exact",
+        [
+            # The four-strand curve under z -> z + 100 has six simple branch
+            # points, which the pencil eigenvalues merge into one cluster.
+            ("w^4 - z*w^3 - 100*w^3 - w^2 + z*w + 100*w + 0.05", [1] * 6),
+            # A simple point 0.0037 from a 14-fold one at 0 joins its
+            # cluster: ROADMAP item 5.
+            ("w^5 + 3*z^2*w^4 + 3*z^3*w^4 + z^2*w^3 + z^2*w^2 - 3*z^3*w", [1] * 10 + [14]),
+        ],
+    )
+    def test_an_unresolved_pencil_is_a_numerical_failure(self, text, exact):
+        f = parse_bivariate_text(text)
+        assert list(f.discriminant_multiplicities) == exact
         with pytest.raises(NumericalFailure, match="multiplicities") as caught:
             branch_points(f)
-        assert caught.value.diagnostics["multiplicities"] == [1] * 6
+        assert caught.value.diagnostics["multiplicities"] == exact
 
     @pytest.mark.parametrize(
         "text",
@@ -438,6 +447,18 @@ class TestPrepare:
         assert data.perturbation is not None and 0 < abs(data.perturbation) <= 1e-2
         assert g == f.add_w_linear(data.perturbation)
 
+    def test_a_zero_budget_solves_once_and_refuses(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return branch_points(f)
+
+        monkeypatch.setattr(branch, "branch_points", counted)
+        with pytest.raises(InputError, match="budget"):
+            prepare(parse_bivariate_text("w^2 - z^3"), budget=0.0)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("budget", [None, 1e-2])
     def test_a_given_theta_skips_the_rotation(self, monkeypatch, budget):
         def refuse(*args):
@@ -498,10 +519,22 @@ class TestRotation:
             for a, b in zip(rotated, rotated[1:]):
                 assert b - a > 1e-9 * scale
 
+    def test_a_triple_root_over_a_simple_point_is_refused(self):
+        # (w - 1)^3 + z has a triple root over z = 0.  Labelled simple, its
+        # third disc meets the closest pair's; with its own data, of
+        # multiplicity 2, the merge makes no structural claim.
+        f = parse_bivariate_text("w^3 - 3*w^2 + 3*w - 1 + z")
+        with pytest.raises(NumericalFailure, match="simple branch point") as caught:
+            select_rotation(f, BranchData(points=(BranchPoint(0j, 1),)))
+        assert caught.value.diagnostics["z"] == repr(0j)
+        data = branch_points(f)
+        assert [p.multiplicity for p in data.points] == [2]
+        assert select_rotation(f, data) == 0.0
+
 
 def merged_fibers(f, data):
     """The branch fibers with their double roots merged, as the search sees them."""
-    return _merge_double_roots(_certified_fibers(f, data.values()))
+    return _branch_fibers(f, data)
 
 
 def worst_gaps(merged, thetas):
@@ -613,7 +646,7 @@ class TestRotationOracle:
     @pytest.mark.xfail(
         strict=True,
         reason="rounding, not the angle's size, picks among the tied images of theta;"
-        " ROADMAP item 4",
+        " ROADMAP item 3",
     )
     def test_ties_prefer_the_smallest_image(self):
         f = parse_bivariate_text(TIED_IMAGES)

@@ -69,6 +69,14 @@ class TestAnalyze:
         assert rc == 2
         assert json.loads(captured.err.strip())["error"] == "input"
 
+    def test_a_zero_budget_on_a_non_generic_curve_is_an_input_error(self, capsys):
+        rc = main(["analyze", "--poly", "w^2 - z^3", "--budget", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        error = json.loads(captured.err.strip())
+        assert error["error"] == "input"
+        assert "budget" in error["message"]
+
     def test_fractional_exponent_is_an_input_error(self, capsys):
         rc = main(["analyze", "--poly", "w^2 - z^1.9"])
         captured = capsys.readouterr()

@@ -114,16 +114,16 @@ class TestRootFinding:
         assert found.multiplicities == (3,)
         assert abs(found.values[0] - 1j) < 1e-4
 
-    def test_unreachable_certificate_fails_loudly(self):
-        # 8 * degree * sqrt(1e-40) is far below rounding, so the certificate
-        # must refuse even these well-separated roots and report them.
-        p = poly_from_roots([k / 4 for k in range(1, 9)])
-        with pytest.raises(NumericalFailure) as info:
-            roots(p, tol=1e-40)
+    def test_a_non_finite_disc_radius_fails_loudly(self):
+        # The Horner sums overflow at the root -1e300, so its disc has no
+        # finite radius, and the certificate refuses and reports the roots.
+        p = UnivariatePolynomial((1e300, 1e300, 1))
+        with pytest.raises(NumericalFailure, match="not finite") as info:
+            roots(p)
         values = [complex(v) for v in info.value.diagnostics["values"]]
-        assert len(values) == 8
-        assert sorted(round(v.real * 4) for v in values) == list(range(1, 9))
-        assert info.value.diagnostics["residual"] > 8 * 8 * 1e-20
+        assert sorted(v.real for v in values) == [-1e300, 0.0]
+        with pytest.raises(NumericalFailure, match="not finite"):
+            raw_roots(p)
 
     def test_five_fold_root_beside_a_simple_one(self):
         found = roots(poly_from_roots([2j] * 5 + [1]))
@@ -148,11 +148,47 @@ class TestRootFinding:
 
     def test_raw_roots_certification_can_be_relaxed(self):
         # Near-coincident roots are located only to about the square root of
-        # machine precision, yet the coefficients rebuilt from them stay
-        # accurate: the default certificate accepts the pair unmerged.
+        # machine precision, yet their inclusion discs stay finite: the disc
+        # certificate accepts the pair unmerged.
         p = poly_from_roots([1.0, 1.0 + 1e-9, -1.0])
         values = raw_roots(p)
         assert sum(1 for v in values if abs(v - 1) < 1e-3) == 2
+
+
+GRID = [complex(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+# The planted roots of TestRootFinding, multiple ones included, and grid draws.
+PLANTED = [
+    [1, 1, -2],
+    [1j, 1j, 1j],
+    [2j] * 5 + [1],
+    [1, 1, 2, 2, 3, 3],
+    [0, 0, -2],
+    [1.0, 1.0 + 1e-9, -1.0],
+    [k / 4 for k in range(1, 9)],
+] + [
+    list(map(complex, np.random.default_rng(seed).choice(GRID, size=degree, replace=False)))
+    for seed, degree in enumerate(range(2, 9))
+]
+
+
+class TestDiscCertificate:
+    @pytest.mark.parametrize("planted", PLANTED)
+    def test_every_planted_root_lies_in_a_disc_of_its_component(self, planted):
+        # A connected component of k inclusion discs holds exactly k roots:
+        # the union of each component's discs holds as many planted roots.
+        p = poly_from_roots(planted)
+        found, radii = poly._certified_roots(np.array([p.coefficients], dtype=complex))
+        found, radii = found[0], radii[0]
+        component = np.abs(found[:, None] - found[None]) <= radii[:, None] + radii[None]
+        for _ in range(len(found)):
+            component = component @ component
+        for members in component:
+            held = [r for r in planted if (np.abs(found[members] - r) <= radii[members]).any()]
+            assert len(held) == members.sum()
+        found_set = roots(p)
+        sizes = np.unique(component.argmax(axis=1), return_counts=True)[1]
+        assert sorted(found_set.multiplicities) == sorted(sizes)
+        assert found_set.residual == radii.max()
 
 
 class TestDiscriminant:
